@@ -217,13 +217,16 @@ class _Solver:
         self.cfg = config or EngineConfig()
         self.lam = check_threshold(threshold) if threshold is not None else None
         self._fresh = itertools.count(1)
+        self._continuation = atom("id") if self.lam is None else Compound(
+            Sym("prox"), (Compound(Sym(str(self.lam))),))
 
     # -- plumbing ------------------------------------------------------------
 
-    def _trace(self, message: str) -> None:
+    def _trace(self, kind: str, render, item) -> None:
+        """Report ``kind: render(item)``; nothing is rendered with tracing off."""
         if self.cfg.trace:
             sink = self.cfg.trace_sink or (lambda s: print(s, file=sys.stderr))
-            sink(message)
+            sink(f"{kind}: {render(item)}")
 
     def _rename(self, clause):
         """Fresh copy of a clause; renamed variables never reach answers."""
@@ -260,11 +263,6 @@ class _Solver:
         else:
             yield from scored_match_hedge(pattern, subject, self.rel.degree, self.lam)
 
-    def _continuation_strategy(self):
-        if self.lam is None:
-            return atom("id")
-        return Compound(Sym("prox"), (Compound(Sym(str(self.lam))),))
-
     def _has_answer(self, literal) -> bool:
         for _ in self._solve((literal,), EMPTY_SUBST, ONE):
             return True
@@ -285,7 +283,7 @@ class _Solver:
                 yield from self._solve_rho(lit, rest, acc, degree)
             else:
                 self._require_ground_redex(lit)
-                self._trace(f"negation: {render_literal(lit)}")
+                self._trace("negation", render_literal, lit)
                 positive = RhoAtom(lit.strategy, lit.lhs, lit.rhs, True)
                 if not self._has_answer(positive):
                     yield from self._solve(rest, acc, degree)
@@ -294,7 +292,7 @@ class _Solver:
                 raise NonGroundRedexError(
                     f"negated goal is not ground: {render_literal(lit)}"
                 )
-            self._trace(f"negation: {render_literal(lit)}")
+            self._trace("negation", render_literal, lit)
             if not self._has_answer(lit.inner):
                 yield from self._solve(rest, acc, degree)
         elif isinstance(lit, PredAtom):
@@ -320,7 +318,7 @@ class _Solver:
 
     def _solve_rho(self, lit, rest, acc, degree):
         self._require_ground_redex(lit)
-        self._trace(f"select: {render_literal(lit)}")
+        self._trace("select", render_literal, lit)
         name = lit.strategy.head.name
         if name in BUILTIN_STRATEGIES:
             yield from self._builtin(name, lit, rest, acc, degree)
@@ -333,9 +331,9 @@ class _Solver:
             renamed = self._rename(clause)
             pattern = (renamed.strategy,) + renamed.lhs
             for sigma in match_hedge(pattern, subject):
-                self._trace(f"clause: {render_clause(clause)}")
+                self._trace("clause", render_clause, clause)
                 continuation = RhoAtom(
-                    self._continuation_strategy(),
+                    self._continuation,
                     sigma.apply_hedge(renamed.rhs),
                     lit.rhs,
                 )
@@ -347,7 +345,7 @@ class _Solver:
             raise NonGroundRedexError(
                 f"predicate call is not ground: {render_literal(lit)}"
             )
-        self._trace(f"select: {render_literal(lit)}")
+        self._trace("select", render_literal, lit)
         name = lit.head.name
         if name in COMPARISONS:
             if len(lit.args) != 2:
@@ -369,7 +367,7 @@ class _Solver:
         for clause in clauses:
             renamed = self._rename(clause)
             for sigma in match_hedge(renamed.params, lit.args):
-                self._trace(f"clause: {render_clause(clause)}")
+                self._trace("clause", render_clause, clause)
                 body = tuple(apply_to_literal(sigma, b) for b in renamed.body)
                 yield from self._solve(body + rest, acc, degree)
 

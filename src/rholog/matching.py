@@ -13,6 +13,11 @@ in a fixed canonical order that the golden-output tests pin down:
 * individual variables, function variables, and fixed symbols are
   forced by position and add no alternatives.
 
+A sequence variable skips widths that leave fewer items than the rest
+of the pattern needs (one per term, the length of each bound sequence
+variable), and takes the one width left if no unbound sequence variable
+follows; skipped widths have no matchers, so the order does not change.
+
 Symbol comparison is pluggable so the proximity layer can reuse the
 same enumeration with degrees; exact matching scores pairs 1 or 0.
 """
@@ -46,21 +51,20 @@ def exact_degree(a: Sym, b: Sym) -> Decimal:
     return ONE if a == b else ZERO
 
 
-def enumerate_contexts(subject) -> list:
-    """All ``(context, plugged)`` decompositions of a ground term.
+def enumerate_contexts(subject) -> Iterator[tuple]:
+    """All ``(context, plugged)`` decompositions of a ground term, lazily.
 
     Ordered by the position of the hole in preorder: the identity
     context first, then holes descending into arguments left to right.
     """
-    out = [(HOLE, subject)]
+    yield HOLE, subject
     if isinstance(subject, Compound):
         for i, item in enumerate(subject.args):
             for ctx, plugged in enumerate_contexts(item):
                 wrapped = Compound(
                     subject.head, subject.args[:i] + (ctx,) + subject.args[i + 1:]
                 )
-                out.append((wrapped, plugged))
-    return out
+                yield wrapped, plugged
 
 
 def _check_inputs(pattern, subject) -> None:
@@ -102,10 +106,6 @@ def match_term(pattern, subject) -> Iterator[Subst]:
     yield from match_hedge((pattern,), (subject,))
 
 
-def scored_match_term(pattern, subject, sym_degree, floor) -> Iterator[tuple]:
-    yield from scored_match_hedge((pattern,), (subject,), sym_degree, floor)
-
-
 def _match_items(items, subject, subst, degree, greedy, sym_degree, floor):
     if not items:
         if not subject:
@@ -122,11 +122,22 @@ def _match_items(items, subject, subst, degree, greedy, sym_degree, floor):
                     rest, subject[n:], subst, degree, greedy, sym_degree, floor
                 )
             return
-        widths = range(len(subject) + 1)
+        need, free = 0, False
+        for item in rest:
+            if not isinstance(item, SeqVar):
+                need += 1
+            elif (later := subst.get(item)) is not None:
+                need += len(later)
+            else:
+                free = True
+        top = len(subject) - need
+        if top < 0:
+            return
+        widths = range(top + 1) if free else (top,)
         if greedy:
             widths = reversed(widths)
         for w in widths:
-            extended = subst.bind(first, subject[:w])
+            extended = subst._extend(first, subject[:w])
             yield from _match_items(
                 rest, subject[w:], extended, degree, True, sym_degree, floor
             )
@@ -150,7 +161,7 @@ def _match_one(pat, t, subst, degree, greedy, sym_degree, floor):
             if bound == t:
                 yield subst, degree, greedy
         else:
-            yield subst.bind(pat, t), degree, greedy
+            yield subst._extend(pat, t), degree, greedy
         return
 
     if isinstance(pat, Compound):
@@ -170,7 +181,7 @@ def _match_one(pat, t, subst, degree, greedy, sym_degree, floor):
                     return
                 here = subst
             else:
-                here = subst.bind(head, t.head)
+                here = subst._extend(head, t.head)
         yield from _match_items(
             pat.args, t.args, here, degree, greedy, sym_degree, floor
         )
@@ -184,7 +195,7 @@ def _match_one(pat, t, subst, degree, greedy, sym_degree, floor):
                     continue
                 here = subst
             else:
-                here = subst.bind(pat.var, ctx)
+                here = subst._extend(pat.var, ctx)
             yield from _match_one(
                 pat.arg, plugged, here, degree, greedy, sym_degree, floor
             )

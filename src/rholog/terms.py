@@ -16,7 +16,7 @@ freely between branches (and threads) without copying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import KindMismatchError
@@ -113,12 +113,29 @@ class Hole:
 HOLE = Hole()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compound:
     """``head(arg,...,arg)`` with an unranked head and a hedge of arguments."""
 
     head: "FunHead"
     args: "Hedge" = ()
+    # hole count and groundness, computed once from the children's
+    _holes: int = field(init=False, repr=False, compare=False)
+    _ground: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        holes, ground = 0, isinstance(self.head, Sym)
+        for item in self.args:
+            if isinstance(item, Compound):
+                holes += item._holes
+                ground = ground and item._ground
+            elif isinstance(item, Hole):
+                holes += 1
+            else:
+                holes += hole_count(item)
+                ground = ground and is_ground(item)
+        object.__setattr__(self, "_holes", holes)
+        object.__setattr__(self, "_ground", ground)
 
     def __repr__(self) -> str:
         if not self.args:
@@ -187,16 +204,20 @@ def free_vars(x) -> tuple:
 
 
 def is_ground(x) -> bool:
-    return next(iter_vars(x), None) is None
+    if isinstance(x, tuple):
+        return all(map(is_ground, x))
+    if isinstance(x, Compound):
+        return x._ground
+    return not isinstance(x, (IndVar, SeqVar, FunVar, CtxVar, CtxApply))
 
 
 def hole_count(x) -> int:
     if isinstance(x, tuple):
-        return sum(hole_count(item) for item in x)
+        return sum(map(hole_count, x))
+    if isinstance(x, Compound):
+        return x._holes
     if isinstance(x, Hole):
         return 1
-    if isinstance(x, Compound):
-        return hole_count(x.args)
     if isinstance(x, CtxApply):
         return hole_count(x.arg)
     return 0
@@ -274,9 +295,16 @@ class Subst:
             if old == value:
                 return self
             raise ValueError(f"{var!r} is already bound")
-        m = dict(self._map)
-        m[var] = value
-        return Subst(m, _checked=True)
+        if _is_identity(var, value):
+            return self
+        return self._extend(var, value)
+
+    def _extend(self, var, value) -> "Subst":
+        """``bind`` unchecked, for an unbound variable and a kind-correct,
+        ground value: the matcher's, taken from a subject checked on entry."""
+        out = Subst.__new__(Subst)
+        out._map = {**self._map, var: value}
+        return out
 
     def get(self, var):
         return self._map.get(var)
@@ -303,6 +331,8 @@ class Subst:
             bound = self._map.get(t)
             return bound if bound is not None else t
         if isinstance(t, Compound):
+            if t._ground:
+                return t
             return Compound(self.apply_head(t.head), self.apply_hedge(t.args))
         if isinstance(t, CtxApply):
             arg = self.apply_term(t.arg)

@@ -4,6 +4,10 @@ Everything here favours obviousness over speed: candidate material is
 enumerated from the subject, assignments are built by cartesian product,
 and a candidate substitution counts as a matcher exactly when applying
 it to the pattern reproduces the subject.
+
+Matchers here are plain dicts from variables to values, applied by this
+module's own ``apply_items``; only the term constructors come from the
+package, so a fault in ``Subst`` or the matcher cannot cancel out.
 """
 
 import itertools
@@ -12,12 +16,11 @@ from decimal import Decimal
 from rholog import (
     HOLE,
     Compound,
+    CtxApply,
     CtxVar,
     FunVar,
     IndVar,
     SeqVar,
-    Subst,
-    free_vars,
 )
 
 ONE = Decimal(1)
@@ -113,12 +116,68 @@ def subject_contexts(subject):
     return list(seen)
 
 
+# -- substitutions as plain dicts ---------------------------------------------
+
+def plain(sigma):
+    """A matcher (a ``Subst`` or a dict) as a hashable set of its bindings."""
+    return frozenset(dict(sigma.items()).items())
+
+
+def pattern_vars(pattern):
+    """Distinct variables of a pattern hedge, in order of first occurrence."""
+    seen = {}
+
+    def walk(x):
+        if isinstance(x, (IndVar, SeqVar)):
+            seen.setdefault(x, None)
+        elif isinstance(x, CtxApply):
+            seen.setdefault(x.var, None)
+            walk(x.arg)
+        elif isinstance(x, Compound):
+            if isinstance(x.head, FunVar):
+                seen.setdefault(x.head, None)
+            for item in x.args:
+                walk(item)
+
+    for item in pattern:
+        walk(item)
+    return tuple(seen)
+
+
+def plug(ctx, t):
+    """Put ``t`` in place of the hole of a one-hole context."""
+    (path,) = [p for p in term_paths(ctx) if subterm_at(ctx, p) == HOLE]
+    return replace_at(ctx, path, t)
+
+
+def apply_items(sigma, pattern):
+    """Instance of a pattern hedge under a dict binding all its variables."""
+    out = []
+    for item in pattern:
+        if isinstance(item, SeqVar):
+            out.extend(sigma[item])
+        else:
+            out.append(apply_term(sigma, item))
+    return tuple(out)
+
+
+def apply_term(sigma, t):
+    if isinstance(t, IndVar):
+        return sigma[t]
+    if isinstance(t, CtxApply):
+        return plug(sigma[t.var], apply_term(sigma, t.arg))
+    if isinstance(t, Compound):
+        head = sigma[t.head] if isinstance(t.head, FunVar) else t.head
+        return Compound(head, apply_items(sigma, t.args))
+    return t
+
+
 def brute_force_matchers(pattern, subject):
-    """The set of all substitutions over subject material that solve the
-    matching problem, found by enumerate-and-filter."""
+    """All matchers over subject material, found by enumerate-and-filter,
+    as a set of ``plain`` matchers."""
     pattern = tuple(pattern)
     subject = tuple(subject)
-    variables = free_vars(pattern)
+    variables = pattern_vars(pattern)
     pools = []
     for v in variables:
         if isinstance(v, IndVar):
@@ -133,10 +192,63 @@ def brute_force_matchers(pattern, subject):
             raise TypeError(v)
     found = set()
     for values in itertools.product(*pools):
-        candidate = Subst(dict(zip(variables, values)), _checked=True)
-        if candidate.apply_hedge(pattern) == subject:
-            found.add(candidate)
+        candidate = dict(zip(variables, values))
+        if apply_items(candidate, pattern) == subject:
+            found.add(plain(candidate))
     return found
+
+
+# -- the documented matcher order, without pruning ----------------------------
+
+def ordered_matchers(pattern, subject):
+    """All matchers as dicts, in the order the ``rholog.matching`` docstring
+    states. A sequence variable tries every width: shortest first while no
+    sequence variable is bound yet on the path, longest first after one is.
+    A context variable tries hole positions in preorder (``term_paths``).
+    Nothing is pruned early."""
+
+    def items(ps, ts, sigma):
+        if not ps:
+            if not ts:
+                yield sigma
+            return
+        p, rest = ps[0], ps[1:]
+        if not isinstance(p, SeqVar):
+            if ts:
+                for sigma2 in one(p, ts[0], sigma):
+                    yield from items(rest, ts[1:], sigma2)
+        elif p in sigma:
+            n = len(sigma[p])
+            if ts[:n] == sigma[p]:
+                yield from items(rest, ts[n:], sigma)
+        else:
+            widths = list(range(len(ts) + 1))
+            if any(isinstance(v, SeqVar) for v in sigma):
+                widths.reverse()
+            for w in widths:
+                yield from items(rest, ts[w:], {**sigma, p: ts[:w]})
+
+    def bind(var, value, sigma):
+        if var not in sigma:
+            return [{**sigma, var: value}]
+        return [sigma] if sigma[var] == value else []
+
+    def one(p, t, sigma):
+        if isinstance(p, IndVar):
+            yield from bind(p, t, sigma)
+        elif isinstance(p, CtxApply):
+            for ctx, plugged in holed_versions(t):
+                for sigma2 in bind(p.var, ctx, sigma):
+                    yield from one(p.arg, plugged, sigma2)
+        elif isinstance(p, Compound) and isinstance(t, Compound):
+            if isinstance(p.head, FunVar):
+                heads = bind(p.head, t.head, sigma)
+            else:
+                heads = [sigma] if p.head == t.head else []
+            for sigma2 in heads:
+                yield from items(p.args, t.args, sigma2)
+
+    return list(items(tuple(pattern), tuple(subject), {}))
 
 
 # -- independent degree computation -------------------------------------------

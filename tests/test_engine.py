@@ -1,13 +1,16 @@
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import rholog.engine
 from rholog import (
     EngineConfig,
     ProximityRelation,
     SeqVar,
     load_program,
     parse_program,
+    parse_proximity_decls,
     parse_query,
     parse_sequence,
     parse_term,
@@ -464,3 +467,39 @@ class TestConfig:
         answers("?(st :: a ==> i_X, Result).", "st :: a ==> b.", config=config)
         assert any(line.startswith("select:") for line in lines)
         assert any(line.startswith("clause:") for line in lines)
+
+    def test_trace_off_renders_nothing(self, monkeypatch):
+        programs = Path(__file__).resolve().parent.parent / "programs"
+
+        def read(name):
+            return (programs / name).read_text(encoding="utf-8")
+
+        sorting = load_program(parse_program(read("sorting.rho")))
+        merging = load_program(parse_program(read("proximity.rho")))
+        rel = ProximityRelation(parse_proximity_decls(read("proximity.prox")))
+
+        def fail(*args):
+            raise AssertionError("rendered a trace line with tracing off")
+
+        monkeypatch.setattr(rholog.engine, "render_literal", fail)
+        monkeypatch.setattr(rholog.engine, "render_clause", fail)
+        off = EngineConfig(trace=False)
+        got = solve(
+            sorting,
+            parse_query("?(bubble_sort(=<) :: (1,3,4,3,2) ==> s_X, Result)."),
+            config=off,
+        )
+        assert [(render_answer(a), a.degree) for a in got] == [
+            ("[s_X ---> (1,2,3,3,4)]", D(1))
+        ]
+        got = solve(
+            merging,
+            parse_query(
+                "?(merge_all_proximals :: (a,b,d,b,c) ==> s_Ans, 0.5, Degree, Result)."
+            ),
+            rel,
+            off,
+        )
+        assert [(render_answer(a), a.degree) for a in got] == [
+            ("[s_Ans ---> (d,c)]", D("0.6"))
+        ]

@@ -17,7 +17,7 @@ from rholog import (
 )
 
 from tests.genrand import ground_hedge, ground_subst_for, make_rng, pattern_hedge
-from tests.oracles import brute_force_matchers
+from tests.oracles import brute_force_matchers, ordered_matchers, plain
 
 T = parse_term
 H = parse_sequence
@@ -65,10 +65,10 @@ class TestGoldenOrders:
 
 class TestEnumerateContexts:
     def test_constant(self):
-        assert enumerate_contexts(T("a")) == [(HOLE, T("a"))]
+        assert list(enumerate_contexts(T("a"))) == [(HOLE, T("a"))]
 
     def test_two_arguments(self):
-        assert enumerate_contexts(T("f(a,b)")) == [
+        assert list(enumerate_contexts(T("f(a,b)"))) == [
             (HOLE, T("f(a,b)")),
             (T("f(hole,b)"), T("a")),
             (T("f(a,hole)"), T("b")),
@@ -77,6 +77,13 @@ class TestEnumerateContexts:
     def test_preorder_left_to_right(self):
         plugged = [t for _, t in enumerate_contexts(T("f(a,g(a))"))]
         assert plugged == [T("f(a,g(a))"), T("a"), T("g(a)"), T("a")]
+
+    def test_first_decomposition_builds_no_others(self):
+        deep = T("a")
+        for _ in range(3000):
+            deep = Compound(Sym("g"), (deep,))
+        ctx, plugged = next(enumerate_contexts(deep))
+        assert ctx is HOLE and plugged is deep
 
 
 class TestBasics:
@@ -163,6 +170,52 @@ class TestProperties:
         ]
         for ptext, stext in cases:
             pattern, subject = H(ptext), H(stext)
-            assert set(match_hedge(pattern, subject)) == brute_force_matchers(
+            assert set(map(plain, match_hedge(pattern, subject))) == brute_force_matchers(
                 pattern, subject
             )
+
+
+class TestOrderOracle:
+    """The matcher's exact output lists against ``ordered_matchers``, a
+    reference written from the module docstring's order rules that tries
+    every sequence-variable width and keeps plain-dict bindings."""
+
+    @staticmethod
+    def check(pattern, subject):
+        got = list(match_hedge(pattern, subject))
+        assert [dict(s.items()) for s in got] == ordered_matchers(pattern, subject)
+        assert len(set(map(plain, got))) == len(got)
+        return len(got)
+
+    def test_criterion_06_corpus(self):
+        from tests.test_acceptance import _all_patterns, _all_subjects
+
+        subjects = _all_subjects()
+        found = sum(self.check(p, s) for p in _all_patterns() for s in subjects)
+        assert found > 0
+
+    def test_repeated_and_bound_sequence_variables(self):
+        cases = [
+            ("(s_1, a, s_1)", "(b, a, b)"),
+            ("(s_1, a, s_1)", "(a, a, a, a, a)"),
+            ("(s_1, s_2, a, s_1)", "(b, c, a, b, c)"),
+            ("(s_1, s_2, s_1, s_2)", "(a, b, a, a, b, a)"),
+            ("(s_1, f(s_1), s_2)", "(a, b, f(a, b), c)"),
+            ("(s_1, i_X, s_2, i_X, s_3)", "(a, b, a, b, a)"),
+            ("(f(s_1, a), s_2, g(s_1))", "(f(b, a), c, d, g(b))"),
+            ("(s_1, c_X(f(s_2)), s_2, s_1)", "(a, g(f(b)), b, a)"),
+        ]
+        found = sum(self.check(H(p), H(s)) for p, s in cases)
+        assert found >= len(cases)
+
+    def test_random_patterns(self):
+        rng = make_rng(14)
+        found = 0
+        for k in range(400):
+            pattern = pattern_hedge(rng, max_items=5, n_seq=3)
+            if k % 2:
+                subject = ground_hedge(rng, max_len=5)
+            else:
+                subject = ground_subst_for(rng, pattern).apply_hedge(pattern)
+            found += self.check(pattern, subject)
+        assert found >= 200

@@ -21,7 +21,13 @@ from rholog import (
 )
 from rholog.errors import KindMismatchError
 
-from tests.genrand import ground_subst_for, ground_term, make_rng, pattern_hedge
+from tests.genrand import (
+    ground_context,
+    ground_subst_for,
+    ground_term,
+    make_rng,
+    pattern_hedge,
+)
 
 
 def T(text):
@@ -192,6 +198,93 @@ class TestValidation:
         with pytest.raises(ValueError):
             sigma.bind(IndVar("i_X"), T("b"))
         assert sigma.bind(IndVar("i_X"), T("a")) == sigma
+
+    def test_bind_checks_kinds(self):
+        bad = [
+            (IndVar("i_X"), T("f(hole)")),  # hole leaks into a term
+            (SeqVar("s_X"), H("(a, g(hole))")),  # and into a sequence
+            (IndVar("i_X"), H("(a,b)")),
+            (SeqVar("s_X"), T("a")),
+            (FunVar("f_X"), T("a")),
+            (CtxVar("c_X"), T("f(a)")),  # no hole
+            (CtxVar("c_X"), T("f(hole,hole)")),
+        ]
+        for var, value in bad:
+            with pytest.raises(KindMismatchError):
+                EMPTY_SUBST.bind(var, value)
+
+    def test_bind_normalizes_identity(self):
+        assert EMPTY_SUBST.bind(IndVar("i_X"), IndVar("i_X")) == EMPTY_SUBST
+        assert EMPTY_SUBST.bind(SeqVar("s_X"), (SeqVar("s_X"),)) == EMPTY_SUBST
+
+
+def _ref_holes(x):
+    if isinstance(x, tuple):
+        return sum(_ref_holes(item) for item in x)
+    if x == HOLE:
+        return 1
+    if isinstance(x, CtxApply):
+        return _ref_holes(x.arg)
+    if isinstance(x, Compound):
+        return _ref_holes(x.args)
+    return 0
+
+
+def _ref_ground(x):
+    if isinstance(x, tuple):
+        return all(_ref_ground(item) for item in x)
+    if isinstance(x, Compound):
+        return isinstance(x.head, Sym) and _ref_ground(x.args)
+    return x == HOLE
+
+
+def _compounds(x):
+    if isinstance(x, tuple):
+        for item in x:
+            yield from _compounds(item)
+    elif isinstance(x, CtxApply):
+        yield from _compounds(x.arg)
+    elif isinstance(x, Compound):
+        yield x
+        yield from _compounds(x.args)
+
+
+class TestCachedInvariants:
+    """Compound carries its hole count and groundness from construction."""
+
+    def samples(self):
+        rng = make_rng(30)
+        for _ in range(300):
+            yield (ground_term(rng),)
+            yield (ground_context(rng),)
+            pattern = pattern_hedge(rng)
+            yield pattern
+            yield ground_subst_for(rng, pattern).apply_hedge(pattern)
+            yield (apply_context(ground_context(rng), ground_context(rng)),)
+            if pattern and not isinstance(pattern[0], SeqVar):
+                yield (apply_context(ground_context(rng), pattern[0]),)
+        yield H("(f(c_X(g(hole)), i_Y), c_Z(hole), f_F(hole, s_S))")
+
+    def test_cache_matches_recursive_reference(self):
+        compounds = 0
+        for hedge in self.samples():
+            assert hole_count(hedge) == _ref_holes(hedge)
+            assert is_ground(hedge) == _ref_ground(hedge)
+            for t in _compounds(hedge):
+                assert (hole_count(t), is_ground(t)) == (_ref_holes(t), _ref_ground(t))
+                compounds += 1
+        assert compounds > 1000
+
+    def test_cache_stays_out_of_eq_hash_and_repr(self):
+        text = "f(g(a, hole), c_X(b), s_Y)"
+        used, fresh = T(text), T(text)
+        assert (hole_count(used), is_ground(used)) == (1, False)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == text.replace(" ", "")
+        # even a cache that disagreed would not change equality or printing
+        object.__setattr__(fresh, "_holes", 7)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
 
 
 def test_random_context_application_keeps_hole_count():
