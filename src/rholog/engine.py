@@ -9,6 +9,11 @@ continuation ``id :: sigma(s2') ==> s2``; threshold-mode queries use
 ``prox(lam)`` as the continuation instead. Clause heads themselves are
 always matched exactly; approximation enters only through ``prox``.
 
+Heads are matched as stored: the redex is ground, so no renaming is
+needed to match. Each hit then gives the clause's local variables (those
+of the rhs and body that the head lacks, found once at load) fresh names
+``v~n``, extending ``sigma`` before it is applied once to rhs and body.
+
 Negative literals and ``not(...)`` succeed exactly when the positive
 form has no answers. The degree of an answer is the minimum over the
 degrees of all proximity steps in its derivation (1 if there are none).
@@ -39,7 +44,7 @@ from .errors import (
     UnknownPredicateError,
     UnknownStrategyError,
 )
-from .matching import ONE, match_hedge, scored_match_hedge
+from .matching import ONE, exact_degree, match_hedge, scored_match_hedge
 from .printer import render_clause, render_literal
 from .program import (
     NotGoal,
@@ -51,7 +56,7 @@ from .program import (
     SourceProgram,
     StrategyAbbrev,
     apply_to_literal,
-    clause_vars,
+    clause_locals,
     goal_vars,
     literal_hole_count,
     literal_is_ground,
@@ -65,7 +70,6 @@ from .terms import (
     CtxApply,
     CtxVar,
     FunVar,
-    IndVar,
     SeqVar,
     Subst,
     Sym,
@@ -105,21 +109,23 @@ class Answer:
 
     bindings: Subst
     degree: Decimal
-    var_order: tuple = ()
 
 
 class ClauseDB:
-    """Loaded program: transformation and predicate clauses in source order."""
+    """Loaded program: transformation and predicate clauses in source order,
+    indexed by name as ``(clause, clause_locals(clause))`` pairs."""
 
     def __init__(self, rho_clauses=(), pred_clauses=()):
         self.rho_clauses = tuple(rho_clauses)
         self.pred_clauses = tuple(pred_clauses)
         self._rho_index = {}
         for clause in self.rho_clauses:
-            self._rho_index.setdefault(clause.strategy.head.name, []).append(clause)
+            self._rho_index.setdefault(clause.strategy.head.name, []).append(
+                (clause, clause_locals(clause)))
         self._pred_index = {}
         for clause in self.pred_clauses:
-            self._pred_index.setdefault(clause.name, []).append(clause)
+            self._pred_index.setdefault(clause.name, []).append(
+                (clause, clause_locals(clause)))
 
     def rho_for(self, name: str):
         return self._rho_index.get(name, ())
@@ -217,8 +223,12 @@ class _Solver:
         self.cfg = config or EngineConfig()
         self.lam = check_threshold(threshold) if threshold is not None else None
         self._fresh = itertools.count(1)
-        self._continuation = atom("id") if self.lam is None else Compound(
-            Sym("prox"), (Compound(Sym(str(self.lam))),))
+        if self.lam is None:
+            self._continuation = atom("id")
+            self._sym_degree, self._floor = exact_degree, ONE
+        else:
+            self._continuation = Compound(Sym("prox"), (atom(str(self.lam)),))
+            self._sym_degree, self._floor = self.rel.degree, self.lam
 
     # -- plumbing ------------------------------------------------------------
 
@@ -228,40 +238,21 @@ class _Solver:
             sink = self.cfg.trace_sink or (lambda s: print(s, file=sys.stderr))
             sink(f"{kind}: {render(item)}")
 
-    def _rename(self, clause):
-        """Fresh copy of a clause; renamed variables never reach answers."""
+    def _with_fresh_locals(self, sigma, local_vars):
+        """``sigma`` plus fresh names, under one new counter value, for a
+        clause's local variables; fresh names never reach answers."""
+        if not local_vars:
+            return sigma
         n = next(self._fresh)
-        mapping = {}
-        for v in clause_vars(clause):
+        mapping = dict(sigma.items())
+        for v in local_vars:
+            new = type(v)(f"{v.name}~{n}")
             if isinstance(v, SeqVar):
-                mapping[v] = (SeqVar(f"{v.name}~{n}"),)
-            elif isinstance(v, IndVar):
-                mapping[v] = IndVar(f"{v.name}~{n}")
-            elif isinstance(v, FunVar):
-                mapping[v] = FunVar(f"{v.name}~{n}")
-            else:
-                mapping[v] = CtxApply(CtxVar(f"{v.name}~{n}"), HOLE)
-        ren = Subst(mapping, _checked=True)
-        if isinstance(clause, RhoClause):
-            return RhoClause(
-                ren.apply_term(clause.strategy),
-                ren.apply_hedge(clause.lhs),
-                ren.apply_hedge(clause.rhs),
-                tuple(apply_to_literal(ren, lit) for lit in clause.body),
-            )
-        return PredClause(
-            clause.name,
-            ren.apply_hedge(clause.params),
-            tuple(apply_to_literal(ren, lit) for lit in clause.body),
-        )
-
-    def _mode_match(self, pattern, subject):
-        """Match a goal-side pattern against a computed ground sequence."""
-        if self.lam is None:
-            for subst in match_hedge(pattern, subject):
-                yield subst, ONE
-        else:
-            yield from scored_match_hedge(pattern, subject, self.rel.degree, self.lam)
+                new = (new,)
+            elif isinstance(v, CtxVar):
+                new = CtxApply(new, HOLE)
+            mapping[v] = new
+        return Subst(mapping, _checked=True)
 
     def _has_answer(self, literal) -> bool:
         for _ in self._solve((literal,), EMPTY_SUBST, ONE):
@@ -327,17 +318,16 @@ class _Solver:
         if not clauses:
             raise UnknownStrategyError(f"unknown strategy: {name!r}")
         subject = (lit.strategy,) + lit.lhs
-        for clause in clauses:
-            renamed = self._rename(clause)
-            pattern = (renamed.strategy,) + renamed.lhs
-            for sigma in match_hedge(pattern, subject):
+        for clause, local_vars in clauses:
+            for sigma in match_hedge((clause.strategy,) + clause.lhs, subject):
                 self._trace("clause", render_clause, clause)
+                sigma = self._with_fresh_locals(sigma, local_vars)
                 continuation = RhoAtom(
                     self._continuation,
-                    sigma.apply_hedge(renamed.rhs),
+                    sigma.apply_hedge(clause.rhs),
                     lit.rhs,
                 )
-                body = tuple(apply_to_literal(sigma, b) for b in renamed.body)
+                body = tuple(apply_to_literal(sigma, b) for b in clause.body)
                 yield from self._solve(body + (continuation,) + rest, acc, degree)
 
     def _solve_pred(self, lit, rest, acc, degree):
@@ -364,11 +354,11 @@ class _Solver:
         clauses = self.db.preds_for(name)
         if clauses is None:
             raise UnknownPredicateError(f"unknown predicate: {name!r}")
-        for clause in clauses:
-            renamed = self._rename(clause)
-            for sigma in match_hedge(renamed.params, lit.args):
+        for clause, local_vars in clauses:
+            for sigma in match_hedge(clause.params, lit.args):
                 self._trace("clause", render_clause, clause)
-                body = tuple(apply_to_literal(sigma, b) for b in renamed.body)
+                sigma = self._with_fresh_locals(sigma, local_vars)
+                body = tuple(apply_to_literal(sigma, b) for b in clause.body)
                 yield from self._solve(body + rest, acc, degree)
 
     # -- builtin strategies ----------------------------------------------------
@@ -405,7 +395,9 @@ class _Solver:
 
     def _outputs_into_rhs(self, outputs, rhs):
         for out, d in outputs:
-            for theta, d2 in self._mode_match(rhs, out):
+            for theta, d2 in scored_match_hedge(
+                rhs, out, self._sym_degree, self._floor
+            ):
                 yield theta, min(d, d2)
 
     def _builtin_outputs(self, name, args, lhs):
@@ -507,7 +499,7 @@ def solve(db: ClauseDB, query: Query, relation=None, config=None) -> Iterator[An
         for subst, degree in solver.run(query.goal):
             if query.threshold is not None and degree < query.threshold:
                 continue
-            yield Answer(subst.restrict(order), degree, order)
+            yield Answer(subst.restrict(order), degree)
 
     stream = answers()
     if config.answer_limit is not None:

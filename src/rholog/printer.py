@@ -51,7 +51,7 @@ def render_bindings(subst: Subst, order=()) -> str:
 
 
 def render_answer(answer) -> str:
-    return render_bindings(answer.bindings, answer.var_order)
+    return render_bindings(answer.bindings)
 
 
 def render_literal(lit) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
@@ -125,27 +126,18 @@ def apply_to_literal(subst: Subst, lit):
     raise TypeError(f"not a literal: {lit!r}")
 
 
-def clause_vars(clause) -> tuple:
-    """Distinct variables of a clause in order of first occurrence."""
-    seen = {}
-
-    def take(it):
-        for v in it:
-            seen.setdefault(v, None)
-
+def clause_locals(clause) -> tuple:
+    """Distinct variables of a clause's rhs and body that its head (strategy
+    and lhs, or the predicate params) lacks, in order of first occurrence."""
     if isinstance(clause, RhoClause):
-        take(iter_vars(clause.strategy))
-        take(iter_vars(clause.lhs))
-        take(iter_vars(clause.rhs))
-        for lit in clause.body:
-            take(literal_vars(lit))
+        head, rest = (clause.strategy,) + clause.lhs, [iter_vars(clause.rhs)]
     elif isinstance(clause, PredClause):
-        take(iter_vars(clause.params))
-        for lit in clause.body:
-            take(literal_vars(lit))
+        head, rest = clause.params, []
     else:
         raise TypeError(f"not a clause: {clause!r}")
-    return tuple(seen)
+    head = set(iter_vars(head))
+    found = dict.fromkeys(itertools.chain(*rest, *map(literal_vars, clause.body)))
+    return tuple(v for v in found if v not in head)
 
 
 def literal_hole_count(lit) -> int:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 from .errors import DegreeRangeError, ThresholdRangeError
 from .matching import ONE, ZERO, scored_match_hedge
-from .terms import Compound, Subst, Sym, hole_count, is_ground
+from .terms import Subst, Sym, hole_count, is_ground
 
 
 class ProximityRelation:
@@ -104,33 +104,15 @@ def term_proximity(rel, t1, t2) -> Decimal:
     for t in (t1, t2):
         if not is_ground(t) or hole_count(t) != 0:
             raise ValueError("term proximity is defined on ground, hole-free terms")
-    return _term_degree(rel, t1, t2)
+    return hedge_proximity(rel, (t1,), (t2,))
 
 
 def hedge_proximity(rel, h1, h2) -> Decimal:
-    """Proximity degree of two ground, hole-free sequences."""
+    """Proximity degree of two ground, hole-free sequences: the degree of
+    the one matcher of ``h1`` against ``h2``, or 0 if there is none."""
     for h in (h1, h2):
         if not is_ground(h) or hole_count(h) != 0:
             raise ValueError("hedge proximity is defined on ground, hole-free hedges")
-    return _hedge_degree(rel, h1, h2)
-
-
-def _term_degree(rel, t1, t2) -> Decimal:
-    if isinstance(t1, Compound) and isinstance(t2, Compound):
-        d = rel.degree(t1.head, t2.head)
-        if d == 0:
-            return ZERO
-        return min(d, _hedge_degree(rel, t1.args, t2.args))
+    for _, degree in scored_match_hedge(h1, h2, rel.degree, ZERO):
+        return degree
     return ZERO
-
-
-def _hedge_degree(rel, h1, h2) -> Decimal:
-    if len(h1) != len(h2):
-        return ZERO
-    degree = ONE
-    for a, b in zip(h1, h2):
-        d = _term_degree(rel, a, b)
-        if d == 0:
-            return ZERO
-        degree = min(degree, d)
-    return degree

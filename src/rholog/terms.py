@@ -17,17 +17,12 @@ freely between branches (and threads) without copying.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import ClassVar, Iterator, Union
 
 from .errors import KindMismatchError
 
 VAR_PREFIXES = ("i_", "s_", "f_", "c_")
 RESERVED_NAMES = frozenset({"hole", "eps"})
-
-
-def _check_var_name(name: str, prefix: str) -> None:
-    if not name.startswith(prefix) or len(name) <= len(prefix):
-        raise ValueError(f"variable name {name!r} must be {prefix}<base>")
 
 
 @dataclass(frozen=True)
@@ -50,56 +45,47 @@ class Sym:
         return self.name
 
 
-@dataclass(frozen=True)
-class IndVar:
+@dataclass(frozen=True, slots=True)
+class Var:
+    """A variable: a name that starts with its kind's prefix."""
+
+    name: str
+    prefix: ClassVar[str] = ""
+
+    def __post_init__(self) -> None:
+        if not self.name.startswith(self.prefix) or len(self.name) <= len(self.prefix):
+            raise ValueError(f"variable name {self.name!r} must be {self.prefix}<base>")
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+class IndVar(Var):
     """Individual variable ``i_...``; stands for a single hole-free term."""
 
-    name: str
-
-    def __post_init__(self) -> None:
-        _check_var_name(self.name, "i_")
-
-    def __repr__(self) -> str:
-        return self.name
+    __slots__ = ()
+    prefix = "i_"
 
 
-@dataclass(frozen=True)
-class SeqVar:
+class SeqVar(Var):
     """Sequence variable ``s_...``; stands for a hole-free sequence."""
 
-    name: str
-
-    def __post_init__(self) -> None:
-        _check_var_name(self.name, "s_")
-
-    def __repr__(self) -> str:
-        return self.name
+    __slots__ = ()
+    prefix = "s_"
 
 
-@dataclass(frozen=True)
-class FunVar:
+class FunVar(Var):
     """Function variable ``f_...``; stands for a function head."""
 
-    name: str
-
-    def __post_init__(self) -> None:
-        _check_var_name(self.name, "f_")
-
-    def __repr__(self) -> str:
-        return self.name
+    __slots__ = ()
+    prefix = "f_"
 
 
-@dataclass(frozen=True)
-class CtxVar:
+class CtxVar(Var):
     """Context variable ``c_...``; stands for a one-hole context."""
 
-    name: str
-
-    def __post_init__(self) -> None:
-        _check_var_name(self.name, "c_")
-
-    def __repr__(self) -> str:
-        return self.name
+    __slots__ = ()
+    prefix = "c_"
 
 
 @dataclass(frozen=True)
@@ -158,7 +144,6 @@ Term = Union[Hole, IndVar, Compound, CtxApply]
 Item = Union[Term, SeqVar]
 Hedge = "tuple[Item, ...]"
 FunHead = Union[Sym, FunVar]
-Var = Union[IndVar, SeqVar, FunVar, CtxVar]
 
 
 def atom(name: str) -> Compound:
@@ -186,7 +171,7 @@ def iter_vars(x) -> Iterator[Var]:
     if isinstance(x, tuple):
         for item in x:
             yield from iter_vars(item)
-    elif isinstance(x, (IndVar, SeqVar, FunVar, CtxVar)):
+    elif isinstance(x, Var):
         yield x
     elif isinstance(x, Compound):
         if isinstance(x.head, FunVar):
@@ -208,7 +193,7 @@ def is_ground(x) -> bool:
         return all(map(is_ground, x))
     if isinstance(x, Compound):
         return x._ground
-    return not isinstance(x, (IndVar, SeqVar, FunVar, CtxVar, CtxApply))
+    return not isinstance(x, (Var, CtxApply))
 
 
 def hole_count(x) -> int:
@@ -316,8 +301,8 @@ class Subst:
         return self._map.items()
 
     def restrict(self, keep) -> "Subst":
-        keep = set(keep)
-        return Subst({v: b for v, b in self._map.items() if v in keep}, _checked=True)
+        """The bindings of the variables in ``keep``, in the order of ``keep``."""
+        return Subst({v: self._map[v] for v in keep if v in self._map}, _checked=True)
 
     def apply_head(self, head: FunHead) -> FunHead:
         if isinstance(head, FunVar):

@@ -5,7 +5,9 @@ import pytest
 
 import rholog.engine
 from rholog import (
+    CtxVar,
     EngineConfig,
+    IndVar,
     ProximityRelation,
     SeqVar,
     load_program,
@@ -30,6 +32,7 @@ from rholog.errors import (
     UnknownPredicateError,
     UnknownStrategyError,
 )
+from rholog.program import clause_locals
 
 D = Decimal
 T = parse_term
@@ -432,6 +435,61 @@ class TestProximityMode:
         ) == []
         got = results("?(neg_check :: a ==> s_R, 0.7, Degree, Result).", program, REL)
         assert got == [("[s_R ---> ok]", D(1))]
+
+
+class TestClauseSelection:
+    """Heads are matched as stored; only a hit instantiates a clause."""
+
+    def test_failed_heads_instantiate_nothing(self, monkeypatch):
+        calls = []
+        original = rholog.engine.apply_to_literal
+
+        def counted(subst, lit):
+            calls.append(lit)
+            return original(subst, lit)
+
+        monkeypatch.setattr(rholog.engine, "apply_to_literal", counted)
+        counts = []
+        for n in (1, 50):
+            program = "".join(
+                f"st :: b{k} ==> i_Y :- id :: c ==> i_Y.\n" for k in range(n)
+            )
+            program += "st :: a ==> i_Y :- id :: d ==> i_Y.\n"
+            calls.clear()
+            got = results("?(st :: a ==> i_X, Result).", program)
+            assert got == [("[i_X ---> d]", D(1))]
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_locals_of_a_transformation_clause(self):
+        (clause,) = parse_program(
+            "st(i_A) :: (i_X, s_R) ==> (s_Z, i_X, i_Y) :- "
+            "i_A :: i_X ==> (i_Y, s_W), c :: s_Z ==> c_C(i_V)."
+        ).clauses
+        assert clause_locals(clause) == (
+            SeqVar("s_Z"), IndVar("i_Y"), SeqVar("s_W"), CtxVar("c_C"), IndVar("i_V")
+        )
+
+    def test_locals_of_a_predicate_clause(self):
+        (clause,) = parse_program(
+            "p(i_X, f_F(s_A)) :- q(i_Z, i_X), f_F(s_B), not(r(i_Z, s_A))."
+        ).clauses
+        assert clause_locals(clause) == (IndVar("i_Z"), SeqVar("s_B"))
+
+    def test_locals_of_an_expanded_abbreviation(self):
+        (clause,) = db_of("st := compose(a1, a2).").rho_clauses
+        assert clause_locals(clause) == (clause.rhs[0],) == (SeqVar("s__Abbrev1R"),)
+
+    def test_recursive_clause_keeps_each_hits_locals_apart(self):
+        # every pending continuation holds s_U and s_R of an outer hit while
+        # the inner hit of the same clause runs
+        program = (
+            "rev :: eps ==> eps.\n"
+            "rev :: (i_H, s_T) ==> s_R :- rev :: s_T ==> s_U, id :: (s_U, i_H) ==> s_R.\n"
+        )
+        assert results("?(rev :: (a,b,c,d) ==> s_X, Result).", program) == [
+            ("[s_X ---> (d,c,b,a)]", D(1))
+        ]
 
 
 class TestDeterminism:

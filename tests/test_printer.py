@@ -45,12 +45,12 @@ def test_bindings_follow_first_occurrence_order():
 
 def test_answer_rendering():
     subst = Subst({SeqVar("s_Ans"): parse_sequence("(d,c)")})
-    answer = Answer(subst, Decimal("0.6"), (SeqVar("s_Ans"),))
+    answer = Answer(subst, Decimal("0.6"))
     assert render_answer(answer) == "[s_Ans ---> (d,c)]"
 
 
 def test_empty_answer_renders_brackets():
-    answer = Answer(Subst({}), Decimal(1), ())
+    answer = Answer(Subst({}), Decimal(1))
     assert render_answer(answer) == "[]"
 
 

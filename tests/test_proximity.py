@@ -80,10 +80,16 @@ class TestTermProximity:
 
     def test_symmetry_on_random_terms(self):
         rng = make_rng(31)
+        partial = 0
         for _ in range(150):
             rel = random_relation(rng)
-            h1, h2 = ground_hedge(rng), ground_hedge(rng)
-            assert hedge_proximity(rel, h1, h2) == hedge_proximity(rel, h2, h1)
+            h1 = ground_hedge(rng)
+            for h2 in (ground_hedge(rng), perturb_hedge(rng, rel, h1)):
+                got = hedge_proximity(rel, h1, h2)
+                assert got == hedge_proximity(rel, h2, h1)
+                assert got == min_fold_proximity(rel, h1, h2)
+                partial += 0 < got < 1
+        assert partial > 0
 
     def test_requires_ground_terms(self, rel):
         with pytest.raises(ValueError):
