@@ -97,6 +97,21 @@ def pattern_hedge(rng, max_items=4, depth=2, **caps):
     return _PatternBuilder(rng, **caps).hedge(max_items, depth)
 
 
+def rule_sides(rng, max_items=3, depth=2, tries=20, accept=lambda lhs, rhs: True):
+    """A random ``(lhs, rhs)`` pair of pattern hedges whose rhs uses only
+    variables of the lhs, so every instance of a matched rule is ground.
+    Draws up to ``tries`` right-hand sides and returns the first that
+    ``accept`` allows, or None."""
+    builder = _PatternBuilder(rng, n_seq=2, n_ind=2, n_fun=1, n_ctx=1)
+    lhs = builder.hedge(max_items, depth)
+    builder.caps = dict.fromkeys(builder.caps, 0)  # reuse lhs variables only
+    for _ in range(tries):
+        rhs = builder.hedge(max_items, depth)
+        if accept(lhs, rhs):
+            return lhs, rhs
+    return None
+
+
 def ground_subst_for(rng, pattern):
     """A random ground, kind-correct binding for every pattern variable."""
     mapping = {}
