@@ -23,6 +23,7 @@ from .errors import (
     ArityError,
     DegreeRangeError,
     DuplicateBuiltinError,
+    HoleInGoalError,
     KindMismatchError,
     LoadError,
     NonGroundRedexError,

@@ -160,8 +160,8 @@ def _repl_answers(query, db, relation, config) -> None:
 
 
 def main(argv=None) -> int:
-    # deep nf chains nest generators; give them room (still bounded, and
-    # --nf-limit is the real safety valve for runaway rule systems)
+    # the parser, the printer, iter_vars and term hashing recurse over deep
+    # terms; give them room (ROADMAP items 4 and 5 make them iterative)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
     args = build_arg_parser().parse_args(argv)
     try:

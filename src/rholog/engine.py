@@ -1,22 +1,28 @@
 """Clause database, goal resolution, builtin strategies and predicates.
 
-Resolution is depth-first with leftmost literal selection. Selecting a
-positive transformation literal ``st :: s1 ==> s2`` requires ``st`` and
-``s1`` to be ground (checked at run time). A program clause
-``st' :: s1' ==> s2' :- body`` whose head matches with substitution
-``sigma`` replaces the literal by ``sigma(body)`` followed by the
-continuation ``id :: sigma(s2') ==> s2``; threshold-mode queries use
-``prox(lam)`` as the continuation instead. Clause heads themselves are
-always matched exactly; approximation enters only through ``prox``.
+Resolution is depth-first with leftmost selection: one loop over a goal
+list and a stack of choice points, the control of Warren's Abstract
+Machine without its term store. A choice point is an iterator of
+``(goals, answer, degree)`` states; a state with no goals is an answer.
+A lone clause whose head has at most one matcher, and a step whose
+pattern has at most one, leave no choice point behind.
 
-Heads are matched as stored: the redex is ground, so no renaming is
-needed to match. Each hit then gives the clause's local variables (those
-of the rhs and body that the head lacks, found once at load) fresh names
-``v~n``, extending ``sigma`` before it is applied once to rhs and body.
+Selecting ``st :: s1 ==> s2`` requires ``st`` and ``s1`` to be ground. A
+clause ``st' :: s1' ==> s2' :- body`` whose stored head matches with
+``sigma`` (extended by fresh names ``v~n`` for its local variables) gives
+the goals ``sigma(body)``, then ``C :: sigma(s2') ==> s2``, where ``C`` is
+``id``, or ``prox(lam)`` in threshold mode. Builtins become goals too:
+``compose(s1,...,sk) :: l ==> r`` gives ``s1 :: l ==> s_Out~1``, ...,
+``sk :: s_Out~(k-1) ==> s_Out~k``, ``C :: s_Out~k ==> r``. Three barriers
+are machine-only goals naming their choice point's stack height:
+``first_one`` cuts after its first output and its first rhs match; ``nf``
+and ``first_all`` soft-cut (an output drops only the untried
+alternatives), the nf one carrying the step limit; negation cuts and
+fails once the positive form has an answer.
 
-Negative literals and ``not(...)`` succeed exactly when the positive
-form has no answers. The degree of an answer is the minimum over the
-degrees of all proximity steps in its derivation (1 if there are none).
+Every step binds ground values and query variables are never renamed,
+so answers record just the steps' bindings of query variables. The
+degree of an answer is the minimum over its proximity steps (1 if none).
 
 Builtin strategies: ``id``, ``prox``/``prox(lam)``, ``compose``,
 ``choice``, ``first_one``, ``first_all``, ``map``, ``nf``. Builtin
@@ -36,6 +42,7 @@ from typing import Callable, Iterator
 from .errors import (
     ArityError,
     DuplicateBuiltinError,
+    HoleInGoalError,
     LoadError,
     NonGroundRedexError,
     NonNumericError,
@@ -44,7 +51,7 @@ from .errors import (
     UnknownPredicateError,
     UnknownStrategyError,
 )
-from .matching import ONE, exact_degree, match_hedge, scored_match_hedge
+from .matching import ONE, at_most_one_matcher, match_hedge, scored_match_hedge
 from .printer import render_clause, render_literal
 from .program import (
     NotGoal,
@@ -64,7 +71,6 @@ from .program import (
 )
 from .proximity import EMPTY_RELATION, check_threshold
 from .terms import (
-    EMPTY_SUBST,
     HOLE,
     Compound,
     CtxApply,
@@ -113,7 +119,7 @@ class Answer:
 
 class ClauseDB:
     """Loaded program: transformation and predicate clauses in source order,
-    indexed by name as ``(clause, clause_locals(clause))`` pairs."""
+    indexed by name as ``(clause, head pattern, clause_locals(clause))``."""
 
     def __init__(self, rho_clauses=(), pred_clauses=()):
         self.rho_clauses = tuple(rho_clauses)
@@ -121,11 +127,11 @@ class ClauseDB:
         self._rho_index = {}
         for clause in self.rho_clauses:
             self._rho_index.setdefault(clause.strategy.head.name, []).append(
-                (clause, clause_locals(clause)))
+                (clause, (clause.strategy,) + clause.lhs, clause_locals(clause)))
         self._pred_index = {}
         for clause in self.pred_clauses:
             self._pred_index.setdefault(clause.name, []).append(
-                (clause, clause_locals(clause)))
+                (clause, clause.params, clause_locals(clause)))
 
     def rho_for(self, name: str):
         return self._rho_index.get(name, ())
@@ -214,21 +220,48 @@ def numeral_value(t) -> Decimal | None:
     return None
 
 
-class _Solver:
-    """Search state for one query: mode, configuration, fresh-name counter."""
+@dataclass(frozen=True)
+class _Cut:
+    """Machine-only goal: commit to the choice point at ``height``. A hard
+    cut drops it and every choice point above it, a soft cut only its own
+    remaining alternatives; ``fail`` fails right after the cut."""
 
-    def __init__(self, db, relation, config, threshold):
+    height: int
+    soft: bool = False
+    fail: bool = False
+
+
+@dataclass(frozen=True)
+class _Nf:
+    """Machine-only goal reached by an output of nf step ``depth``: soft-cut
+    at ``height``, then step ``depth + 1`` by ``lit``, ``nf(st) :: out ==> rhs``."""
+
+    lit: RhoAtom
+    depth: int
+    height: int
+
+
+@dataclass(frozen=True)
+class _OneTerm:
+    """Machine-only goal: ``map``'s check that an output is a single term."""
+
+    out: tuple
+
+
+class _Solver:
+    """One query's search: mode, configuration, fresh names, query variables."""
+
+    def __init__(self, db, relation, config, threshold, keep):
         self.db = db
         self.rel = relation if relation is not None else EMPTY_RELATION
         self.cfg = config or EngineConfig()
         self.lam = check_threshold(threshold) if threshold is not None else None
+        self._keep = frozenset(keep)
         self._fresh = itertools.count(1)
         if self.lam is None:
             self._continuation = atom("id")
-            self._sym_degree, self._floor = exact_degree, ONE
         else:
-            self._continuation = Compound(Sym("prox"), (atom(str(self.lam)),))
-            self._sym_degree, self._floor = self.rel.degree, self.lam
+            self._continuation = Compound(Sym("prox"), (atom(format(self.lam, "f")),))
 
     # -- plumbing ------------------------------------------------------------
 
@@ -254,83 +287,113 @@ class _Solver:
             mapping[v] = new
         return Subst(mapping, _checked=True)
 
-    def _has_answer(self, literal) -> bool:
-        for _ in self._solve((literal,), EMPTY_SUBST, ONE):
-            return True
-        return False
+    def _fresh_out(self):
+        return (SeqVar(f"s_Out~{next(self._fresh)}"),)
+
+    def _into(self, out, rhs):
+        """The continuation literal ``C :: out ==> rhs``."""
+        return RhoAtom(self._continuation, out, rhs)
+
+    def _through(self, strategy, lhs, rhs, barrier, after):
+        """Goals that run ``strategy`` on ``lhs`` into a fresh output, pass
+        ``barrier``, then match the output against ``rhs``."""
+        out = self._fresh_out()
+        return (RhoAtom(strategy, lhs, out),) + barrier + (self._into(out, rhs),) + after
+
+    def _bound(self, theta, step_degree, rest, answer, degree):
+        """The state after a step that binds ``theta``: its bindings of query
+        variables join the answer, and the pending goals are instantiated."""
+        if theta:
+            kept = {v: x for v, x in theta.items() if v in self._keep}
+            if kept:
+                answer = {**answer, **kept}
+            rest = tuple(_instantiate(theta, goal) for goal in rest)
+        return rest, answer, min(degree, step_degree)
 
     # -- resolution ----------------------------------------------------------
 
     def run(self, literals) -> Iterator[tuple]:
-        yield from self._solve(tuple(literals), EMPTY_SUBST, ONE)
+        """Depth-first resolution: one loop over a stack of choice points,
+        each an iterator of ``(goals, answer, degree)`` states."""
+        stack, state = [], (tuple(literals), {}, ONE)
+        while True:
+            while state is None:  # backtrack
+                if not stack:
+                    return
+                state = next(stack[-1], None)
+                if state is None:
+                    stack.pop()
+            goals, answer, degree = state
+            if not goals:
+                yield answer, degree
+                state = None
+                continue
+            state = self._select(goals[0], goals[1:], answer, degree, stack)
+            if not (state is None or isinstance(state, tuple)):
+                stack.append(state)
+                state = None
 
-    def _solve(self, literals, acc, degree):
-        if not literals:
-            yield acc, degree
-            return
-        lit, rest = literals[0], literals[1:]
-        if isinstance(lit, RhoAtom):
-            if lit.positive:
-                yield from self._solve_rho(lit, rest, acc, degree)
-            else:
-                self._require_ground_redex(lit)
-                self._trace("negation", render_literal, lit)
-                positive = RhoAtom(lit.strategy, lit.lhs, lit.rhs, True)
-                if not self._has_answer(positive):
-                    yield from self._solve(rest, acc, degree)
-        elif isinstance(lit, NotGoal):
-            if not literal_is_ground(lit.inner):
+    def _select(self, goal, rest, answer, degree, stack):
+        """What a selected goal leads to: one state, None for failure, or a
+        choice point (an iterator of states) to push on ``stack``."""
+        if isinstance(goal, RhoAtom):
+            if not (is_ground(goal.strategy) and is_ground(goal.lhs)):
                 raise NonGroundRedexError(
-                    f"negated goal is not ground: {render_literal(lit)}"
+                    "strategy and left-hand side must be ground when selected: "
+                    + render_literal(goal)
                 )
-            self._trace("negation", render_literal, lit)
-            if not self._has_answer(lit.inner):
-                yield from self._solve(rest, acc, degree)
-        elif isinstance(lit, PredAtom):
-            yield from self._solve_pred(lit, rest, acc, degree)
+            if goal.positive:
+                return self._solve_rho(goal, rest, answer, degree, len(stack))
+            positive = RhoAtom(goal.strategy, goal.lhs, goal.rhs, True)
+        elif isinstance(goal, PredAtom):
+            return self._solve_pred(goal, rest, answer, degree)
+        elif isinstance(goal, _Cut):
+            if goal.soft:
+                stack[goal.height] = iter(())
+            else:
+                del stack[goal.height:]
+            return None if goal.fail else (rest, answer, degree)
+        elif isinstance(goal, _Nf):
+            limit = self.cfg.nf_step_limit
+            if limit is not None and goal.depth >= limit:
+                raise StepLimitError(f"nf exceeded the step limit of {limit}")
+            stack[goal.height] = iter(())
+            return self._nf(goal.lit, goal.depth + 1, rest, answer, degree, len(stack))
+        elif isinstance(goal, _OneTerm):
+            if len(goal.out) != 1:
+                raise NonTermResultError(
+                    "map needs term-to-term strategies, got a result of length "
+                    f"{len(goal.out)}"
+                )
+            return rest, answer, degree
+        elif isinstance(goal, NotGoal):
+            if not literal_is_ground(goal.inner):
+                raise NonGroundRedexError(
+                    f"negated goal is not ground: {render_literal(goal)}"
+                )
+            positive = goal.inner
         else:
-            raise TypeError(f"not a literal: {lit!r}")
+            raise TypeError(f"not a literal: {goal!r}")
+        # negation as failure: an answer of the positive form reaches a cut
+        # that drops this choice point, continuing state included, and fails
+        self._trace("negation", render_literal, goal)
+        return iter([
+            ((positive, _Cut(len(stack), fail=True)), answer, degree),
+            (rest, answer, degree),
+        ])
 
-    def _require_ground_redex(self, lit: RhoAtom) -> None:
-        if not (is_ground(lit.strategy) and is_ground(lit.lhs)):
-            raise NonGroundRedexError(
-                "strategy and left-hand side must be ground when selected: "
-                + render_literal(lit)
-            )
-        if hole_count(lit.strategy) or hole_count(lit.lhs):
-            raise ValueError(
-                f"hole is not allowed in goals: {render_literal(lit)}"
-            )
-
-    def _step(self, theta, step_degree, rest, acc, degree):
-        """Propagate one binding step into the remaining goal."""
-        rest = tuple(apply_to_literal(theta, lit) for lit in rest)
-        yield from self._solve(rest, acc.compose(theta), min(degree, step_degree))
-
-    def _solve_rho(self, lit, rest, acc, degree):
-        self._require_ground_redex(lit)
+    def _solve_rho(self, lit, rest, answer, degree, height):
         self._trace("select", render_literal, lit)
         name = lit.strategy.head.name
         if name in BUILTIN_STRATEGIES:
-            yield from self._builtin(name, lit, rest, acc, degree)
-            return
+            return self._builtin(name, lit, rest, answer, degree, height)
         clauses = self.db.rho_for(name)
         if not clauses:
             raise UnknownStrategyError(f"unknown strategy: {name!r}")
         subject = (lit.strategy,) + lit.lhs
-        for clause, local_vars in clauses:
-            for sigma in match_hedge((clause.strategy,) + clause.lhs, subject):
-                self._trace("clause", render_clause, clause)
-                sigma = self._with_fresh_locals(sigma, local_vars)
-                continuation = RhoAtom(
-                    self._continuation,
-                    sigma.apply_hedge(clause.rhs),
-                    lit.rhs,
-                )
-                body = tuple(apply_to_literal(sigma, b) for b in clause.body)
-                yield from self._solve(body + (continuation,) + rest, acc, degree)
+        return self._resolve(clauses, subject, lit.rhs, rest, answer, degree)
 
-    def _solve_pred(self, lit, rest, acc, degree):
+    def _solve_pred(self, lit, rest, answer, degree):
         if isinstance(lit.head, FunVar) or not is_ground(lit.args):
             raise NonGroundRedexError(
                 f"predicate call is not ground: {render_literal(lit)}"
@@ -348,29 +411,41 @@ class _Solver:
                         f"{name} needs numeric constants: {render_literal(lit)}"
                     )
                 values.append(value)
-            if COMPARISONS[name](*values):
-                yield from self._solve(rest, acc, degree)
-            return
+            return (rest, answer, degree) if COMPARISONS[name](*values) else None
         clauses = self.db.preds_for(name)
         if clauses is None:
             raise UnknownPredicateError(f"unknown predicate: {name!r}")
-        for clause, local_vars in clauses:
-            for sigma in match_hedge(clause.params, lit.args):
-                self._trace("clause", render_clause, clause)
-                sigma = self._with_fresh_locals(sigma, local_vars)
-                body = tuple(apply_to_literal(sigma, b) for b in clause.body)
-                yield from self._solve(body + rest, acc, degree)
+        return self._resolve(clauses, lit.args, None, rest, answer, degree)
+
+    def _resolve(self, clauses, subject, rhs, rest, answer, degree):
+        """A state per clause hit, in source order: the clause body, then for
+        a transformation clause the continuation ``C :: sigma(rhs') ==> rhs``."""
+
+        def hits():
+            for clause, head, local_vars in clauses:
+                for sigma in match_hedge(head, subject):
+                    self._trace("clause", render_clause, clause)
+                    sigma = self._with_fresh_locals(sigma, local_vars)
+                    body = tuple(apply_to_literal(sigma, b) for b in clause.body)
+                    if rhs is not None:
+                        body += (self._into(sigma.apply_hedge(clause.rhs), rhs),)
+                    yield body + rest, answer, degree
+
+        single = len(clauses) == 1 and at_most_one_matcher(clauses[0][1])
+        return next(hits(), None) if single else hits()
 
     # -- builtin strategies ----------------------------------------------------
 
-    def _builtin(self, name, lit, rest, acc, degree):
+    def _builtin(self, name, lit, rest, answer, degree, height):
         args, lhs, rhs = lit.strategy.args, lit.lhs, lit.rhs
         if name == "id":
             if args:
                 raise ArityError("id takes no arguments")
-            for theta in match_hedge(rhs, lhs):
-                yield from self._step(theta, ONE, rest, acc, degree)
-            return
+            steps = (
+                self._bound(theta, ONE, rest, answer, degree)
+                for theta in match_hedge(rhs, lhs)
+            )
+            return next(steps, None) if at_most_one_matcher(rhs) else steps
         if name == "prox":
             if len(args) > 1:
                 raise ArityError("prox takes at most one argument")
@@ -381,125 +456,88 @@ class _Solver:
                 mu = check_threshold(mu)
             else:
                 mu = self.lam if self.lam is not None else ONE
-            for theta, d in scored_match_hedge(rhs, lhs, self.rel.degree, mu):
-                yield from self._step(theta, d, rest, acc, degree)
-            return
-
-        outputs = self._builtin_outputs(name, args, lhs)
-        steps = self._outputs_into_rhs(outputs, rhs)
-        if name == "first_one":
-            # one answer for this literal only; later literals still backtrack
-            steps = itertools.islice(steps, 1)
-        for theta, d in steps:
-            yield from self._step(theta, d, rest, acc, degree)
-
-    def _outputs_into_rhs(self, outputs, rhs):
-        for out, d in outputs:
-            for theta, d2 in scored_match_hedge(
-                rhs, out, self._sym_degree, self._floor
-            ):
-                yield theta, min(d, d2)
-
-    def _builtin_outputs(self, name, args, lhs):
+            steps = (
+                self._bound(theta, d, rest, answer, degree)
+                for theta, d in scored_match_hedge(rhs, lhs, self.rel.degree, mu)
+            )
+            return next(steps, None) if at_most_one_matcher(rhs) else steps
         if name == "compose":
             if len(args) < 2:
                 raise ArityError("compose takes at least two strategies")
-            return self._chain(args, lhs)
-        if name == "choice":
-            if not args:
-                raise ArityError("choice takes at least one strategy")
-            return itertools.chain.from_iterable(
-                self._apply(st, lhs) for st in args
-            )
-        if name in ("first_one", "first_all"):
+            goals, source = (), lhs
+            for st in args:
+                out = self._fresh_out()
+                goals += (RhoAtom(st, source, out),)
+                source = out
+            return goals + (self._into(source, rhs),) + rest, answer, degree
+        if name in ("choice", "first_one", "first_all"):
             if not args:
                 raise ArityError(f"{name} takes at least one strategy")
-            return self._first_outputs(name, args, lhs)
+            # first_one keeps the first output and its first rhs match,
+            # first_all every output of the first strategy that has one
+            cut = () if name == "choice" else (_Cut(height, soft=name == "first_all"),)
+            after = cut if name == "first_one" else ()
+            return (
+                (self._through(st, lhs, rhs, cut, after) + rest, answer, degree)
+                for st in args
+            )
         if name == "map":
             if len(args) != 1:
                 raise ArityError("map takes exactly one strategy")
-            return self._map_outputs(args[0], lhs)
+            goals, outs = (), ()
+            for item in lhs:
+                out = self._fresh_out()
+                goals += (RhoAtom(args[0], (item,), out), _OneTerm(out))
+                outs += out
+            return goals + (self._into(outs, rhs),) + rest, answer, degree
         if name == "nf":
             if len(args) != 1:
                 raise ArityError("nf takes exactly one strategy")
-            return self._nf_outputs(args[0], lhs, 0)
+            return self._nf(lit, 0, rest, answer, degree, height)
         raise AssertionError(name)
 
-    def _apply(self, strategy, input_hedge):
-        """Outputs of a strategy on a ground sequence, with step degrees."""
-        out = SeqVar(f"s_Out~{next(self._fresh)}")
-        literal = RhoAtom(strategy, input_hedge, (out,))
-        for subst, d in self._solve((literal,), EMPTY_SUBST, ONE):
-            value = subst.get(out)
-            yield (value if value is not None else input_hedge), d
+    def _nf(self, lit, depth, rest, answer, degree, height):
+        """Choice point of nf step ``depth``: go on from every output of the
+        step, or, if it has none, match the input against the rhs."""
+        out = self._fresh_out()
+        step = RhoAtom(lit.strategy.args[0], lit.lhs, out)
+        following = _Nf(RhoAtom(lit.strategy, out, lit.rhs), depth, height)
+        yield (step, following) + rest, answer, degree
+        yield (self._into(lit.lhs, lit.rhs),) + rest, answer, degree
 
-    def _chain(self, strategies, input_hedge):
-        first, remaining = strategies[0], strategies[1:]
-        for mid, d1 in self._apply(first, input_hedge):
-            if not remaining:
-                yield mid, d1
-            else:
-                for out, d2 in self._chain(remaining, mid):
-                    yield out, min(d1, d2)
 
-    def _first_outputs(self, name, strategies, lhs):
-        for st in strategies:
-            it = self._apply(st, lhs)
-            first = next(it, None)
-            if first is None:
-                continue
-            if name == "first_one":
-                yield first
-            else:
-                yield first
-                yield from it
-            return
-
-    def _map_outputs(self, strategy, items):
-        if not items:
-            yield (), ONE
-            return
-        head, tail = items[0], items[1:]
-        for out, d1 in self._apply(strategy, (head,)):
-            if len(out) != 1:
-                raise NonTermResultError(
-                    "map needs term-to-term strategies, got a result of length "
-                    f"{len(out)}"
-                )
-            for rest_out, d2 in self._map_outputs(strategy, tail):
-                yield (out[0],) + rest_out, min(d1, d2)
-
-    def _nf_outputs(self, strategy, current, depth):
-        it = self._apply(strategy, current)
-        first = next(it, None)
-        if first is None:
-            yield current, ONE
-            return
-        limit = self.cfg.nf_step_limit
-        if limit is not None and depth >= limit:
-            raise StepLimitError(f"nf exceeded the step limit of {limit}")
-        for out, d1 in itertools.chain((first,), it):
-            for final, d2 in self._nf_outputs(strategy, out, depth + 1):
-                yield final, min(d1, d2)
+def _instantiate(theta, goal):
+    if isinstance(goal, _Cut):
+        return goal
+    if isinstance(goal, _Nf):
+        return _Nf(apply_to_literal(theta, goal.lit), goal.depth, goal.height)
+    if isinstance(goal, _OneTerm):
+        return _OneTerm(theta.apply_hedge(goal.out))
+    return apply_to_literal(theta, goal)
 
 
 def solve(db: ClauseDB, query: Query, relation=None, config=None) -> Iterator[Answer]:
     """Lazily enumerate the answers of a query, depth first.
 
-    Answers carry the accumulated substitution restricted to the query
-    variables and the derivation degree (1 in exact mode). In threshold
-    mode, answers whose degree falls below the query threshold are
-    dropped.
+    Answers carry the bindings of the query variables and the derivation
+    degree (1 in exact mode). In threshold mode, answers whose degree
+    falls below the query threshold are dropped. A goal that contains
+    ``hole`` raises ``HoleInGoalError`` when the first answer is asked for.
     """
     config = config or EngineConfig()
-    solver = _Solver(db, relation, config, query.threshold)
     order = goal_vars(query.goal)
+    solver = _Solver(db, relation, config, query.threshold, order)
 
     def answers():
-        for subst, degree in solver.run(query.goal):
+        for lit in query.goal:
+            if literal_hole_count(lit):
+                raise HoleInGoalError(
+                    f"hole is not allowed in goals: {render_literal(lit)}"
+                )
+        for bindings, degree in solver.run(query.goal):
             if query.threshold is not None and degree < query.threshold:
                 continue
-            yield Answer(subst.restrict(order), degree)
+            yield Answer(Subst(bindings, _checked=True).restrict(order), degree)
 
     stream = answers()
     if config.answer_limit is not None:

@@ -43,6 +43,10 @@ class DuplicateBuiltinError(LoadError):
     """User clause that shadows a built-in strategy or predicate name."""
 
 
+class HoleInGoalError(RhoError):
+    """Query goal that contains ``hole``."""
+
+
 class NonGroundRedexError(RhoError):
     """Selected literal whose strategy or left-hand side still has variables."""
 

@@ -31,6 +31,7 @@ from .terms import (
     HOLE,
     Compound,
     CtxApply,
+    CtxVar,
     Hole,
     IndVar,
     SeqVar,
@@ -39,6 +40,7 @@ from .terms import (
     EMPTY_SUBST,
     hole_count,
     is_ground,
+    iter_vars,
 )
 
 ZERO = Decimal(0)
@@ -65,6 +67,16 @@ def enumerate_contexts(subject) -> Iterator[tuple]:
                     subject.head, subject.args[:i] + (ctx,) + subject.args[i + 1:]
                 )
                 yield wrapped, plugged
+
+
+def at_most_one_matcher(pattern) -> bool:
+    """Whether a pattern hedge has at most one matcher against any subject:
+    so it does if it has no context variable and one sequence variable at
+    most, since every position and width is then forced."""
+    if is_ground(pattern):
+        return True
+    kinds = [type(v) for v in iter_vars(pattern)]
+    return CtxVar not in kinds and kinds.count(SeqVar) <= 1
 
 
 def _check_inputs(pattern, subject) -> None:

@@ -340,20 +340,6 @@ class Subst:
                 out.append(self.apply_term(item))
         return tuple(out)
 
-    def apply_binding(self, var, value):
-        if isinstance(var, SeqVar):
-            return self.apply_hedge(value)
-        if isinstance(var, FunVar):
-            return self.apply_head(value)
-        return self.apply_term(value)
-
-    def compose(self, other: "Subst") -> "Subst":
-        """The substitution acting as this one followed by ``other``."""
-        m = {var: other.apply_binding(var, value) for var, value in self._map.items()}
-        for var, value in other._map.items():
-            m.setdefault(var, value)
-        return Subst(m, _checked=True)
-
     def __contains__(self, var) -> bool:
         return var in self._map
 

@@ -1,6 +1,8 @@
 import io
 from pathlib import Path
 
+import pytest
+
 from rholog.cli import main
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -130,6 +132,12 @@ class TestBatch:
         ])
         assert code == 2
         assert "unknown strategy" in err
+
+    @pytest.mark.parametrize("goal", ["id :: f(hole) ==> s_X", "id :: a ==> f(hole)"])
+    def test_hole_in_a_query_goal_is_a_query_error(self, capsys, goal):
+        code, out, err = run(capsys, ["--query", f"?({goal}, Result)."])
+        assert code == 2
+        assert err == f"error: hole is not allowed in goals: {goal}\n"
 
     def test_trace_goes_to_stderr(self, capsys):
         code, out, err = run(capsys, [

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from rholog import (
 from rholog.errors import (
     ArityError,
     DuplicateBuiltinError,
+    HoleInGoalError,
     LoadError,
     NonGroundRedexError,
     NonNumericError,
@@ -427,6 +431,13 @@ class TestProximityMode:
             "?(map(to_b) :: (a,c) ==> s_X, 0.7, Degree, Result).", program, REL
         ) == []
 
+    def test_thresholds_with_many_decimals_reach_the_continuation(self):
+        # 0.0000001 prints as 1E-7 by default, which is no numeral
+        program = "p :: a ==> b.\n"
+        for goal in ("p :: a ==> b", "compose(id, id) :: a ==> a"):
+            got = results(f"?({goal}, 0.0000001, Degree, Result).", program, REL)
+            assert got == [("[]", D(1))]
+
     def test_negation_respects_the_query_threshold(self):
         program = "neg_check :: i_X ==> ok :- prox :: i_X =\\=> b.\n"
         # a is close to b at 0.5 but not at 0.7, so the negation flips
@@ -490,6 +501,92 @@ class TestClauseSelection:
         assert results("?(rev :: (a,b,c,d) ==> s_X, Result).", program) == [
             ("[s_X ---> (d,c,b,a)]", D(1))
         ]
+
+
+def in_fresh_interpreter(code):
+    """Run ``code`` in a new interpreter and return its stdout. The
+    interpreter keeps its default recursion limit, which ``cli.main``
+    raises for the rest of any process that calls it."""
+    src = Path(rholog.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestMachine:
+    """One resolution loop: depth costs no Python stack, and cuts and soft
+    cuts commit where the combinators say."""
+
+    def test_step_limit_is_reached_at_the_default_recursion_limit(self):
+        out = in_fresh_interpreter(
+            "import sys\n"
+            "from rholog import *\n"
+            "db = load_program(parse_program('st :: a ==> a.'))\n"
+            "query = parse_query('?(nf(st) :: a ==> s_X, Result).')\n"
+            "try:\n"
+            "    list(solve(db, query, config=EngineConfig(nf_step_limit=10000)))\n"
+            "except StepLimitError as exc:\n"
+            "    print(sys.getrecursionlimit(), exc)\n"
+        )
+        limit, message = out.split(" ", 1)
+        assert int(limit) < 10000
+        assert message.strip() == "nf exceeded the step limit of 10000"
+
+    def test_long_nf_chain_at_the_default_recursion_limit(self):
+        out = in_fresh_interpreter(
+            "import sys\n"
+            "from rholog import *\n"
+            "db = load_program(parse_program('dec :: (a, s_X) ==> (s_X).'))\n"
+            "items = ','.join(['a'] * 1500 + ['b'])\n"
+            "query = parse_query(f'?(nf(dec) :: ({items}) ==> s_X, Result).')\n"
+            "print(sys.getrecursionlimit(), [render_answer(a) for a in solve(db, query)])\n"
+        )
+        limit, got = out.split(" ", 1)
+        assert int(limit) < 1500
+        assert got.strip() == "['[s_X ---> b]']"
+
+    def test_first_answer_tries_no_clause_of_a_later_choice(self, monkeypatch):
+        heads = []
+        original = rholog.engine.match_hedge
+
+        def counted(pattern, subject):
+            heads.append(pattern[0])
+            return original(pattern, subject)
+
+        monkeypatch.setattr(rholog.engine, "match_hedge", counted)
+        program = "st1 :: a ==> b.\nst1 :: a ==> c.\nst2 :: a ==> d.\nst2 :: a ==> e.\n"
+        stream = solve(db_of(program), parse_query("?(choice(st1, st2) :: a ==> i_X, Result)."))
+        assert render_answer(next(stream)) == "[i_X ---> b]"
+        tried = [h for h in heads if h in (T("st1"), T("st2"))]
+        assert tried == [T("st1")]
+        assert [render_answer(a) for a in stream] == [
+            "[i_X ---> c]", "[i_X ---> d]", "[i_X ---> e]"
+        ]
+        tried = [h for h in heads if h in (T("st1"), T("st2"))]
+        assert tried == [T("st1"), T("st1"), T("st2"), T("st2")]
+
+    def test_first_all_commits_to_the_first_strategy_with_a_result(self):
+        # st1 has a result (b), so st2's c is never offered to the rhs;
+        # choice, which does not commit, does reach it
+        program = "st1 :: a ==> b.\nst2 :: a ==> c.\n"
+        assert answers("?(first_all(st1, st2) :: a ==> c, Result).", program) == []
+        assert len(answers("?(first_all(st1, st2) :: a ==> b, Result).", program)) == 1
+        assert len(answers("?(choice(st1, st2) :: a ==> c, Result).", program)) == 1
+
+
+class TestHolesInGoals:
+    @pytest.mark.parametrize("query", [
+        "?(id :: f(hole) ==> s_X, Result).",
+        "?(id :: a ==> f(hole), Result).",
+    ])
+    def test_hole_in_a_goal_is_an_error_of_the_answer_stream(self, query):
+        stream = solve(db_of(), parse_query(query))
+        with pytest.raises(HoleInGoalError, match="hole is not allowed in goals"):
+            next(stream)
 
 
 class TestDeterminism:

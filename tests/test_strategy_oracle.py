@@ -3,10 +3,11 @@
 Random bodiless rule systems, random strategy terms over them and random
 ground inputs. Exact queries bind the whole output to ``s_Out`` and must
 give the reference's outputs in the reference's order, which also pins
-the single output of ``first_one``. Threshold queries ask for a ground
-rhs and must give one answer per reference output whose proximity to it
-(``tests.oracles.min_fold_proximity``) reaches the threshold, with that
-degree, in the same order.
+the single output of ``first_one``; with a two-way split as the rhs they
+give every split of every output, but ``first_one`` only its first one.
+Threshold queries ask for a ground rhs and must give one answer per
+reference output whose proximity to it (``tests.oracles.min_fold_proximity``)
+reaches the threshold, with that degree, in the same order.
 """
 
 from decimal import Decimal
@@ -27,7 +28,7 @@ from rholog import (
 from rholog.program import Query
 
 from tests.genrand import make_rng, perturb_hedge, random_relation
-from tests.oracles import min_fold_proximity
+from tests.oracles import min_fold_proximity, ordered_matchers
 from tests.strategy_oracle import (
     NotATerm,
     drain,
@@ -38,6 +39,7 @@ from tests.strategy_oracle import (
 )
 
 OUT = SeqVar("s_Out")
+SPLIT = (SeqVar("s_L"), SeqVar("s_R"))
 THRESHOLDS = tuple(Decimal(x) for x in ("0.2", "0.5", "0.8", "1"))
 
 
@@ -64,6 +66,26 @@ def test_exact_outputs_in_reference_order(block):
         got, error = drain(solve(load(rules), query), NonTermResultError)
         got = [answer.bindings.get(OUT) for answer in got]
         assert (got, error) == (expected, expected_error), (seed, strategy, hedge)
+
+
+@pytest.mark.parametrize("block", range(3))
+def test_rhs_matches_in_reference_order(block):
+    # every split of every output, except that first_one keeps only the
+    # first split of its first output
+    for seed in range(20_000 + block * 100, 20_000 + block * 100 + 100):
+        _, rules, strategy, hedge = case(seed)
+        expected, expected_error = drain(outputs(rules, strategy, hedge), NotATerm)
+        splits = [
+            (sigma[SPLIT[0]], sigma[SPLIT[1]])
+            for out in expected
+            for sigma in ordered_matchers(SPLIT, out)
+        ]
+        if strategy.head.name == "first_one":
+            splits = splits[:1]
+        query = Query((RhoAtom(strategy, hedge, SPLIT),))
+        got, error = drain(solve(load(rules), query), NonTermResultError)
+        got = [(a.bindings.get(SPLIT[0]), a.bindings.get(SPLIT[1])) for a in got]
+        assert (got, error) == (splits, expected_error), (seed, strategy, hedge)
 
 
 def test_exact_corpus_reaches_both_outcomes_of_maps_check():

@@ -102,39 +102,6 @@ class TestApplySubst:
         assert sigma.apply_term(T("c_X(f(a))")) == T("f(a)")
 
 
-class TestCompose:
-    def test_left_identity(self):
-        theta = Subst({IndVar("i_Y"): T("b")})
-        assert EMPTY_SUBST.compose(theta) == theta
-
-    def test_disjoint_domains(self):
-        sigma = Subst({IndVar("i_X"): T("a")})
-        theta = Subst({IndVar("i_Y"): T("b")})
-        assert sigma.compose(theta) == Subst(
-            {IndVar("i_X"): T("a"), IndVar("i_Y"): T("b")}
-        )
-
-    def test_chained_binding(self):
-        sigma = Subst({IndVar("i_X"): IndVar("i_Y")})
-        theta = Subst({IndVar("i_Y"): T("c")})
-        assert sigma.compose(theta) == Subst(
-            {IndVar("i_X"): T("c"), IndVar("i_Y"): T("c")}
-        )
-
-    def test_defining_equation_on_random_probes(self):
-        rng = make_rng(20)
-        for _ in range(200):
-            pattern = pattern_hedge(rng)
-            sigma = ground_subst_for(rng, pattern)
-            # theta binds a fresh disjoint pattern's variables, so that some
-            # bindings chain through sigma and others pass straight through
-            other = pattern_hedge(rng)
-            theta = ground_subst_for(rng, other)
-            lhs = sigma.compose(theta).apply_hedge(pattern)
-            rhs = theta.apply_hedge(sigma.apply_hedge(pattern))
-            assert lhs == rhs
-
-
 class TestStructure:
     def test_is_ground(self):
         assert is_ground(H("(f(a),b)"))
