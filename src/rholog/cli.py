@@ -162,21 +162,25 @@ def _repl_answers(query, db, relation, config) -> None:
 def main(argv=None) -> int:
     # the parser, the printer, iter_vars and term hashing recurse over deep
     # terms; give them room (ROADMAP items 4 and 5 make them iterative)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
-    args = build_arg_parser().parse_args(argv)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
     try:
-        db, relation = _load_session(args)
-    except (OSError, *_CAUGHT) as exc:
-        print(f"load error: {exc}", file=sys.stderr)
-        return 1
-    config = EngineConfig(
-        nf_step_limit=args.nf_limit,
-        answer_limit=args.answers,
-        trace=args.trace,
-    )
-    if args.query:
-        return run_batch(args.query, db, relation, config)
-    return run_repl(db, relation, config)
+        args = build_arg_parser().parse_args(argv)
+        try:
+            db, relation = _load_session(args)
+        except (OSError, *_CAUGHT) as exc:
+            print(f"load error: {exc}", file=sys.stderr)
+            return 1
+        config = EngineConfig(
+            nf_step_limit=args.nf_limit,
+            answer_limit=args.answers,
+            trace=args.trace,
+        )
+        if args.query:
+            return run_batch(args.query, db, relation, config)
+        return run_repl(db, relation, config)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

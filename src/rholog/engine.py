@@ -11,14 +11,15 @@ Selecting ``st :: s1 ==> s2`` requires ``st`` and ``s1`` to be ground. A
 clause ``st' :: s1' ==> s2' :- body`` whose stored head matches with
 ``sigma`` (extended by fresh names ``v~n`` for its local variables) gives
 the goals ``sigma(body)``, then ``C :: sigma(s2') ==> s2``, where ``C`` is
-``id``, or ``prox(lam)`` in threshold mode. Builtins become goals too:
-``compose(s1,...,sk) :: l ==> r`` gives ``s1 :: l ==> s_Out~1``, ...,
-``sk :: s_Out~(k-1) ==> s_Out~k``, ``C :: s_Out~k ==> r``. Three barriers
-are machine-only goals naming their choice point's stack height:
-``first_one`` cuts after its first output and its first rhs match; ``nf``
-and ``first_all`` soft-cut (an output drops only the untried
-alternatives), the nf one carrying the step limit; negation cuts and
-fails once the positive form has an answer.
+``id``, or ``prox(lam)`` in threshold mode. That continuation is built
+when it is selected, after the body, so a failing body never builds it.
+Builtins become goals too: ``compose(s1,...,sk) :: l ==> r`` gives
+``s1 :: l ==> s_Out~1``, ..., ``sk :: s_Out~(k-1) ==> s_Out~k``,
+``C :: s_Out~k ==> r``. Three barriers are machine-only goals naming
+their choice point's stack height: ``first_one`` cuts after its first
+output and its first rhs match; ``nf`` and ``first_all`` soft-cut (an
+output drops only the untried alternatives), the nf one carrying the
+step limit; negation cuts and fails once the positive form has an answer.
 
 Every step binds ground values and query variables are never renamed,
 so answers record just the steps' bindings of query variables. The
@@ -242,6 +243,17 @@ class _Nf:
 
 
 @dataclass(frozen=True)
+class _Into:
+    """Machine-only goal: the continuation ``C :: sigma(clause_rhs) ==> rhs``
+    of a clause hit. Its body runs first and binds only ``locals``' fresh names."""
+
+    sigma: Subst
+    locals: tuple
+    clause_rhs: tuple
+    rhs: tuple
+
+
+@dataclass(frozen=True)
 class _OneTerm:
     """Machine-only goal: ``map``'s check that an output is a single term."""
 
@@ -336,6 +348,8 @@ class _Solver:
     def _select(self, goal, rest, answer, degree, stack):
         """What a selected goal leads to: one state, None for failure, or a
         choice point (an iterator of states) to push on ``stack``."""
+        if isinstance(goal, _Into):
+            goal = self._into(goal.sigma.apply_hedge(goal.clause_rhs), goal.rhs)
         if isinstance(goal, RhoAtom):
             if not (is_ground(goal.strategy) and is_ground(goal.lhs)):
                 raise NonGroundRedexError(
@@ -423,12 +437,12 @@ class _Solver:
 
         def hits():
             for clause, head, local_vars in clauses:
-                for sigma in match_hedge(head, subject):
+                for sigma in match_hedge(head, subject, _checked=True):
                     self._trace("clause", render_clause, clause)
                     sigma = self._with_fresh_locals(sigma, local_vars)
                     body = tuple(apply_to_literal(sigma, b) for b in clause.body)
                     if rhs is not None:
-                        body += (self._into(sigma.apply_hedge(clause.rhs), rhs),)
+                        body += (_Into(sigma, local_vars, clause.rhs, rhs),)
                     yield body + rest, answer, degree
 
         single = len(clauses) == 1 and at_most_one_matcher(clauses[0][1])
@@ -441,10 +455,8 @@ class _Solver:
         if name == "id":
             if args:
                 raise ArityError("id takes no arguments")
-            steps = (
-                self._bound(theta, ONE, rest, answer, degree)
-                for theta in match_hedge(rhs, lhs)
-            )
+            matchers = match_hedge(rhs, lhs, _checked=True)
+            steps = (self._bound(theta, ONE, rest, answer, degree) for theta in matchers)
             return next(steps, None) if at_most_one_matcher(rhs) else steps
         if name == "prox":
             if len(args) > 1:
@@ -456,10 +468,8 @@ class _Solver:
                 mu = check_threshold(mu)
             else:
                 mu = self.lam if self.lam is not None else ONE
-            steps = (
-                self._bound(theta, d, rest, answer, degree)
-                for theta, d in scored_match_hedge(rhs, lhs, self.rel.degree, mu)
-            )
+            matchers = scored_match_hedge(rhs, lhs, self.rel.degree, mu, _checked=True)
+            steps = (self._bound(theta, d, rest, answer, degree) for theta, d in matchers)
             return next(steps, None) if at_most_one_matcher(rhs) else steps
         if name == "compose":
             if len(args) < 2:
@@ -507,6 +517,18 @@ class _Solver:
 
 
 def _instantiate(theta, goal):
+    if isinstance(goal, _Into):
+        if not goal.locals:
+            return goal
+        sigma = dict(goal.sigma.items())
+        for v in goal.locals:
+            if isinstance(v, SeqVar):
+                sigma[v] = theta.apply_hedge(sigma[v])
+            elif isinstance(v, FunVar):
+                sigma[v] = theta.apply_head(sigma[v])
+            else:
+                sigma[v] = theta.apply_term(sigma[v])
+        return _Into(Subst(sigma, _checked=True), goal.locals, goal.clause_rhs, goal.rhs)
     if isinstance(goal, _Cut):
         return goal
     if isinstance(goal, _Nf):

@@ -20,6 +20,10 @@ follows; skipped widths have no matchers, so the order does not change.
 
 Symbol comparison is pluggable so the proximity layer can reuse the
 same enumeration with degrees; exact matching scores pairs 1 or 0.
+
+Only the engine passes the private ``_checked=True``, which skips the input
+check: it checks a redex ground when it selects it, goals hole-free at the
+query and clauses at load, and matcher values plug every hole they bring.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .terms import (
     Compound,
     CtxApply,
     CtxVar,
-    Hole,
     IndVar,
     SeqVar,
     Subst,
@@ -94,22 +97,25 @@ def scored_match_hedge(
     sym_degree: SymDegree = exact_degree,
     floor: Decimal = ONE,
     subst: Subst = EMPTY_SUBST,
+    *,
+    _checked: bool = False,
 ) -> Iterator[tuple]:
     """Yield ``(matcher, degree)`` pairs; degree is the min over symbol pairs.
 
     Pairs scoring below ``floor`` (or exactly 0) prune the branch, so
     every yielded degree lies in ``[floor, 1]``.
     """
-    _check_inputs(pattern, subject)
+    if not _checked:
+        _check_inputs(pattern, subject)
     for found, degree, _ in _match_items(
         tuple(pattern), tuple(subject), subst, ONE, False, sym_degree, floor
     ):
         yield found, degree
 
 
-def match_hedge(pattern, subject) -> Iterator[Subst]:
+def match_hedge(pattern, subject, *, _checked: bool = False) -> Iterator[Subst]:
     """All matchers of a pattern sequence against a ground sequence."""
-    for subst, _ in scored_match_hedge(pattern, subject):
+    for subst, _ in scored_match_hedge(pattern, subject, _checked=_checked):
         yield subst
 
 
@@ -211,7 +217,3 @@ def _match_one(pat, t, subst, degree, greedy, sym_degree, floor):
             yield from _match_one(
                 pat.arg, plugged, here, degree, greedy, sym_degree, floor
             )
-        return
-
-    if isinstance(pat, Hole):
-        raise ValueError("pattern must be hole-free")

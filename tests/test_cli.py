@@ -1,4 +1,5 @@
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -203,3 +204,28 @@ class TestRepl:
         self.feed(monkeypatch, "")
         code, out, err = run(capsys, [])
         assert code == 0
+
+
+class TestProcessSettings:
+    @pytest.mark.parametrize("argv", [
+        ["--load", str(PROGRAMS / "sorting.rho"),
+         "--query", "?(bubble_sort(=<) :: (3,1,2) ==> s_X, Result)."],
+        ["--load", "no/such/file.rho"],
+        ["--no-such-option"],
+        ["--load", str(PROGRAMS / "sorting.rho")],  # REPL, ended by EOF
+    ])
+    def test_main_restores_the_recursion_limit(self, capsys, monkeypatch, argv):
+        def eof(prompt=""):
+            raise EOFError
+
+        monkeypatch.setattr("builtins.input", eof)
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(3000)
+        try:
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+            assert sys.getrecursionlimit() == 3000
+        finally:
+            sys.setrecursionlimit(before)

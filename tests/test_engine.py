@@ -7,11 +7,14 @@ from pathlib import Path
 import pytest
 
 import rholog.engine
+import rholog.matching
+import rholog.terms
 from rholog import (
     CtxVar,
     EngineConfig,
     IndVar,
     ProximityRelation,
+    RhoAtom,
     SeqVar,
     load_program,
     parse_program,
@@ -36,10 +39,15 @@ from rholog.errors import (
     UnknownPredicateError,
     UnknownStrategyError,
 )
-from rholog.program import clause_locals
+from rholog.program import Query, clause_locals
+
+from tests.genrand import random_relation
+from tests.strategy_oracle import drain
+from tests.test_strategy_oracle import OUT, THRESHOLDS, case, load
 
 D = Decimal
 T = parse_term
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 H = parse_sequence
 
 
@@ -505,8 +513,8 @@ class TestClauseSelection:
 
 def in_fresh_interpreter(code):
     """Run ``code`` in a new interpreter and return its stdout. The
-    interpreter keeps its default recursion limit, which ``cli.main``
-    raises for the rest of any process that calls it."""
+    interpreter starts at its default recursion limit, whatever limit the
+    test process runs at."""
     src = Path(rholog.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
@@ -553,9 +561,9 @@ class TestMachine:
         heads = []
         original = rholog.engine.match_hedge
 
-        def counted(pattern, subject):
+        def counted(pattern, subject, **kwargs):
             heads.append(pattern[0])
-            return original(pattern, subject)
+            return original(pattern, subject, **kwargs)
 
         monkeypatch.setattr(rholog.engine, "match_hedge", counted)
         program = "st1 :: a ==> b.\nst1 :: a ==> c.\nst2 :: a ==> d.\nst2 :: a ==> e.\n"
@@ -658,3 +666,101 @@ class TestConfig:
         assert [(render_answer(a), a.degree) for a in got] == [
             ("[s_Ans ---> (d,c)]", D("0.6"))
         ]
+
+
+class TestLateContinuation:
+    """A clause hit's continuation ``C :: sigma(rhs') ==> rhs`` is built when
+    it is selected, after the body, with the body's bindings of the locals."""
+
+    def test_contexts_are_plugged_once_per_answer(self, monkeypatch):
+        calls, depth = [], [0]
+        original = rholog.terms.apply_context
+
+        def counted(ctx, t):
+            calls.append(depth[0] == 0)
+            depth[0] += 1
+            try:
+                return original(ctx, t)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(rholog.terms, "apply_context", counted)
+        program = (PROGRAMS / "rewriting.rho").read_text(encoding="utf-8")
+        got = results("?(rewrite_step(st) :: f(b,g(c,d),a) ==> s_Out, Result).", program)
+        assert got == [("[s_Out ---> f(b,g(c,d),b)]", D(1))]
+        # one outermost plug for the one answer (and its one nested call),
+        # not one for each of the six contexts tried
+        assert sum(calls) == len(got)
+        assert len(calls) == 2
+
+    def test_locals_bound_by_the_body_behind_a_choice_point(self):
+        program = (
+            "st :: i_X ==> f(i_Y) :- st2 :: i_X ==> i_Y.\n"
+            "st2 :: a ==> b.\n"
+            "st2 :: a ==> c.\n"
+        )
+        assert results("?(st :: a ==> i_Z, Result).", program) == [
+            ("[i_Z ---> f(b)]", D(1)),
+            ("[i_Z ---> f(c)]", D(1)),
+        ]
+
+    def test_locals_of_every_kind(self):
+        program = (
+            "kinds :: i_X ==> (s_S, f_F(i_Y), c_C(a)) :- st2 :: i_X ==> i_Y, "
+            "id :: (d, e) ==> s_S, id :: g(h(b)) ==> f_F(c_C(b)).\n"
+            "st2 :: a ==> b.\n"
+            "st2 :: a ==> c.\n"
+        )
+        assert results("?(kinds :: a ==> s_Z, Result).", program) == [
+            ("[s_Z ---> (d,e,g(b),h(a))]", D(1)),
+            ("[s_Z ---> (d,e,g(c),h(a))]", D(1)),
+        ]
+
+
+class TestTrustedMatcherInputs:
+    """The engine calls the matchers with ``_checked=True``; every input it
+    passes must still pass the check it skips."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        def checking(original):
+            def wrapper(pattern, subject, *args, **kwargs):
+                rholog.matching._check_inputs(pattern, subject)
+                return original(pattern, subject, *args, **kwargs)
+            return wrapper
+
+        for name in ("match_hedge", "scored_match_hedge"):
+            original = getattr(rholog.engine, name)
+            monkeypatch.setattr(rholog.engine, name, checking(original))
+
+    def test_bundled_examples(self, checked):
+        def read(name):
+            return (PROGRAMS / name).read_text(encoding="utf-8")
+
+        rel = ProximityRelation(parse_proximity_decls(read("proximity.prox")))
+        assert results(
+            "?(bubble_sort(=<) :: (1,3,4,3,2) ==> s_X, Result).", read("sorting.rho")
+        ) == [("[s_X ---> (1,2,3,3,4)]", D(1))]
+        assert results(
+            "?(merge_all_proximals :: (a,b,d,b,c) ==> s_Ans, 0.5, Degree, Result).",
+            read("proximity.rho"),
+            rel,
+        ) == [("[s_Ans ---> (d,c)]", D("0.6"))]
+        assert results(
+            "?(rewrite_step(st) :: f(a,g(a,b)) ==> s_Out, Result).", read("rewriting.rho")
+        ) == [("[s_Out ---> f(b,g(a,b))]", D(1)), ("[s_Out ---> f(a,g(b,b))]", D(1))]
+
+    def test_strategy_oracle_corpus(self, checked):
+        for seed in (*range(100), *range(10_000, 10_100)):
+            rng, rules, strategy, hedge = case(seed)
+            if seed < 10_000:
+                query = Query((RhoAtom(strategy, hedge, (OUT,)),))
+                rel = None
+            else:
+                rel = random_relation(rng)
+                query = Query(
+                    (RhoAtom(strategy, hedge, (OUT,)),),
+                    threshold=rng.choice(THRESHOLDS),
+                    degree_var="Degree",
+                )
+            drain(solve(load(rules), query, rel), NonTermResultError)

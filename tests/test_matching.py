@@ -15,6 +15,7 @@ from rholog import (
     parse_sequence,
     parse_term,
 )
+from rholog.matching import scored_match_hedge
 
 from tests.genrand import ground_hedge, ground_subst_for, make_rng, pattern_hedge
 from tests.oracles import brute_force_matchers, ordered_matchers, plain
@@ -128,6 +129,11 @@ class TestBasics:
     def test_rejects_nonground_subject(self):
         with pytest.raises(ValueError):
             list(match_hedge(H("(i_X)"), H("(s_Y)")))
+
+    @pytest.mark.parametrize("pattern, subject", [("(hole)", "(a)"), ("(i_X)", "(s_Y)")])
+    def test_scored_matcher_checks_its_inputs(self, pattern, subject):
+        with pytest.raises(ValueError):
+            list(scored_match_hedge(H(pattern), H(subject)))
 
 
 class TestProperties:

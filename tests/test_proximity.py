@@ -95,6 +95,11 @@ class TestTermProximity:
         with pytest.raises(ValueError):
             term_proximity(rel, T("i_X"), T("a"))
 
+    @pytest.mark.parametrize("h1, h2", [("(hole)", "(a)"), ("(a)", "(s_Y)")])
+    def test_hedge_proximity_requires_ground_hole_free_hedges(self, rel, h1, h2):
+        with pytest.raises(ValueError):
+            hedge_proximity(rel, H(h1), H(h2))
+
 
 class TestProxMatch:
     def test_ground_pair_scores_its_degree(self, rel):
@@ -123,6 +128,11 @@ class TestProxMatch:
     def test_threshold_range(self, rel):
         with pytest.raises(ThresholdRangeError):
             list(prox_match_hedge(rel, H("a"), H("a"), D("1.5")))
+
+    @pytest.mark.parametrize("pattern, subject", [("(hole)", "(a)"), ("(i_X)", "(s_Y)")])
+    def test_checks_its_inputs(self, rel, pattern, subject):
+        with pytest.raises(ValueError):
+            list(prox_match_hedge(rel, H(pattern), H(subject), D("0.5")))
 
     def test_at_threshold_one_equals_exact_matching(self):
         rng = make_rng(32)
