@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -84,6 +83,7 @@ from .terms import (
     hole_count,
     is_ground,
     iter_vars,
+    numeral_value,
 )
 
 log = logging.getLogger(__name__)
@@ -98,9 +98,6 @@ COMPARISONS: dict[str, Callable] = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
 }
-
-_NUMERAL = re.compile(r"\d+(\.\d+)?$")
-
 
 @dataclass
 class EngineConfig:
@@ -211,14 +208,6 @@ def _lint_rho_clause(clause: RhoClause):
                 yield f"variable {v!r} may be unbound when its literal is selected"
     for v in sorted(set(iter_vars(clause.rhs)) - bound, key=lambda v: v.name):
         yield f"right-hand side variable {v!r} may never be bound"
-
-
-def numeral_value(t) -> Decimal | None:
-    """Decimal value of a numeric constant term, else None."""
-    if isinstance(t, Compound) and isinstance(t.head, Sym) and not t.args:
-        if _NUMERAL.match(t.head.name):
-            return Decimal(t.head.name)
-    return None
 
 
 @dataclass(frozen=True)

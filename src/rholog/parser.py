@@ -8,23 +8,22 @@ Input formats (full EBNF in docs/grammar.md):
   the markers are capitalized identifiers;
 * proximity declarations: lines of ``prox(sym, sym, degree).``.
 
-Identifier tokens are ``[A-Za-z0-9_]+``; names starting with ``i_``,
-``s_``, ``f_``, ``c_`` are variables of the corresponding kind, and
-the comparison operators ``=<  <  >  >=`` double as function symbols
-so they can be passed as strategy arguments.
+Identifier tokens are runs of letters, digits and ``_`` (``\\w+``); one
+made only of decimal digits is a number, and so is ``digits.digits``.
+Names starting with ``i_``, ``s_``, ``f_``, ``c_`` are variables of the
+corresponding kind, and the comparison operators ``=<  <  >  >=`` double
+as function symbols so they can be passed as strategy arguments.
+Numerals, thresholds and degrees are read and range-checked by the same
+functions as in the engine: ``terms.numeral_value``,
+``proximity.check_threshold`` and ``proximity.check_degree``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
 
-from .errors import (
-    DegreeRangeError,
-    ParseError,
-    ThresholdRangeError,
-    UnsupportedFeatureError,
-)
+from .errors import ParseError, UnsupportedFeatureError
 from .program import (
     NotGoal,
     PredAtom,
@@ -35,6 +34,7 @@ from .program import (
     SourceProgram,
     StrategyAbbrev,
 )
+from .proximity import check_degree, check_threshold
 from .terms import (
     HOLE,
     Compound,
@@ -44,12 +44,21 @@ from .terms import (
     IndVar,
     SeqVar,
     Sym,
+    numeral_value,
 )
 
 _COMPARE_OPS = ("=<", "<", ">", ">=")
 
-# Longest first so maximal munch works with plain startswith.
-_PUNCT = ("=\\=>", "==>", ">=", "=<", "::", ":-", ":=", "(", ")", ",", "?", ".", "<", ">")
+# A number is tried before a word so that ``1.5`` is one token; longer
+# punctuation comes first so that the alternation munches maximally.
+# ``\w`` is ``str.isalnum()`` plus ``_``; a word is a number when it is
+# all decimal digits.
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|%[^\n]*)"
+    r"|(?P<num>\d+\.\d+)"
+    r"|(?P<word>\w+)"
+    r"|(?P<punct>=\\=>|==>|>=|=<|::|:-|:=|[()?,.<>])"
+)
 
 
 @dataclass(frozen=True)
@@ -62,54 +71,31 @@ class Token:
 
 def tokenize(text: str) -> list:
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance(1)
+    pos, line, line_start = 0, 1, 0
+    while (m := _TOKEN.match(text, pos)) is not None:
+        kind, start, pos = m.lastgroup, m.start(), m.end()
+        if kind == "skip":
+            newlines = text.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", start, pos) + 1
             continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if c.isalnum() or c == "_":
-            start, tline, tcol = i, line, col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[start:j]
-            if word.isdigit() and j + 1 < n and text[j] == "." and text[j + 1].isdigit():
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                advance(k - i)
-                tokens.append(Token("num", text[start:k], tline, tcol))
-            else:
-                advance(j - i)
-                kind = "num" if word.isdigit() else "ident"
-                tokens.append(Token(kind, word, tline, tcol))
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                advance(len(p))
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        word = m.group()
+        if kind == "word":
+            kind = "num" if word.isdecimal() else "ident"
+        tokens.append(Token(kind, word, line, start - line_start + 1))
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
+
+
+def _as_literal(parsed):
+    """A parsed literal as it is, a bare compound as a predicate atom, or
+    None for any other term."""
+    if isinstance(parsed, Compound):
+        return PredAtom(parsed.head, parsed.args)
+    return parsed if isinstance(parsed, (RhoAtom, PredAtom, NotGoal)) else None
 
 
 class _Parser:
@@ -137,7 +123,7 @@ class _Parser:
     def expect_punct(self, text) -> Token:
         tok = self.peek()
         if tok.kind != "punct" or tok.text != text:
-            self.fail(f"unexpected {self._describe(tok)}", tok, expected=(repr(text),))
+            self.unexpected(tok, repr(text))
         return self.take()
 
     def expect_eof(self) -> None:
@@ -154,135 +140,93 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col, expected)
 
-    # -- terms and sequences ------------------------------------------------
+    def unexpected(self, tok: Token, *expected):
+        self.fail(f"unexpected {self._describe(tok)}", tok, expected)
 
-    def term(self):
-        tok = self.peek()
-        if tok.kind == "ident":
-            word = tok.text
-            if word == "hole":
-                self.take()
-                return HOLE
-            if word == "eps":
-                self.fail("eps is the empty sequence, not a term", tok)
-            if word.startswith("i_"):
-                self.take()
-                return self._var(IndVar, tok)
-            if word.startswith("s_"):
-                self.fail(
-                    "sequence variable not allowed here (only inside a sequence)", tok
-                )
-            if word.startswith("f_"):
-                self.take()
-                return Compound(self._var(FunVar, tok), self.opt_args())
-            if word.startswith("c_"):
-                self.take()
-                self.expect_punct("(")
-                arg = self.term()
-                self.expect_punct(")")
-                return CtxApply(self._var(CtxVar, tok), arg)
-            self.take()
-            return Compound(self._sym(tok), self.opt_args())
-        if tok.kind == "num":
-            self.take()
-            return Compound(Sym(tok.text))
-        if tok.kind == "punct" and tok.text in _COMPARE_OPS:
-            self.take()
-            return Compound(Sym(tok.text), self.opt_args())
-        self.fail(f"unexpected {self._describe(tok)}", tok, expected=("a term",))
-
-    def _var(self, ctor, tok: Token):
+    def _make(self, ctor, tok: Token):
+        """``ctor(tok.text)``, with a rejected name reported at ``tok``."""
         try:
             return ctor(tok.text)
         except ValueError as exc:
             self.fail(str(exc), tok)
 
-    def _sym(self, tok: Token) -> Sym:
-        try:
-            return Sym(tok.text)
-        except ValueError as exc:
-            self.fail(str(exc), tok)
+    # -- terms and sequences ------------------------------------------------
 
-    def opt_args(self) -> tuple:
-        if not self.at_punct("("):
-            return ()
-        self.take()
-        if self.at_punct(")"):
-            self.take()
-            return ()
-        items = self.seq_items()
-        self.expect_punct(")")
-        return items
-
-    def seq_items(self) -> tuple:
-        items = []
-        while True:
-            items.extend(self.seq_elem())
-            if self.at_punct(","):
-                self.take()
-                continue
-            return tuple(items)
-
-    def seq_elem(self) -> tuple:
+    def term(self):
         tok = self.peek()
-        if tok.kind == "ident":
-            if tok.text == "eps":
-                self.take()
-                return ()
-            if tok.text.startswith("s_"):
-                self.take()
-                return (self._var(SeqVar, tok),)
-        if self.at_punct("("):
+        word = tok.text
+        if tok.kind == "num":
             self.take()
-            inner = self.seq_items()
-            self.expect_punct(")")
-            return inner
-        return (self.term(),)
+            return Compound(Sym(word))
+        if tok.kind == "ident":
+            if word == "hole":
+                self.take()
+                return HOLE
+            if word == "eps":
+                self.fail("eps is the empty sequence, not a term", tok)
+            if word.startswith("s_"):
+                self.fail(
+                    "sequence variable not allowed here (only inside a sequence)", tok
+                )
+            self.take()
+            if word.startswith("i_"):
+                return self._make(IndVar, tok)
+            if word.startswith("c_"):
+                self.expect_punct("(")
+                arg = self.term()
+                self.expect_punct(")")
+                return CtxApply(self._make(CtxVar, tok), arg)
+            head = self._make(FunVar if word.startswith("f_") else Sym, tok)
+        elif tok.kind == "punct" and word in _COMPARE_OPS:
+            self.take()
+            head = Sym(word)
+        else:
+            self.unexpected(tok, "a term")
+        return Compound(head, self.sequence() if self.at_punct("(") else ())
 
-    def seq_expr(self) -> tuple:
-        """A sequence on one side of an atom: eps, one item, or (items)."""
+    def sequence(self) -> tuple:
+        """``eps``, a sequence variable, ``( [items] )`` or a term, where the
+        items are sequences separated by commas. Items splice into the
+        enclosing sequence, so the result is flat."""
         tok = self.peek()
         if tok.kind == "ident" and tok.text == "eps":
             self.take()
             return ()
-        if self.at_punct("("):
-            self.take()
-            if self.at_punct(")"):
-                self.take()
-                return ()
-            items = self.seq_items()
-            self.expect_punct(")")
-            return items
         if tok.kind == "ident" and tok.text.startswith("s_"):
             self.take()
-            return (self._var(SeqVar, tok),)
-        return (self.term(),)
+            return (self._make(SeqVar, tok),)
+        if not self.at_punct("("):
+            return (self.term(),)
+        self.take()
+        items = []
+        if not self.at_punct(")"):
+            items.extend(self.sequence())
+            while self.at_punct(","):
+                self.take()
+                items.extend(self.sequence())
+        self.expect_punct(")")
+        return tuple(items)
 
     # -- literals, clauses, programs ----------------------------------------
 
     def literal(self):
+        lit = _as_literal(self.literal_or_term())
+        if lit is None:
+            self.fail("expected a literal")
+        return lit
+
+    def literal_or_term(self):
+        """Parse a literal if an atom shape follows, otherwise a bare term."""
         if self.at_ident("not") and self.peek(1).kind == "punct" and self.peek(1).text == "(":
             self.take()
             self.take()
             inner = self.literal()
             self.expect_punct(")")
             return NotGoal(inner)
-        parsed = self.literal_or_term()
-        if isinstance(parsed, (RhoAtom, PredAtom, NotGoal)):
-            return parsed
-        tok = self.peek()
-        if isinstance(parsed, Compound):
-            return PredAtom(parsed.head, parsed.args)
-        self.fail("expected a literal", tok)
-
-    def literal_or_term(self):
-        """Parse a literal if an atom shape follows, otherwise a bare term."""
-        if self.at_ident("not") and self.peek(1).kind == "punct" and self.peek(1).text == "(":
-            return self.literal()
         t = self.term()
         if self.at_punct("::"):
             self.take()
-            lhs = self.seq_expr()
+            lhs = self.sequence()
             if self.at_punct("==>"):
                 positive = True
             elif self.at_punct("=\\=>"):
@@ -291,7 +235,7 @@ class _Parser:
                 self.fail("expected an arrow after the left-hand side",
                           expected=("'==>'", "'=\\=>'"))
             self.take()
-            rhs = self.seq_expr()
+            rhs = self.sequence()
             return RhoAtom(t, lhs, rhs, positive)
         if self.at_punct(*_COMPARE_OPS):
             op = self.take()
@@ -300,48 +244,42 @@ class _Parser:
         return t
 
     def body(self) -> tuple:
-        literals = [self.literal()]
-        while self.at_punct(","):
+        """The rest of a clause: an optional ``:- literal, ...`` and the ``.``."""
+        literals = []
+        if self.at_punct(":-"):
             self.take()
             literals.append(self.literal())
+            while self.at_punct(","):
+                self.take()
+                literals.append(self.literal())
+        self.expect_punct(".")
         return tuple(literals)
 
     def clause(self):
         head = self.term()
         if self.at_punct("::"):
             self.take()
-            lhs = self.seq_expr()
+            lhs = self.sequence()
             if self.at_punct("=\\=>"):
                 self.fail("a clause head cannot be negated")
             self.expect_punct("==>")
-            rhs = self.seq_expr()
+            rhs = self.sequence()
             if self.at_ident("where"):
                 tok = self.peek()
                 raise UnsupportedFeatureError(
                     "'where' constraints are not supported", tok.line, tok.col
                 )
-            body = ()
-            if self.at_punct(":-"):
-                self.take()
-                body = self.body()
-            self.expect_punct(".")
-            return RhoClause(head, lhs, rhs, body)
+            return RhoClause(head, lhs, rhs, self.body())
         if self.at_punct(":="):
             self.take()
             rhs = self.term()
             self.expect_punct(".")
             return StrategyAbbrev(head, rhs)
-        if self.at_punct(":-") or self.at_punct("."):
+        if self.at_punct(":-", "."):
             if not (isinstance(head, Compound) and isinstance(head.head, Sym)):
                 self.fail("a predicate clause head must be symbol-headed")
-            body = ()
-            if self.at_punct(":-"):
-                self.take()
-                body = self.body()
-            self.expect_punct(".")
-            return PredClause(head.head.name, head.args, body)
-        self.fail(f"unexpected {self._describe(self.peek())}",
-                  expected=("'::'", "':='", "':-'", "'.'"))
+            return PredClause(head.head.name, head.args, self.body())
+        self.unexpected(self.peek(), "'::'", "':='", "':-'", "'.'")
 
     def program(self) -> SourceProgram:
         clauses = []
@@ -374,18 +312,8 @@ class _Parser:
             return entry.head.name
         return None
 
-    @staticmethod
-    def _number_value(entry):
-        if isinstance(entry, Compound) and isinstance(entry.head, Sym) and not entry.args:
-            try:
-                value = Decimal(entry.head.name)
-            except InvalidOperation:
-                return None
-            return value
-        return None
-
     def _classify_query(self, entries) -> Query:
-        result_var = self._marker_name(entries[-1]) if entries else None
+        result_var = self._marker_name(entries[-1])
         if result_var is None:
             self.fail("a query must end with a result variable "
                       "(a capitalized identifier)")
@@ -394,28 +322,58 @@ class _Parser:
         goal_entries = entries[:-1]
         if len(entries) >= 3:
             maybe_degree = self._marker_name(entries[-2])
-            maybe_threshold = self._number_value(entries[-3])
+            maybe_threshold = numeral_value(entries[-3])
             if maybe_degree is not None and maybe_threshold is not None:
                 degree_var = maybe_degree
-                threshold = maybe_threshold
-                if not (0 <= threshold <= 1):
-                    raise ThresholdRangeError(
-                        f"threshold must be in [0, 1], got {threshold}"
-                    )
+                threshold = check_threshold(maybe_threshold)
                 goal_entries = entries[:-3]
         goal = []
         for entry in goal_entries:
-            if isinstance(entry, (RhoAtom, PredAtom, NotGoal)):
-                goal.append(entry)
-            elif self._marker_name(entry) is not None:
+            if self._marker_name(entry) is not None:
                 self.fail(f"unexpected variable {entry!r} in the goal")
-            elif isinstance(entry, Compound):
-                goal.append(PredAtom(entry.head, entry.args))
-            else:
+            lit = _as_literal(entry)
+            if lit is None:
                 self.fail(f"not a literal: {entry!r}")
+            goal.append(lit)
         if not goal:
             self.fail("query has no goal literals")
         return Query(tuple(goal), result_var, threshold, degree_var)
+
+    # -- proximity declarations ----------------------------------------------
+
+    def prox_decls(self) -> list:
+        out = []
+        while self.peek().kind != "eof":
+            if not self.at_ident("prox"):
+                self.unexpected(self.peek(), "'prox'")
+            self.take()
+            self.expect_punct("(")
+            a = self.prox_symbol()
+            self.expect_punct(",")
+            b = self.prox_symbol()
+            self.expect_punct(",")
+            tok = self.take()
+            if tok.kind != "num":
+                self.unexpected(tok, "a degree")
+            degree = check_degree(tok.text)
+            self.expect_punct(")")
+            self.expect_punct(".")
+            out.append((a, b, degree))
+        return out
+
+    def prox_symbol(self) -> Sym:
+        tok = self.take()
+        if tok.kind in ("ident", "num") or (tok.kind == "punct" and tok.text in _COMPARE_OPS):
+            return self._make(Sym, tok)
+        self.unexpected(tok, "a symbol")
+
+
+def _parse(text: str, rule):
+    """``rule`` applied to all of ``text``."""
+    p = _Parser(text)
+    result = rule(p)
+    p.expect_eof()
+    return result
 
 
 def parse_program(text: str) -> SourceProgram:
@@ -428,63 +386,16 @@ def parse_query(text: str) -> Query:
 
 def parse_proximity_decls(text: str) -> list:
     """Parse ``prox(sym, sym, degree).`` declarations into triples."""
-    p = _Parser(text)
-    out = []
-    while p.peek().kind != "eof":
-        tok = p.peek()
-        if not p.at_ident("prox"):
-            p.fail(f"unexpected {p._describe(tok)}", tok, expected=("'prox'",))
-        p.take()
-        p.expect_punct("(")
-        a = _prox_symbol(p)
-        p.expect_punct(",")
-        b = _prox_symbol(p)
-        p.expect_punct(",")
-        d = _prox_degree(p)
-        p.expect_punct(")")
-        p.expect_punct(".")
-        out.append((a, b, d))
-    return out
-
-
-def _prox_symbol(p: _Parser) -> Sym:
-    tok = p.peek()
-    if tok.kind in ("ident", "num") or (tok.kind == "punct" and tok.text in _COMPARE_OPS):
-        p.take()
-        try:
-            return Sym(tok.text)
-        except ValueError as exc:
-            p.fail(str(exc), tok)
-    p.fail(f"unexpected {p._describe(tok)}", tok, expected=("a symbol",))
-
-
-def _prox_degree(p: _Parser) -> Decimal:
-    tok = p.peek()
-    if tok.kind != "num":
-        p.fail(f"unexpected {p._describe(tok)}", tok, expected=("a degree",))
-    p.take()
-    value = Decimal(tok.text)
-    if not (0 < value <= 1):
-        raise DegreeRangeError(f"proximity degree must be in (0, 1], got {value}")
-    return value
+    return _Parser(text).prox_decls()
 
 
 def parse_term(text: str):
-    p = _Parser(text)
-    t = p.term()
-    p.expect_eof()
-    return t
+    return _parse(text, _Parser.term)
 
 
 def parse_sequence(text: str) -> tuple:
-    p = _Parser(text)
-    h = p.seq_expr()
-    p.expect_eof()
-    return h
+    return _parse(text, _Parser.sequence)
 
 
 def parse_literal(text: str):
-    p = _Parser(text)
-    lit = p.literal()
-    p.expect_eof()
-    return lit
+    return _parse(text, _Parser.literal)

@@ -40,11 +40,7 @@ class ProximityRelation:
     def add(self, a, b, degree) -> None:
         a = a if isinstance(a, Sym) else Sym(a)
         b = b if isinstance(b, Sym) else Sym(b)
-        degree = Decimal(degree)
-        if not (0 < degree <= 1):
-            raise DegreeRangeError(
-                f"proximity degree must be in (0, 1], got {degree}"
-            )
+        degree = check_degree(degree)
         if a == b:
             return  # reflexivity is implicit and always 1
         self._pairs[self._key(a, b)] = degree
@@ -74,6 +70,13 @@ class DegreedMatcher:
 
     subst: Subst
     degree: Decimal
+
+
+def check_degree(value: Decimal) -> Decimal:
+    value = Decimal(value)
+    if not (0 < value <= 1):
+        raise DegreeRangeError(f"proximity degree must be in (0, 1], got {value}")
+    return value
 
 
 def check_threshold(value: Decimal) -> Decimal:

@@ -16,7 +16,9 @@ freely between branches (and threads) without copying.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import ClassVar, Iterator, Union
 
 from .errors import KindMismatchError
@@ -153,6 +155,17 @@ def atom(name: str) -> Compound:
 
 def mk(name: str, *args) -> Compound:
     return Compound(Sym(name), seq(*args))
+
+
+_NUMERAL = re.compile(r"\d+(\.\d+)?$")
+
+
+def numeral_value(t) -> Decimal | None:
+    """Decimal value of a numeric constant term, else None."""
+    if isinstance(t, Compound) and isinstance(t.head, Sym) and not t.args:
+        if _NUMERAL.match(t.head.name):
+            return Decimal(t.head.name)
+    return None
 
 
 def seq(*items) -> tuple:

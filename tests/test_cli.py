@@ -117,6 +117,19 @@ class TestBatch:
         assert code == 1
         assert "load error:" in err
 
+    def test_non_decimal_digit_degree_is_a_load_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.prox"
+        bad.write_text("prox(a, b, ²).", encoding="utf-8")
+        code, out, err = run(capsys, ["--prox", str(bad)])
+        assert code == 1
+        assert err.startswith("load error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("threshold", ["nan", "NaN", "sNaN", "0E5"])
+    def test_threshold_that_is_not_a_number_is_a_query_error(self, capsys, threshold):
+        code, out, err = run(capsys, ["--query", f"?(id :: a ==> s_X, {threshold}, D, R)."])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_query_error_exit_code_and_continuation(self, capsys):
         code, out, err = run(capsys, [
             "--load", str(PROGRAMS / "sorting.rho"),

@@ -13,6 +13,7 @@ from rholog import (
     RhoAtom,
     RhoClause,
     SeqVar,
+    SourceProgram,
     StrategyAbbrev,
     Sym,
     parse_literal,
@@ -27,11 +28,13 @@ from rholog import (
 from rholog.errors import (
     DegreeRangeError,
     ParseError,
+    RhoError,
     ThresholdRangeError,
     UnsupportedFeatureError,
 )
+from rholog.parser import Token, tokenize
 
-from tests.genrand import ground_hedge, make_rng
+from tests.genrand import ground_hedge, make_rng, pattern_hedge, rule_sides
 
 SORTING = """
 swap(f_Ordering) :: (s_X, i_I, i_J, s_Y) ==> (s_X, i_J, i_I, s_Y) :-
@@ -126,6 +129,13 @@ class TestTermsAndSequences:
     def test_hole_parses(self):
         assert parse_term("f(hole)") == Compound(Sym("f"), (parse_term("hole"),))
 
+    def test_empty_groups_splice_away(self):
+        assert parse_sequence("(a, (), b)") == parse_sequence("(a,b)")
+        assert parse_term("f((), a)") == parse_term("f(a)")
+
+    def test_non_decimal_digits_make_an_identifier(self):
+        assert [t.kind for t in tokenize("² 1² 7")] == ["ident", "ident", "num", "eof"]
+
 
 class TestLiterals:
     def test_infix_comparison(self):
@@ -192,6 +202,11 @@ class TestQueries:
         assert q.degree_var == "D"
         assert q.result_var == "R"
 
+    @pytest.mark.parametrize("threshold", ["nan", "NaN", "sNaN", "0E5"])
+    def test_threshold_must_be_a_number(self, threshold):
+        with pytest.raises(ParseError):
+            parse_query(f"?(st :: a ==> s_X, {threshold}, D, R).")
+
 
 class TestProximityDecls:
     def test_two_entries(self):
@@ -216,6 +231,88 @@ class TestProximityDecls:
         got = parse_proximity_decls("% close enough\nprox(3, 4, 0.9).")
         assert got == [(Sym("3"), Sym("4"), Decimal("0.9"))]
 
+    def test_non_decimal_digits_are_not_a_degree(self):
+        with pytest.raises(ParseError):
+            parse_proximity_decls("prox(a, b, ²).")
+
+
+class TestPositions:
+    def test_tokens_after_comments_crlf_and_tabs(self):
+        tokens = tokenize("a % note\r\n\tb(\t1.5)\r\n  % end\n  c")
+        assert [(t.kind, t.text, t.line, t.col) for t in tokens] == [
+            ("ident", "a", 1, 1),
+            ("ident", "b", 2, 2),
+            ("punct", "(", 2, 3),
+            ("num", "1.5", 2, 5),
+            ("punct", ")", 2, 8),
+            ("ident", "c", 4, 3),
+            ("eof", "", 4, 4),
+        ]
+
+    def test_unexpected_character_on_line_three(self):
+        with pytest.raises(ParseError) as err:
+            parse_program("p(a).\n% q(b).\nq(b) ! r.")
+        assert (err.value.line, err.value.col) == (3, 6)
+        assert str(err.value) == "unexpected character '!' at line 3, column 6"
+
+    def test_end_of_input_after_a_trailing_comment(self):
+        assert tokenize("a % tail")[-1] == Token("eof", "", 1, 9)
+        assert tokenize("a\n% x")[-1] == Token("eof", "", 2, 4)
+        with pytest.raises(ParseError) as err:
+            parse_program("st :: a ==> b % no dot")
+        assert (err.value.line, err.value.col) == (1, 23)
+        assert err.value.expected == ("'.'",)
+
+
+# Shapes and slot fillers for the leak fuzz: the grammar's tokens, words
+# that are not grammar numbers (nan, 0E5, ²) and reserved words out of place.
+_SLOTS = {
+    "T": ("a", "f(a)", "i_X", "c_C(a)", "f_F(s_X)", "hole", "eps", "=<", "g((), a)", "where"),
+    "S": ("eps", "s_X", "(a, s_X)", "()", "(a, (), b)", "b", "i_"),
+    "N": ("0", "1", "0.5", "1.5", "nan", "NaN", "²", "0E5", "a"),
+    "M": ("R", "D", "r", "i_X"),
+}
+_SHAPES = (
+    "T :: S ==> S .", "T :: S ==> S :- T :: S =\\=> S , T =< T .", "T := T .",
+    "T :- not ( T ) .", "T :: S ==> S where T .", "? ( T :: S ==> S , M ) .",
+    "? ( T :: S ==> S , N , M , M ) .", "prox ( T , T , N ) .", "T", "S",
+    "not ( T :: S ==> S )",
+)
+_POOL = tuple(
+    "( ) , . ? :: ==> =\\=> :- := =< < > >= a f st not prox R D i_X s_X f_F c_C "
+    "0 1 0.5 1.5 nan ² hole eps where".split()
+)
+_PARSERS = (parse_program, parse_query, parse_term, parse_sequence, parse_literal,
+            parse_proximity_decls)
+
+
+def _fuzz_text(rng):
+    words = []
+    for part in rng.choice(_SHAPES).split():
+        words.extend(rng.choice(_SLOTS[part]).split() if part in _SLOTS else [part])
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        at = rng.randrange(len(words) + 1)
+        edit = rng.randrange(3)
+        if edit == 0 and at < len(words):
+            del words[at]
+        elif edit == 1:
+            words.insert(at, rng.choice(_POOL))
+        elif at < len(words):
+            words[at] = rng.choice(_POOL)
+    return " ".join(words)
+
+
+class TestNoLeaks:
+    def test_parsers_raise_only_rho_errors(self):
+        rng = make_rng(97)
+        for _ in range(3000):
+            text = _fuzz_text(rng)
+            for parse in _PARSERS:
+                try:
+                    parse(text)
+                except RhoError:
+                    pass
+
 
 class TestRoundTrip:
     def test_ground_sequence_round_trip_goldens(self):
@@ -234,3 +331,26 @@ class TestRoundTrip:
         once = render_program(program)
         assert parse_program(once) == program
         assert render_program(parse_program(once)) == once
+
+    def test_pattern_round_trip_random(self):
+        rng = make_rng(43)
+        for _ in range(500):
+            h = pattern_hedge(rng)
+            assert parse_sequence(render_sequence(h)) == h
+
+    def test_rule_program_round_trip_random(self):
+        rng = make_rng(47)
+        clauses = []
+        while len(clauses) < 200:
+            sides = [rule_sides(rng) for _ in range(3)]
+            if None in sides:
+                continue
+            (lhs, rhs), (b_lhs, b_rhs), (n_lhs, n_rhs) = sides
+            body = (
+                RhoAtom(Compound(Sym("st2")), b_lhs, b_rhs, rng.random() < 0.7),
+                NotGoal(RhoAtom(Compound(Sym("st3")), n_lhs, n_rhs)),
+                PredAtom(Sym("=<"), (Compound(Sym("1")), Compound(Sym("2.5")))),
+            )[: rng.randrange(1, 4)]
+            clauses.append(RhoClause(Compound(Sym("st"), (IndVar("i_S"),)), lhs, rhs, body))
+        program = SourceProgram(tuple(clauses))
+        assert parse_program(render_program(program)) == program
