@@ -21,6 +21,12 @@ output and its first rhs match; ``nf`` and ``first_all`` soft-cut (an
 output drops only the untried alternatives), the nf one carrying the
 step limit; negation cuts and fails once the positive form has an answer.
 
+Clauses are indexed by name, then by the head symbol of the first lhs
+item (first param); other first items go to the name's variable bucket.
+A selection tries its subject's bucket merged with that one by source
+position. Heads match exactly, and a keyed item faces the subject's first
+item, so only clauses that cannot match drop out, and no order changes.
+
 Every step binds ground values and query variables are never renamed,
 so answers record just the steps' bindings of query variables. The
 degree of an answer is the minimum over its proximity steps (1 if none).
@@ -116,26 +122,50 @@ class Answer:
 
 
 class ClauseDB:
-    """Loaded program: transformation and predicate clauses in source order,
-    indexed by name as ``(clause, head pattern, clause_locals(clause))``."""
+    """Loaded program: clauses in source order and, per name, a map from the
+    head symbol of the first lhs item (first param) to its clauses, and a
+    variable bucket for the rest; a lookup merges the two in source order.
+    Entries are ``(position, clause, head pattern, clause_locals(clause))``."""
 
     def __init__(self, rho_clauses=(), pred_clauses=()):
         self.rho_clauses = tuple(rho_clauses)
         self.pred_clauses = tuple(pred_clauses)
-        self._rho_index = {}
-        for clause in self.rho_clauses:
-            self._rho_index.setdefault(clause.strategy.head.name, []).append(
-                (clause, (clause.strategy,) + clause.lhs, clause_locals(clause)))
-        self._pred_index = {}
-        for clause in self.pred_clauses:
-            self._pred_index.setdefault(clause.name, []).append(
-                (clause, clause.params, clause_locals(clause)))
+        self._rho_index = _index(
+            (c.strategy.head.name, c.lhs, c, (c.strategy,) + c.lhs) for c in self.rho_clauses
+        )
+        self._pred_index = _index((c.name, c.params, c, c.params) for c in self.pred_clauses)
 
-    def rho_for(self, name: str):
-        return self._rho_index.get(name, ())
+    def rho_for(self, name: str, lhs: tuple):
+        return _candidates(self._rho_index, name, lhs)
 
-    def preds_for(self, name: str):
-        return self._pred_index.get(name)
+    def preds_for(self, name: str, args: tuple):
+        return _candidates(self._pred_index, name, args)
+
+
+def _first_key(items):
+    """The name of the first item's head symbol, if it has one; else None."""
+    if items and isinstance(items[0], Compound) and isinstance(items[0].head, Sym):
+        return items[0].head.name
+
+
+def _index(clauses):
+    """The index ``{name: (keyed, free)}`` of ``(name, first items, clause, head)``."""
+    index = {}
+    for position, (name, first, clause, head) in enumerate(clauses):
+        keyed, free = index.setdefault(name, ({}, []))
+        key = _first_key(first)
+        bucket = free if key is None else keyed.setdefault(key, [])
+        bucket.append((position, clause, head, clause_locals(clause)))
+    return index
+
+
+def _candidates(index, name, items):
+    """The clauses of ``name`` whose first item can match that of the ground
+    hedge ``items``, in source order; None if ``name`` has no clauses at all."""
+    if name in index:
+        keyed, free = index[name]
+        hits = keyed.get(_first_key(items), ())
+        return sorted(hits + free) if hits and free else hits or free
 
 
 def load_program(program: SourceProgram) -> ClauseDB:
@@ -390,8 +420,8 @@ class _Solver:
         name = lit.strategy.head.name
         if name in BUILTIN_STRATEGIES:
             return self._builtin(name, lit, rest, answer, degree, height)
-        clauses = self.db.rho_for(name)
-        if not clauses:
+        clauses = self.db.rho_for(name, lit.lhs)
+        if clauses is None:
             raise UnknownStrategyError(f"unknown strategy: {name!r}")
         subject = (lit.strategy,) + lit.lhs
         return self._resolve(clauses, subject, lit.rhs, rest, answer, degree)
@@ -415,7 +445,7 @@ class _Solver:
                     )
                 values.append(value)
             return (rest, answer, degree) if COMPARISONS[name](*values) else None
-        clauses = self.db.preds_for(name)
+        clauses = self.db.preds_for(name, lit.args)
         if clauses is None:
             raise UnknownPredicateError(f"unknown predicate: {name!r}")
         return self._resolve(clauses, lit.args, None, rest, answer, degree)
@@ -425,7 +455,7 @@ class _Solver:
         a transformation clause the continuation ``C :: sigma(rhs') ==> rhs``."""
 
         def hits():
-            for clause, head, local_vars in clauses:
+            for _, clause, head, local_vars in clauses:
                 for sigma in match_hedge(head, subject, _checked=True):
                     self._trace("clause", render_clause, clause)
                     sigma = self._with_fresh_locals(sigma, local_vars)
@@ -434,7 +464,7 @@ class _Solver:
                         body += (_Into(sigma, local_vars, clause.rhs, rhs),)
                     yield body + rest, answer, degree
 
-        single = len(clauses) == 1 and at_most_one_matcher(clauses[0][1])
+        single = len(clauses) == 1 and at_most_one_matcher(clauses[0][2])
         return next(hits(), None) if single else hits()
 
     # -- builtin strategies ----------------------------------------------------

@@ -369,24 +369,27 @@ class _Parser:
 
 
 def _parse(text: str, rule):
-    """``rule`` applied to all of ``text``."""
+    """``rule`` applied to all of ``text``; too deep a nesting is a ParseError."""
     p = _Parser(text)
-    result = rule(p)
+    try:
+        result = rule(p)
+    except RecursionError:
+        p.fail("term nested too deeply")
     p.expect_eof()
     return result
 
 
 def parse_program(text: str) -> SourceProgram:
-    return _Parser(text).program()
+    return _parse(text, _Parser.program)
 
 
 def parse_query(text: str) -> Query:
-    return _Parser(text).query()
+    return _parse(text, _Parser.query)
 
 
 def parse_proximity_decls(text: str) -> list:
     """Parse ``prox(sym, sym, degree).`` declarations into triples."""
-    return _Parser(text).prox_decls()
+    return _parse(text, _Parser.prox_decls)
 
 
 def parse_term(text: str):

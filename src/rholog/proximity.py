@@ -14,7 +14,7 @@ argument counts, term vs sequence shape) gives 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from typing import Iterable, Iterator
 
 from .errors import DegreeRangeError, ThresholdRangeError
@@ -72,18 +72,24 @@ class DegreedMatcher:
     degree: Decimal
 
 
-def check_degree(value: Decimal) -> Decimal:
-    value = Decimal(value)
-    if not (0 < value <= 1):
-        raise DegreeRangeError(f"proximity degree must be in (0, 1], got {value}")
-    return value
+def check_degree(value) -> Decimal:
+    return _unit_decimal(value, DegreeRangeError, "proximity degree must be in (0, 1]", ZERO)
 
 
-def check_threshold(value: Decimal) -> Decimal:
-    value = Decimal(value)
-    if not (0 <= value <= 1):
-        raise ThresholdRangeError(f"threshold must be in [0, 1], got {value}")
-    return value
+def check_threshold(value) -> Decimal:
+    return _unit_decimal(value, ThresholdRangeError, "threshold must be in [0, 1]")
+
+
+def _unit_decimal(value, error, message, excluded=None) -> Decimal:
+    """``value`` as a Decimal in [0, 1] other than ``excluded``; anything
+    else, an unreadable value or NaN too, raises ``error``."""
+    try:
+        number = Decimal(value)
+    except (InvalidOperation, TypeError, ValueError):
+        number = None
+    if number is None or number.is_nan() or not 0 <= number <= 1 or number == excluded:
+        raise error(f"{message}, got {value}")
+    return number
 
 
 def prox_match_hedge(rel, pattern, subject, threshold) -> Iterator[DegreedMatcher]:

@@ -140,6 +140,24 @@ class TestBatch:
         assert "error:" in err
         assert "Result = [s_X ---> (1,2)] ;" in out
 
+    def test_name_without_candidates_fails_and_undeclared_name_is_an_error(
+        self, capsys, tmp_path
+    ):
+        rules = tmp_path / "rules.rho"
+        rules.write_text("p(a).\nst :: a ==> b.\n", encoding="utf-8")
+        code, out, err = run(capsys, [
+            "--load", str(rules),
+            "--query", "?(st :: c ==> s_X, Result).",
+            "--query", "?(p(c), Result).",
+        ])
+        assert code == 0 and err == ""
+        assert out.count("false.") == 2
+        for query, message in [("?(other :: a ==> s_X, Result).", "unknown strategy"),
+                               ("?(q(a), Result).", "unknown predicate")]:
+            code, out, err = run(capsys, ["--load", str(rules), "--query", query])
+            assert code == 2
+            assert message in err
+
     def test_runtime_error_is_reported_per_query(self, capsys):
         code, out, err = run(capsys, [
             "--query", "?(missing :: a ==> b, Result).",

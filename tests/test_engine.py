@@ -13,9 +13,13 @@ from rholog import (
     CtxVar,
     EngineConfig,
     IndVar,
+    PredClause,
     ProximityRelation,
     RhoAtom,
+    RhoClause,
     SeqVar,
+    SourceProgram,
+    atom,
     load_program,
     parse_program,
     parse_proximity_decls,
@@ -41,7 +45,8 @@ from rholog.errors import (
 )
 from rholog.program import Query, clause_locals
 
-from tests.genrand import random_relation
+from tests.genrand import ground_hedge, ground_subst_for, make_rng, random_relation, rule_sides
+from tests.oracles import ordered_matchers
 from tests.strategy_oracle import drain
 from tests.test_strategy_oracle import OUT, THRESHOLDS, case, load
 
@@ -509,6 +514,115 @@ class TestClauseSelection:
         assert results("?(rev :: (a,b,c,d) ==> s_X, Result).", program) == [
             ("[s_X ---> (d,c,b,a)]", D(1))
         ]
+
+
+# first items keyed a, -, a, -, b, -, -, - (- is the variable bucket)
+INDEXED_HEADS = (
+    "a", "s_X", "a(s_Y)", "i_X", "b", "c_C(a)", "f_F(s_Z)", "(s_W, a)"
+)
+# per subject: the clauses a linear scan would match, in source order, and
+# how many of the eight are candidates (the subject's bucket and the free one)
+INDEXED_SCAN = {
+    "a": ([1, 2, 3, 4, 6, 7, 8], 7),
+    "a(x)": ([2, 3, 4, 7], 7),
+    "b": ([2, 4, 5, 7], 6),
+    "z": ([2, 4, 7], 5),
+    "eps": ([2], 5),
+}
+
+
+def matcher_patterns(monkeypatch):
+    """Patch the engine's ``match_hedge`` to collect the pattern of each call."""
+    patterns = []
+    original = rholog.engine.match_hedge
+
+    def counted(pattern, subject, **kwargs):
+        patterns.append(pattern)
+        return original(pattern, subject, **kwargs)
+
+    monkeypatch.setattr(rholog.engine, "match_hedge", counted)
+    return patterns
+
+
+class TestFirstArgumentIndex:
+    """A selection tries only the clauses whose first lhs item (first param)
+    can match the subject's, in source order."""
+
+    @pytest.mark.parametrize("subject", list(INDEXED_SCAN))
+    def test_transformation_clauses(self, monkeypatch, subject):
+        program = "".join(
+            f"st :: {lhs} ==> r{k}.\n" for k, lhs in enumerate(INDEXED_HEADS, 1)
+        )
+        hits, candidates = INDEXED_SCAN[subject]
+        patterns = matcher_patterns(monkeypatch)
+        got = results(f"?(st :: {subject} ==> s_R, Result).", program)
+        assert got == [(f"[s_R ---> r{k}]", D(1)) for k in hits]
+        assert len([p for p in patterns if p[:1] == (T("st"),)]) == candidates
+
+    @pytest.mark.parametrize("subject", list(INDEXED_SCAN))
+    def test_predicate_clauses(self, monkeypatch, subject):
+        heads = [f"p({params})" for params in INDEXED_HEADS]
+        hits, candidates = INDEXED_SCAN[subject]
+        patterns = matcher_patterns(monkeypatch)
+        lines = []
+        config = EngineConfig(trace=True, trace_sink=lines.append)
+        got = answers(f"?(p({subject}), Result).", ".\n".join(heads) + ".", config=config)
+        assert len(got) == len(hits)
+        assert [line for line in lines if line.startswith("clause:")] == [
+            f"clause: {render_sequence(H(heads[k - 1]))}." for k in hits
+        ]
+        assert len(patterns) == candidates  # a predicate call has no continuation
+
+    def test_candidates_hold_every_clause_the_oracle_matches(self):
+        for seed in range(300):
+            rng = make_rng(seed)
+            sides = [rule_sides(rng) for _ in range(rng.randrange(1, 9))]
+            rules = [(f"st{rng.randrange(2)}", lhs, rhs) for lhs, rhs in sides]
+            program = SourceProgram(tuple(
+                clause
+                for name, lhs, rhs in rules
+                for clause in (RhoClause(atom(name), lhs, rhs), PredClause(name, lhs))
+            ))
+            db = load_program(program)
+            for _ in range(5):
+                name, lhs, _ = rng.choice(rules)
+                if rng.random() < 0.5:
+                    subject = ground_subst_for(rng, lhs).apply_hedge(lhs)
+                else:
+                    subject = ground_hedge(rng)
+                for clauses, found in (
+                    ([c for c in db.rho_clauses if c.strategy == atom(name)],
+                     db.rho_for(name, subject)),
+                    ([c for c in db.pred_clauses if c.name == name],
+                     db.preds_for(name, subject)),
+                ):
+                    picked = [clause for _, clause, _, _ in found]
+                    at = [next(i for i, c in enumerate(clauses) if c is p) for p in picked]
+                    assert at == sorted(set(at))
+                    for clause in clauses:
+                        head = clause.lhs if isinstance(clause, RhoClause) else clause.params
+                        if ordered_matchers(head, subject):
+                            assert any(clause is p for p in picked)
+
+    def test_a_name_without_candidates_fails_quietly(self):
+        program = "p(a).\nst :: a ==> b.\n"
+        assert answers("?(p(c), Result).", program) == []
+        assert answers("?(st :: c ==> s_X, Result).", program) == []
+        assert results("?(not(p(c)), Result).", program) == [("[]", D(1))]
+        with pytest.raises(UnknownPredicateError):
+            answers("?(q(c), Result).", program)
+        with pytest.raises(UnknownStrategyError):
+            answers("?(other :: a ==> s_X, Result).", program)
+
+    def test_a_rule_base_tries_one_clause_per_item(self, monkeypatch):
+        program = "".join(f"st :: c{k}(s_X) ==> d{k}(s_X).\n" for k in range(3000))
+        db = db_of(program)
+        patterns = matcher_patterns(monkeypatch)
+        query = parse_query("?(map(st) :: (c7(x), c2999, c7(y,z)) ==> s_R, Result).")
+        assert [render_answer(a) for a in solve(db, query)] == [
+            "[s_R ---> (d7(x),d2999,d7(y,z))]"
+        ]
+        assert len([p for p in patterns if p[:1] == (T("st"),)]) == 3
 
 
 def in_fresh_interpreter(code):

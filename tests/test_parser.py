@@ -35,6 +35,7 @@ from rholog.errors import (
 from rholog.parser import Token, tokenize
 
 from tests.genrand import ground_hedge, make_rng, pattern_hedge, rule_sides
+from tests.test_engine import in_fresh_interpreter
 
 SORTING = """
 swap(f_Ordering) :: (s_X, i_I, i_J, s_Y) ==> (s_X, i_J, i_I, s_Y) :-
@@ -300,6 +301,34 @@ def _fuzz_text(rng):
         elif at < len(words):
             words[at] = rng.choice(_POOL)
     return " ".join(words)
+
+
+class TestDeepNesting:
+    """Nesting deeper than the Python stack allows is a ``ParseError``. Run in
+    a new interpreter, which starts at its default recursion limit."""
+
+    def test_too_deep_a_term_is_a_parse_error(self):
+        out = in_fresh_interpreter(
+            "from rholog import *\n"
+            "from rholog.errors import ParseError\n"
+            "def nest(d): return 'f(' * d + 'a' + ')' * d\n"
+            "def depth(t):\n"
+            "    d = 0\n"
+            "    while t.args:\n"
+            "        t, d = t.args[0], d + 1\n"
+            "    return d\n"
+            "print(depth(parse_term(nest(330))), depth(parse_sequence(nest(330))[0]))\n"
+            "deep = nest(2000)\n"
+            "for parse, text in [(parse_term, deep), (parse_sequence, deep),\n"
+            "                    (parse_literal, f'p({deep})'),\n"
+            "                    (parse_program, f'p({deep}).'),\n"
+            "                    (parse_query, f'?(p({deep}), R).')]:\n"
+            "    try:\n"
+            "        parse(text)\n"
+            "    except ParseError as exc:\n"
+            "        print(str(exc).split(' at ')[0])\n"
+        )
+        assert out.splitlines() == ["330 330"] + ["term nested too deeply"] * 5
 
 
 class TestNoLeaks:

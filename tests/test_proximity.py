@@ -14,6 +14,7 @@ from rholog import (
     term_proximity,
 )
 from rholog.errors import DegreeRangeError, ThresholdRangeError
+from rholog.proximity import check_threshold
 
 from tests.genrand import (
     ground_hedge,
@@ -56,6 +57,11 @@ class TestRelation:
         with pytest.raises(DegreeRangeError):
             ProximityRelation([("a", "b", D("1.2"))])
         ProximityRelation([("a", "b", D("1"))])  # 1 is allowed
+
+    @pytest.mark.parametrize("degree", ["nan", "abc", "sNaN", D("NaN"), float("nan"), None])
+    def test_unreadable_or_nan_degree_is_a_range_error(self, degree):
+        with pytest.raises(DegreeRangeError, match="proximity degree must be in"):
+            ProximityRelation().add("a", "b", degree)
 
     def test_later_entry_overwrites(self):
         rel = ProximityRelation([("a", "b", D("0.5")), ("b", "a", D("0.9"))])
@@ -128,6 +134,13 @@ class TestProxMatch:
     def test_threshold_range(self, rel):
         with pytest.raises(ThresholdRangeError):
             list(prox_match_hedge(rel, H("a"), H("a"), D("1.5")))
+
+    @pytest.mark.parametrize("threshold", ["nan", "abc", "sNaN", D("NaN"), float("nan")])
+    def test_unreadable_or_nan_threshold_is_a_range_error(self, rel, threshold):
+        with pytest.raises(ThresholdRangeError, match="threshold must be in"):
+            check_threshold(threshold)
+        with pytest.raises(ThresholdRangeError):
+            list(prox_match_hedge(rel, H("a"), H("a"), threshold))
 
     @pytest.mark.parametrize("pattern, subject", [("(hole)", "(a)"), ("(i_X)", "(s_Y)")])
     def test_checks_its_inputs(self, rel, pattern, subject):
