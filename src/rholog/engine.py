@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import operator
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -99,10 +100,7 @@ BUILTIN_STRATEGIES = frozenset(
 )
 
 COMPARISONS: dict[str, Callable] = {
-    "=<": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=<": operator.le, "<": operator.lt, ">": operator.gt, ">=": operator.ge
 }
 
 @dataclass
@@ -125,7 +123,8 @@ class ClauseDB:
     """Loaded program: clauses in source order and, per name, a map from the
     head symbol of the first lhs item (first param) to its clauses, and a
     variable bucket for the rest; a lookup merges the two in source order.
-    Entries are ``(position, clause, head pattern, clause_locals(clause))``."""
+    Entries are ``(position, clause, head, (locals, single))``: the clause's
+    ``clause_locals``, and whether ``at_most_one_matcher(head)`` holds."""
 
     def __init__(self, rho_clauses=(), pred_clauses=()):
         self.rho_clauses = tuple(rho_clauses)
@@ -155,7 +154,8 @@ def _index(clauses):
         keyed, free = index.setdefault(name, ({}, []))
         key = _first_key(first)
         bucket = free if key is None else keyed.setdefault(key, [])
-        bucket.append((position, clause, head, clause_locals(clause)))
+        facts = (clause_locals(clause), at_most_one_matcher(head))
+        bucket.append((position, clause, head, facts))
     return index
 
 
@@ -455,7 +455,7 @@ class _Solver:
         a transformation clause the continuation ``C :: sigma(rhs') ==> rhs``."""
 
         def hits():
-            for _, clause, head, local_vars in clauses:
+            for _, clause, head, (local_vars, _) in clauses:
                 for sigma in match_hedge(head, subject, _checked=True):
                     self._trace("clause", render_clause, clause)
                     sigma = self._with_fresh_locals(sigma, local_vars)
@@ -464,8 +464,7 @@ class _Solver:
                         body += (_Into(sigma, local_vars, clause.rhs, rhs),)
                     yield body + rest, answer, degree
 
-        single = len(clauses) == 1 and at_most_one_matcher(clauses[0][2])
-        return next(hits(), None) if single else hits()
+        return next(hits(), None) if len(clauses) == 1 and clauses[0][3][1] else hits()
 
     # -- builtin strategies ----------------------------------------------------
 

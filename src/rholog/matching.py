@@ -19,7 +19,13 @@ variable), and takes the one width left if no unbound sequence variable
 follows; skipped widths have no matchers, so the order does not change.
 
 Symbol comparison is pluggable so the proximity layer can reuse the
-same enumeration with degrees; exact matching scores pairs 1 or 0.
+same enumeration with degrees; exact matching compares symbols by
+identity, which scores every pair 1 or 0.
+
+The matcher is one loop. It consumes forced items in place, enters a
+compound by saving the rest of its level on a linked list, and recurses
+only at choices: a sequence variable with several widths, and a context
+variable. Long and deep patterns therefore cost no stack.
 
 Only the engine passes the private ``_checked=True``, which skips the input
 check: it checks a redex ground when it selects it, goals hole-free at the
@@ -34,7 +40,6 @@ from typing import Callable, Iterator
 from .terms import (
     HOLE,
     Compound,
-    CtxApply,
     CtxVar,
     IndVar,
     SeqVar,
@@ -50,10 +55,6 @@ ZERO = Decimal(0)
 ONE = Decimal(1)
 
 SymDegree = Callable[[Sym, Sym], Decimal]
-
-
-def exact_degree(a: Sym, b: Sym) -> Decimal:
-    return ONE if a == b else ZERO
 
 
 def enumerate_contexts(subject) -> Iterator[tuple]:
@@ -92,25 +93,20 @@ def _check_inputs(pattern, subject) -> None:
 
 
 def scored_match_hedge(
-    pattern,
-    subject,
-    sym_degree: SymDegree = exact_degree,
-    floor: Decimal = ONE,
-    subst: Subst = EMPTY_SUBST,
-    *,
-    _checked: bool = False,
+    pattern, subject, sym_degree: SymDegree | None = None, floor: Decimal = ONE,
+    *, _checked: bool = False,
 ) -> Iterator[tuple]:
-    """Yield ``(matcher, degree)`` pairs; degree is the min over symbol pairs.
+    """``(matcher, degree)`` pairs, lazily; degree is the min over symbol pairs.
 
     Pairs scoring below ``floor`` (or exactly 0) prune the branch, so
-    every yielded degree lies in ``[floor, 1]``.
+    every degree lies in ``[floor, 1]``; without ``sym_degree``, symbols
+    match exactly, by identity. The inputs are checked on the call.
     """
     if not _checked:
         _check_inputs(pattern, subject)
-    for found, degree, _ in _match_items(
-        tuple(pattern), tuple(subject), subst, ONE, False, sym_degree, floor
-    ):
-        yield found, degree
+    return _match_items(
+        tuple(pattern), 0, tuple(subject), 0, EMPTY_SUBST, ONE, False, sym_degree, floor, None
+    )
 
 
 def match_hedge(pattern, subject, *, _checked: bool = False) -> Iterator[Subst]:
@@ -124,96 +120,94 @@ def match_term(pattern, subject) -> Iterator[Subst]:
     yield from match_hedge((pattern,), (subject,))
 
 
-def _match_items(items, subject, subst, degree, greedy, sym_degree, floor):
-    if not items:
-        if not subject:
-            yield subst, degree, greedy
-        return
-    first, rest = items[0], items[1:]
+def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor, more):
+    """Match ``items[i:]`` with ``subject[j:]``, then each level left in the
+    linked list ``more = (items, i, subject, j, more)``; yield ``(subst,
+    degree)``. ``greedy``: a sequence variable is bound on this path."""
+    while True:
+        if i == len(items):
+            if j != len(subject):
+                return
+            if more is None:
+                yield subst, degree
+                return
+            items, i, subject, j, more = more
+            continue
+        first = items[i]
+        i += 1
 
-    if isinstance(first, SeqVar):
-        bound = subst.get(first)
-        if bound is not None:
-            n = len(bound)
-            if subject[:n] == bound:
+        if isinstance(first, SeqVar):
+            bound = subst.get(first)
+            if bound is not None:
+                n = j + len(bound)
+                if subject[j:n] != bound:
+                    return
+                j = n
+                continue
+            need, free = 0, False
+            for item in items[i:]:
+                if not isinstance(item, SeqVar):
+                    need += 1
+                elif (later := subst.get(item)) is not None:
+                    need += len(later)
+                else:
+                    free = True
+            top = len(subject) - j - need
+            if top < 0:
+                return
+            if free:
+                for w in range(top, -1, -1) if greedy else range(top + 1):
+                    yield from _match_items(
+                        items, i, subject, j + w, subst._extend(first, subject[j:j + w]),
+                        degree, True, sym_degree, floor, more,
+                    )
+                return
+            subst, j, greedy = subst._extend(first, subject[j:j + top]), j + top, True
+            continue
+
+        if j == len(subject):
+            return
+        t = subject[j]
+        j += 1
+
+        if isinstance(first, IndVar):
+            bound = subst.get(first)
+            if bound is None:
+                subst = subst._extend(first, t)
+            elif bound != t:
+                return
+        elif isinstance(first, Compound):  # so is t: a ground, hole-free term
+            head = first.head
+            if isinstance(head, Sym):
+                if sym_degree is None:
+                    if head is not t.head:
+                        return
+                else:
+                    d = sym_degree(head, t.head)
+                    if d == 0 or d < floor:
+                        return
+                    if d < degree:
+                        degree = d
+            else:  # function variable: binds the subject head verbatim
+                bound = subst.get(head)
+                if bound is None:
+                    subst = subst._extend(head, t.head)
+                elif bound is not t.head:
+                    return
+            more = (items, i, subject, j, more)
+            items, i, subject, j = first.args, 0, t.args, 0
+        else:  # a context variable applied to a term; patterns are hole-free
+            bound = subst.get(first.var)
+            more = (items, i, subject, j, more)
+            for ctx, plugged in enumerate_contexts(t):
+                if bound is None:
+                    here = subst._extend(first.var, ctx)
+                elif ctx != bound:
+                    continue
+                else:
+                    here = subst
                 yield from _match_items(
-                    rest, subject[n:], subst, degree, greedy, sym_degree, floor
+                    (first.arg,), 0, (plugged,), 0, here, degree, greedy, sym_degree,
+                    floor, more,
                 )
             return
-        need, free = 0, False
-        for item in rest:
-            if not isinstance(item, SeqVar):
-                need += 1
-            elif (later := subst.get(item)) is not None:
-                need += len(later)
-            else:
-                free = True
-        top = len(subject) - need
-        if top < 0:
-            return
-        widths = range(top + 1) if free else (top,)
-        if greedy:
-            widths = reversed(widths)
-        for w in widths:
-            extended = subst._extend(first, subject[:w])
-            yield from _match_items(
-                rest, subject[w:], extended, degree, True, sym_degree, floor
-            )
-        return
-
-    if not subject:
-        return
-    for subst2, degree2, greedy2 in _match_one(
-        first, subject[0], subst, degree, greedy, sym_degree, floor
-    ):
-        yield from _match_items(
-            rest, subject[1:], subst2, degree2, greedy2, sym_degree, floor
-        )
-
-
-def _match_one(pat, t, subst, degree, greedy, sym_degree, floor):
-    """Match a single width-one pattern item against one subject term."""
-    if isinstance(pat, IndVar):
-        bound = subst.get(pat)
-        if bound is not None:
-            if bound == t:
-                yield subst, degree, greedy
-        else:
-            yield subst._extend(pat, t), degree, greedy
-        return
-
-    if isinstance(pat, Compound):
-        if not isinstance(t, Compound):
-            return
-        head = pat.head
-        if isinstance(head, Sym):
-            d = sym_degree(head, t.head)
-            if d == 0 or d < floor:
-                return
-            here = subst
-            degree = min(degree, d)
-        else:  # function variable: binds the subject head verbatim
-            bound = subst.get(head)
-            if bound is not None:
-                if bound != t.head:
-                    return
-                here = subst
-            else:
-                here = subst._extend(head, t.head)
-        yield from _match_items(
-            pat.args, t.args, here, degree, greedy, sym_degree, floor
-        )
-        return
-
-    if isinstance(pat, CtxApply):
-        bound = subst.get(pat.var)
-        for ctx, plugged in enumerate_contexts(t):
-            if bound is not None:
-                if ctx != bound:
-                    continue
-                here = subst
-            else:
-                here = subst._extend(pat.var, ctx)
-            yield from _match_one(
-                pat.arg, plugged, here, degree, greedy, sym_degree, floor
-            )

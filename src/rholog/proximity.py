@@ -25,39 +25,37 @@ from .terms import Subst, Sym, hole_count, is_ground
 class ProximityRelation:
     """Symmetric map from symbol pairs to degrees in (0, 1].
 
-    Later declarations for the same pair overwrite earlier ones.
+    Later declarations for the same pair overwrite earlier ones. A degree
+    is stored under both orders of its ``(Sym, Sym)`` pair, so ``degree``
+    is an identity test and at most one dict lookup.
     """
 
     def __init__(self, entries: Iterable[tuple] = ()):
-        self._pairs = {}
+        self._degrees = {}
         for a, b, degree in entries:
             self.add(a, b, degree)
-
-    @staticmethod
-    def _key(a: Sym, b: Sym) -> tuple:
-        return (a.name, b.name) if a.name <= b.name else (b.name, a.name)
 
     def add(self, a, b, degree) -> None:
         a = a if isinstance(a, Sym) else Sym(a)
         b = b if isinstance(b, Sym) else Sym(b)
         degree = check_degree(degree)
-        if a == b:
+        if a is b:
             return  # reflexivity is implicit and always 1
-        self._pairs[self._key(a, b)] = degree
+        self._degrees[a, b] = self._degrees[b, a] = degree
 
     def degree(self, a: Sym, b: Sym) -> Decimal:
-        if a == b:
+        if a is b:
             return ONE
-        return self._pairs.get(self._key(a, b), ZERO)
+        return self._degrees.get((a, b), ZERO)
 
     def pairs(self):
-        return dict(self._pairs)
+        return {(a.name, b.name): d for (a, b), d in self._degrees.items() if a.name < b.name}
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._degrees) // 2
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{a}~{b}:{d}" for (a, b), d in sorted(self._pairs.items()))
+        inner = ", ".join(f"{a}~{b}:{d}" for (a, b), d in sorted(self.pairs().items()))
         return "ProximityRelation(" + inner + ")"
 
 
@@ -110,9 +108,6 @@ def prox_match_term(rel, pattern, subject, threshold) -> Iterator[DegreedMatcher
 
 def term_proximity(rel, t1, t2) -> Decimal:
     """Proximity degree of two ground, hole-free terms."""
-    for t in (t1, t2):
-        if not is_ground(t) or hole_count(t) != 0:
-            raise ValueError("term proximity is defined on ground, hole-free terms")
     return hedge_proximity(rel, (t1,), (t2,))
 
 
@@ -121,7 +116,5 @@ def hedge_proximity(rel, h1, h2) -> Decimal:
     the one matcher of ``h1`` against ``h2``, or 0 if there is none."""
     for h in (h1, h2):
         if not is_ground(h) or hole_count(h) != 0:
-            raise ValueError("hedge proximity is defined on ground, hole-free hedges")
-    for _, degree in scored_match_hedge(h1, h2, rel.degree, ZERO):
-        return degree
-    return ZERO
+            raise ValueError("proximity is defined on ground, hole-free terms and hedges")
+    return next(scored_match_hedge(h1, h2, rel.degree, ZERO), (None, ZERO))[1]

@@ -11,7 +11,9 @@ The value model is small and uniform:
 * constants and numerals are compounds with an empty argument tuple.
 
 All values are immutable, so the backtracking engine can share them
-freely between branches (and threads) without copying.
+freely between branches (and threads) without copying. Symbols and
+variables are interned, so they compare and hash by identity, in C, and
+their tables are safe to fill from several threads at once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import ClassVar, Iterator, Union
+from typing import Iterator, Union
 
 from .errors import KindMismatchError
 
@@ -27,39 +29,61 @@ VAR_PREFIXES = ("i_", "s_", "f_", "c_")
 RESERVED_NAMES = frozenset({"hole", "eps"})
 
 
-@dataclass(frozen=True)
-class Sym:
+class _Atom:
+    """A name, with one object per class and name, kept for the life of the
+    process: ``==`` and ``hash`` are ``object``'s, and ``copy``, ``deepcopy``
+    and ``pickle`` give back the same object. A name is validated once, when
+    its object is made, and ``dict.setdefault`` gives threads racing on one
+    name the same object."""
+
+    __slots__ = ("_name",)
+
+    def __init_subclass__(cls) -> None:
+        cls._table = {}
+
+    def __new__(cls, name: str):
+        atom = cls._table.get(name)
+        if atom is None:
+            cls._validate(name)
+            atom = object.__new__(cls)
+            atom._name = name
+            atom = cls._table.setdefault(name, atom)
+        return atom
+
+    def __reduce__(self):
+        return type(self), (self._name,)
+
+    def __repr__(self) -> str:
+        return self._name
+
+
+_Atom.name = property(_Atom._name.__get__, doc="The name; read-only.")
+
+
+class Sym(_Atom):
     """Function symbol without fixed arity; numerals are plain symbols."""
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    @staticmethod
+    def _validate(name) -> None:
+        if not name:
             raise ValueError("symbol name must be nonempty")
-        if self.name in RESERVED_NAMES:
-            raise ValueError(f"{self.name!r} is a reserved word")
-        if self.name.startswith(VAR_PREFIXES):
-            raise ValueError(
-                f"symbol name {self.name!r} starts with a variable prefix"
-            )
-
-    def __repr__(self) -> str:
-        return self.name
+        if name in RESERVED_NAMES:
+            raise ValueError(f"{name!r} is a reserved word")
+        if name.startswith(VAR_PREFIXES):
+            raise ValueError(f"symbol name {name!r} starts with a variable prefix")
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(_Atom):
     """A variable: a name that starts with its kind's prefix."""
 
-    name: str
-    prefix: ClassVar[str] = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name.startswith(self.prefix) or len(self.name) <= len(self.prefix):
-            raise ValueError(f"variable name {self.name!r} must be {self.prefix}<base>")
-
-    def __repr__(self) -> str:
-        return self.name
+    @classmethod
+    def _validate(cls, name) -> None:
+        if not name.startswith(cls.prefix) or len(name) <= len(cls.prefix):
+            raise ValueError(f"variable name {name!r} must be {cls.prefix}<base>")
 
 
 class IndVar(Var):

@@ -7,10 +7,15 @@ and fail instead.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pytest
 
 import rholog.engine
 import rholog.matching
+from rholog.proximity import ProximityRelation
+from rholog.terms import Subst
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -31,3 +36,11 @@ def test_engine_binds_every_name_the_tracer_wraps():
 def test_engine_calls_the_matchers_the_tracer_counts():
     assert rholog.engine.match_hedge is rholog.matching.match_hedge
     assert rholog.engine.scored_match_hedge is rholog.matching.scored_match_hedge
+
+
+@pytest.mark.parametrize("cls, name", [(ProximityRelation, "degree"), (Subst, "bind")])
+def test_class_sites_the_counters_wrap_are_methods(cls, name):
+    # the tracer's counters wrap these class attributes; an instance
+    # attribute of the same name would hide the wrapper
+    assert inspect.isfunction(vars(cls).get(name))
+    assert name not in getattr(cls(), "__dict__", {})

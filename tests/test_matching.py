@@ -19,6 +19,7 @@ from rholog.matching import scored_match_hedge
 
 from tests.genrand import ground_hedge, ground_subst_for, make_rng, pattern_hedge
 from tests.oracles import brute_force_matchers, ordered_matchers, plain
+from tests.test_engine import in_fresh_interpreter
 
 T = parse_term
 H = parse_sequence
@@ -225,3 +226,39 @@ class TestOrderOracle:
                 subject = ground_subst_for(rng, pattern).apply_hedge(pattern)
             found += self.check(pattern, subject)
         assert found >= 200
+
+
+class TestDefaultRecursionLimit:
+    """The matcher recurses only at choices, so a long or deep pattern whose
+    items are all forced matches at the default recursion limit."""
+
+    def test_flat_pattern_of_5000_individual_variables(self):
+        out = in_fresh_interpreter(
+            "import sys\n"
+            "from rholog import IndVar, atom, match_hedge\n"
+            "pattern = tuple(IndVar(f'i_X{k}') for k in range(5000))\n"
+            "subject = tuple(atom(f'a{k}') for k in range(5000))\n"
+            "found = list(match_hedge(pattern, subject))\n"
+            "print(sys.getrecursionlimit(), len(found), len(found[0]),\n"
+            "      found[0].get(IndVar('i_X4999')))\n"
+        )
+        assert out.split()[1:] == ["1", "5000", "a4999"]
+        assert int(out.split()[0]) < 5000
+
+    def test_pattern_nested_5000_deep(self):
+        # f(...f(i_X, s_Y)..., s_Y) against f(...f(a, b)..., b)
+        out = in_fresh_interpreter(
+            "import sys\n"
+            "from rholog import Compound, IndVar, SeqVar, Sym, atom, match_hedge\n"
+            "f, s_Y = Sym('f'), SeqVar('s_Y')\n"
+            "pattern = Compound(f, (IndVar('i_X'), s_Y))\n"
+            "subject = Compound(f, (atom('a'), atom('b')))\n"
+            "for _ in range(4999):\n"
+            "    pattern = Compound(f, (pattern, s_Y))\n"
+            "    subject = Compound(f, (subject, atom('b')))\n"
+            "found = list(match_hedge((pattern,), (subject,)))\n"
+            "print(sys.getrecursionlimit(), len(found), found[0])\n"
+        )
+        limit, rest = out.split(" ", 1)
+        assert int(limit) < 5000
+        assert rest.strip() == "1 {i_X -> a, s_Y -> b}"

@@ -1,3 +1,8 @@
+import copy
+import pickle
+import threading
+import uuid
+
 import pytest
 
 from rholog import (
@@ -252,6 +257,72 @@ class TestCachedInvariants:
         object.__setattr__(fresh, "_holes", 7)
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
+
+
+ATOM_KINDS = [(Sym, "a"), (IndVar, "i_X"), (SeqVar, "s_X"), (FunVar, "f_X"), (CtxVar, "c_X")]
+
+
+class TestInternedAtoms:
+    """One object per kind and name, so ``==`` and ``hash`` are identity."""
+
+    @pytest.mark.parametrize("kind, name", ATOM_KINDS)
+    def test_one_object_per_kind_and_name(self, kind, name):
+        assert kind(name) is kind(name)
+        assert kind(name).name == name and repr(kind(name)) == name
+
+    def test_kinds_do_not_share_objects(self):
+        assert IndVar("i_X") is not SeqVar("s_X")
+        assert Sym("a") != Compound(Sym("a"))
+
+    @pytest.mark.parametrize("kind, name", ATOM_KINDS)
+    def test_name_cannot_be_set(self, kind, name):
+        atom = kind(name)
+        with pytest.raises(AttributeError):
+            atom.name = "other"
+        assert atom.name == name
+
+    @pytest.mark.parametrize("kind, bad", [
+        (Sym, "hole"), (Sym, "i_bad"), (Sym, ""), (IndVar, "x"), (IndVar, "i_"),
+        (SeqVar, "i_X"), (FunVar, "s_F"), (CtxVar, "f_C"),
+    ])
+    def test_an_invalid_name_raises_every_time(self, kind, bad):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                kind(bad)
+
+    @pytest.mark.parametrize("kind, name", ATOM_KINDS)
+    def test_copies_and_pickles_are_the_same_object(self, kind, name):
+        atom = kind(name)
+        assert copy.copy(atom) is atom
+        assert copy.deepcopy(atom) is atom
+        assert pickle.loads(pickle.dumps(atom)) is atom
+        term = T("f(i_X, g(a), s_X)")
+        assert copy.deepcopy(term) == term and pickle.loads(pickle.dumps(term)) == term
+
+    def test_threads_racing_on_fresh_names_get_one_object_each(self):
+        names = [f"s_Race{uuid.uuid4().hex}~{n}" for n in range(500)]
+        start = threading.Barrier(4)
+        made = [None] * 4
+
+        def make(k):
+            start.wait()
+            made[k] = [SeqVar(name) for name in names]
+
+        threads = [threading.Thread(target=make, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for row in zip(*made):
+            assert all(var is row[0] for var in row)
+        assert [SeqVar(name) for name in names] == made[0]
+
+    @pytest.mark.parametrize("kind", [Sym, IndVar, SeqVar, FunVar, CtxVar])
+    def test_equality_and_hash_are_objects(self, kind):
+        # a Python-level __eq__ or __hash__ (a dataclass, say) would run on
+        # every substitution lookup and symbol comparison
+        assert kind.__eq__ is object.__eq__
+        assert kind.__hash__ is object.__hash__
 
 
 def test_random_context_application_keeps_hole_count():
