@@ -7,12 +7,14 @@ Machine without its term store. A choice point is an iterator of
 A lone clause whose head has at most one matcher, and a step whose
 pattern has at most one, leave no choice point behind.
 
-Selecting ``st :: s1 ==> s2`` requires ``st`` and ``s1`` to be ground. A
-clause ``st' :: s1' ==> s2' :- body`` whose stored head matches with
-``sigma`` (extended by fresh names ``v~n`` for its local variables) gives
-the goals ``sigma(body)``, then ``C :: sigma(s2') ==> s2``, where ``C`` is
-``id``, or ``prox(lam)`` in threshold mode. That continuation is built
-when it is selected, after the body, so a failing body never builds it.
+Selecting ``st :: s1 ==> s2`` requires ``st`` and ``s1`` to be ground, which
+is known at load (``_facts``). A clause ``st' :: s1' ==> s2' :- body`` whose
+stored head matches with ``sigma`` (extended by fresh names ``v~n`` for its
+local variables) gives the goals ``sigma(body)``, then
+``C :: sigma(s2') ==> s2``, where ``C`` is ``id``, or ``prox(lam)`` in
+threshold mode, built when it is selected, after the body. A leading guard
+(``id``, ``prox``, a comparison or its negation) is tested in the clause-try
+loop, so a hit that fails it builds no body and no continuation.
 Builtins become goals too: ``compose(s1,...,sk) :: l ==> r`` gives
 ``s1 :: l ==> s_Out~1``, ..., ``sk :: s_Out~(k-1) ==> s_Out~k``,
 ``C :: s_Out~k ==> r``. Three barriers are machine-only goals naming
@@ -73,7 +75,6 @@ from .program import (
     clause_locals,
     goal_vars,
     literal_hole_count,
-    literal_is_ground,
     literal_vars,
 )
 from .proximity import EMPTY_RELATION, check_threshold
@@ -123,8 +124,7 @@ class ClauseDB:
     """Loaded program: clauses in source order and, per name, a map from the
     head symbol of the first lhs item (first param) to its clauses, and a
     variable bucket for the rest; a lookup merges the two in source order.
-    Entries are ``(position, clause, head, (locals, single))``: the clause's
-    ``clause_locals``, and whether ``at_most_one_matcher(head)`` holds."""
+    Entries are ``(position, clause, head, facts)``, with ``_facts``."""
 
     def __init__(self, rho_clauses=(), pred_clauses=()):
         self.rho_clauses = tuple(rho_clauses)
@@ -154,9 +154,61 @@ def _index(clauses):
         keyed, free = index.setdefault(name, ({}, []))
         key = _first_key(first)
         bucket = free if key is None else keyed.setdefault(key, [])
-        facts = (clause_locals(clause), at_most_one_matcher(head))
-        bucket.append((position, clause, head, facts))
+        bucket.append((position, clause, head, _facts(clause, head)))
     return index
+
+
+def _facts(clause, head):
+    """``(locals, single, ready, guard)``: ``clause_locals``, whether the head
+    has at most one matcher, whether each body literal and the continuation is
+    ground when selected, and the leading guard; lints a transformation clause."""
+    local_vars, guard = clause_locals(clause), None
+    rho = isinstance(clause, RhoClause)
+    unbound = [local_vars] if rho else []  # the continuation needs the locals
+    if clause.body:
+        head_vars = set(iter_vars(head))
+        unbound = _unbound_when_selected(head_vars, clause.body, clause.rhs if rho else None)
+        guard = _leading_guard(clause.body[0], head_vars)
+    for k, names in enumerate(unbound if rho else ()):
+        for v in sorted(names, key=lambda v: v.name):
+            message = (f"variable {v!r} may be unbound when its literal is selected"
+                       if k < len(clause.body) else
+                       f"right-hand side variable {v!r} may never be bound")
+            log.warning("%s: %s", message, render_clause(clause))
+    return local_vars, at_most_one_matcher(head), tuple(not names for names in unbound), guard
+
+
+def _unbound_when_selected(bound, literals, rhs=None):
+    """Per literal, the variables it needs (a rho atom's strategy and lhs, any
+    other literal's all) and lacks when selected; then those of ``rhs``, if any."""
+    bound, unbound = set(bound), []
+    for lit in literals:
+        if isinstance(lit, RhoAtom):
+            redex = (lit.strategy,) + lit.lhs
+            needed = () if is_ground(redex) else iter_vars(redex)  # cached for compounds
+        else:
+            needed = literal_vars(lit)
+        unbound.append(set(needed) - bound)
+        if isinstance(lit, RhoAtom) and lit.positive:
+            bound.update(iter_vars(lit.rhs))
+    return unbound if rhs is None else unbound + [set(iter_vars(rhs)) - bound]
+
+
+def _leading_guard(lit, head_vars):
+    """``lit`` if its variables are all ``head_vars`` and it is an ``id``,
+    ``prox`` or ``prox(numeral)`` step or a two-term comparison, maybe negated
+    or headed by an ``f_`` variable."""
+    call = lit.inner if isinstance(lit, NotGoal) else lit
+    if isinstance(call, RhoAtom):
+        st = call.strategy
+        guard = call is lit and call.positive and isinstance(st, Compound) and (
+            st.head.name == "id" and not st.args or st.head.name == "prox"
+            and len(st.args) <= 1 and all(numeral_value(a) is not None for a in st.args))
+    else:
+        guard = isinstance(call, PredAtom) and len(call.args) == 2 and (
+            isinstance(call.head, FunVar) or call.head.name in COMPARISONS
+        ) and SeqVar not in map(type, call.args)
+    return lit if guard and head_vars.issuperset(literal_vars(lit)) else None
 
 
 def _candidates(index, name, items):
@@ -207,8 +259,6 @@ def _validate_rho_clause(clause: RhoClause) -> None:
         or any(literal_hole_count(lit) for lit in clause.body)
     ):
         raise LoadError(f"hole is not allowed in clauses: {render_clause(clause)}")
-    for message in _lint_rho_clause(clause):
-        log.warning("%s: %s", message, render_clause(clause))
 
 
 def _validate_pred_clause(clause: PredClause) -> None:
@@ -220,24 +270,6 @@ def _validate_pred_clause(clause: PredClause) -> None:
         literal_hole_count(lit) for lit in clause.body
     ):
         raise LoadError(f"hole is not allowed in clauses: {render_clause(clause)}")
-
-
-def _lint_rho_clause(clause: RhoClause):
-    """Best-effort grounding lint: flag variables that may be unbound when
-    their literal is selected (head matching binds strategy and lhs vars)."""
-    bound = set(iter_vars(clause.strategy)) | set(iter_vars(clause.lhs))
-    for lit in clause.body:
-        if isinstance(lit, RhoAtom):
-            needed = set(iter_vars(lit.strategy)) | set(iter_vars(lit.lhs))
-            for v in sorted(needed - bound, key=lambda v: v.name):
-                yield f"variable {v!r} may be unbound when its literal is selected"
-            if lit.positive:
-                bound |= set(iter_vars(lit.rhs))
-        else:
-            for v in sorted(set(literal_vars(lit)) - bound, key=lambda v: v.name):
-                yield f"variable {v!r} may be unbound when its literal is selected"
-    for v in sorted(set(iter_vars(clause.rhs)) - bound, key=lambda v: v.name):
-        yield f"right-hand side variable {v!r} may never be bound"
 
 
 @dataclass(frozen=True)
@@ -277,6 +309,16 @@ class _OneTerm:
     """Machine-only goal: ``map``'s check that an output is a single term."""
 
     out: tuple
+
+
+@dataclass(frozen=True)
+class _Unready:
+    """Machine-only goal: a goal flagged at load as not ground when selected."""
+
+    goal: object
+    messages = {RhoAtom: "strategy and left-hand side must be ground when selected: ",
+                PredAtom: "predicate call is not ground: ",
+                NotGoal: "negated goal is not ground: "}
 
 
 class _Solver:
@@ -370,11 +412,6 @@ class _Solver:
         if isinstance(goal, _Into):
             goal = self._into(goal.sigma.apply_hedge(goal.clause_rhs), goal.rhs)
         if isinstance(goal, RhoAtom):
-            if not (is_ground(goal.strategy) and is_ground(goal.lhs)):
-                raise NonGroundRedexError(
-                    "strategy and left-hand side must be ground when selected: "
-                    + render_literal(goal)
-                )
             if goal.positive:
                 return self._solve_rho(goal, rest, answer, degree, len(stack))
             positive = RhoAtom(goal.strategy, goal.lhs, goal.rhs, True)
@@ -400,11 +437,12 @@ class _Solver:
                 )
             return rest, answer, degree
         elif isinstance(goal, NotGoal):
-            if not literal_is_ground(goal.inner):
-                raise NonGroundRedexError(
-                    f"negated goal is not ground: {render_literal(goal)}"
-                )
             positive = goal.inner
+        elif isinstance(goal, _Unready):
+            goal = goal.goal
+            if isinstance(goal, _Into):
+                goal = self._into(goal.sigma.apply_hedge(goal.clause_rhs), goal.rhs)
+            raise NonGroundRedexError(_Unready.messages[type(goal)] + render_literal(goal))
         else:
             raise TypeError(f"not a literal: {goal!r}")
         # negation as failure: an answer of the positive form reaches a cut
@@ -427,23 +465,16 @@ class _Solver:
         return self._resolve(clauses, subject, lit.rhs, rest, answer, degree)
 
     def _solve_pred(self, lit, rest, answer, degree):
-        if isinstance(lit.head, FunVar) or not is_ground(lit.args):
-            raise NonGroundRedexError(
-                f"predicate call is not ground: {render_literal(lit)}"
-            )
         self._trace("select", render_literal, lit)
         name = lit.head.name
         if name in COMPARISONS:
             if len(lit.args) != 2:
                 raise ArityError(f"{name} takes two arguments")
-            values = []
-            for arg in lit.args:
-                value = numeral_value(arg)
-                if value is None:
-                    raise NonNumericError(
-                        f"{name} needs numeric constants: {render_literal(lit)}"
-                    )
-                values.append(value)
+            values = [numeral_value(arg) for arg in lit.args]
+            if None in values:
+                raise NonNumericError(
+                    f"{name} needs numeric constants: {render_literal(lit)}"
+                )
             return (rest, answer, degree) if COMPARISONS[name](*values) else None
         clauses = self.db.preds_for(name, lit.args)
         if clauses is None:
@@ -455,39 +486,74 @@ class _Solver:
         a transformation clause the continuation ``C :: sigma(rhs') ==> rhs``."""
 
         def hits():
-            for _, clause, head, (local_vars, _) in clauses:
+            for _, clause, head, (local_vars, _, ready, guard) in clauses:
                 for sigma in match_hedge(head, subject, _checked=True):
                     self._trace("clause", render_clause, clause)
                     sigma = self._with_fresh_locals(sigma, local_vars)
-                    body = tuple(apply_to_literal(sigma, b) for b in clause.body)
+                    start, step = 0, degree
+                    if guard is not None:
+                        tested = self._guard(guard, sigma, answer, degree)
+                        if tested is None:
+                            continue
+                        start, step = tested
+                    body = tuple(apply_to_literal(sigma, b) for b in clause.body[start:])
                     if rhs is not None:
                         body += (_Into(sigma, local_vars, clause.rhs, rhs),)
-                    yield body + rest, answer, degree
+                    if False in ready:
+                        flags = ready[start:]
+                        body = tuple(g if ok else _Unready(g) for g, ok in zip(body, flags))
+                    yield body + rest, answer, step
 
         return next(hits(), None) if len(clauses) == 1 and clauses[0][3][1] else hits()
 
+    def _guard(self, lit, sigma, answer, degree):
+        """Test a hit's guard ``lit`` as selecting it would, instantiating only its
+        arguments: the body literals it used up (0 if an ``f_`` head names no
+        comparison) and the degree after it, or None if it fails."""
+        negated = isinstance(lit, NotGoal)
+        call = lit.inner if negated else lit
+        if isinstance(call, RhoAtom):
+            lhs, rhs = sigma.apply_hedge(call.lhs), sigma.apply_hedge(call.rhs)
+            if self.cfg.trace:
+                self._trace("select", render_literal, RhoAtom(call.strategy, lhs, rhs))
+            st = call.strategy
+            matched = next(self._step_matchers(st.head.name, st.args, lhs, rhs), None)
+            return None if matched is None else (1, min(degree, matched[1]))
+        head = sigma.apply_head(call.head)
+        if head.name not in COMPARISONS:
+            return 0, degree
+        call = PredAtom(head, sigma.apply_hedge(call.args))
+        if negated:
+            self._trace("negation", render_literal, NotGoal(call))
+        failed = self._solve_pred(call, (), answer, degree) is None
+        return (1, degree) if failed == negated else None
+
     # -- builtin strategies ----------------------------------------------------
 
-    def _builtin(self, name, lit, rest, answer, degree, height):
-        args, lhs, rhs = lit.strategy.args, lit.lhs, lit.rhs
+    def _step_matchers(self, name, args, lhs, rhs):
+        """The ``(theta, degree)`` pairs of the step ``id``/``prox(args)``."""
         if name == "id":
             if args:
                 raise ArityError("id takes no arguments")
-            matchers = match_hedge(rhs, lhs, _checked=True)
-            steps = (self._bound(theta, ONE, rest, answer, degree) for theta in matchers)
-            return next(steps, None) if at_most_one_matcher(rhs) else steps
-        if name == "prox":
-            if len(args) > 1:
-                raise ArityError("prox takes at most one argument")
-            if args:
-                mu = numeral_value(args[0])
-                if mu is None:
-                    raise NonNumericError("prox needs a numeric threshold")
-                mu = check_threshold(mu)
-            else:
-                mu = self.lam if self.lam is not None else ONE
-            matchers = scored_match_hedge(rhs, lhs, self.rel.degree, mu, _checked=True)
-            steps = (self._bound(theta, d, rest, answer, degree) for theta, d in matchers)
+            return zip(match_hedge(rhs, lhs, _checked=True), itertools.repeat(ONE))
+        if len(args) > 1:
+            raise ArityError("prox takes at most one argument")
+        if args:
+            mu = numeral_value(args[0])
+            if mu is None:
+                raise NonNumericError("prox needs a numeric threshold")
+            mu = check_threshold(mu)
+        else:
+            mu = self.lam if self.lam is not None else ONE
+        return scored_match_hedge(rhs, lhs, self.rel.degree, mu, _checked=True)
+
+    def _builtin(self, name, lit, rest, answer, degree, height):
+        args, lhs, rhs = lit.strategy.args, lit.lhs, lit.rhs
+        if name in ("id", "prox"):
+            steps = (
+                self._bound(theta, d, rest, answer, degree)
+                for theta, d in self._step_matchers(name, args, lhs, rhs)
+            )
             return next(steps, None) if at_most_one_matcher(rhs) else steps
         if name == "compose":
             if len(args) < 2:
@@ -553,6 +619,8 @@ def _instantiate(theta, goal):
         return _Nf(apply_to_literal(theta, goal.lit), goal.depth, goal.height)
     if isinstance(goal, _OneTerm):
         return _OneTerm(theta.apply_hedge(goal.out))
+    if isinstance(goal, _Unready):
+        return _Unready(_instantiate(theta, goal.goal))
     return apply_to_literal(theta, goal)
 
 
@@ -574,7 +642,9 @@ def solve(db: ClauseDB, query: Query, relation=None, config=None) -> Iterator[An
                 raise HoleInGoalError(
                     f"hole is not allowed in goals: {render_literal(lit)}"
                 )
-        for bindings, degree in solver.run(query.goal):
+        unbound = _unbound_when_selected((), query.goal)
+        goals = [_Unready(lit) if names else lit for lit, names in zip(query.goal, unbound)]
+        for bindings, degree in solver.run(goals):
             if query.threshold is not None and degree < query.threshold:
                 continue
             yield Answer(Subst(bindings, _checked=True).restrict(order), degree)

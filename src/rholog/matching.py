@@ -28,8 +28,8 @@ only at choices: a sequence variable with several widths, and a context
 variable. Long and deep patterns therefore cost no stack.
 
 Only the engine passes the private ``_checked=True``, which skips the input
-check: it checks a redex ground when it selects it, goals hole-free at the
-query and clauses at load, and matcher values plug every hole they bring.
+check: its redexes are ground by a load-time analysis, goals hole-free at
+the query and clauses at load, and matcher values plug every hole they bring.
 """
 
 from __future__ import annotations

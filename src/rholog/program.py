@@ -107,10 +107,6 @@ def goal_vars(literals) -> tuple:
     return tuple(seen)
 
 
-def literal_is_ground(lit) -> bool:
-    return next(literal_vars(lit), None) is None
-
-
 def apply_to_literal(subst: Subst, lit):
     if isinstance(lit, RhoAtom):
         return RhoAtom(

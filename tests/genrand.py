@@ -10,6 +10,10 @@ from rholog import (
     CtxVar,
     FunVar,
     IndVar,
+    NotGoal,
+    PredAtom,
+    RhoAtom,
+    RhoClause,
     SeqVar,
     Subst,
     Sym,
@@ -110,6 +114,25 @@ def rule_sides(rng, max_items=3, depth=2, tries=20, accept=lambda lhs, rhs: True
         if accept(lhs, rhs):
             return lhs, rhs
     return None
+
+
+def rho_clause_with_body(rng, max_literals=4):
+    """A random ``st :: lhs ==> rhs :- body`` with body literals of every
+    kind (rho atoms either way round, predicate calls, negations), drawing
+    on one variable pool: literals read head variables, rhs variables of
+    earlier literals, and locals that only a later literal, or none, binds."""
+    builder = _PatternBuilder(rng, n_seq=3, n_ind=3, n_fun=1, n_ctx=1)
+    lhs = builder.hedge(3, 1)
+    body = []
+    for _ in range(rng.randrange(1, max_literals + 1)):
+        if rng.random() < 0.6:
+            strategy = builder.term(1)
+            lit = RhoAtom(strategy, builder.hedge(2, 1), builder.hedge(2, 1), rng.random() < 0.8)
+        else:
+            head = builder._var("f", FunVar) if rng.random() < 0.3 else Sym("p")
+            lit = PredAtom(head, builder.hedge(2, 1))
+        body.append(NotGoal(lit) if rng.random() < 0.2 else lit)
+    return RhoClause(atom("st"), lhs, builder.hedge(3, 1), tuple(body))
 
 
 def ground_subst_for(rng, pattern):

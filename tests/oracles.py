@@ -3,7 +3,9 @@
 Everything here favours obviousness over speed: candidate material is
 enumerated from the subject, assignments are built by cartesian product,
 and a candidate substitution counts as a matcher exactly when applying
-it to the pattern reproduces the subject.
+it to the pattern reproduces the subject. The brute-force matcher decides
+that by walking the pattern against the subject, without building the
+instance; ``apply_items`` builds it for the strategy oracle.
 
 Matchers here are plain dicts from variables to values, applied by this
 module's own ``apply_items``; only the term constructors come from the
@@ -193,9 +195,54 @@ def brute_force_matchers(pattern, subject):
     found = set()
     for values in itertools.product(*pools):
         candidate = dict(zip(variables, values))
-        if apply_items(candidate, pattern) == subject:
+        if items_match(candidate, pattern, subject):
             found.add(plain(candidate))
     return found
+
+
+def items_match(sigma, pattern, subject):
+    """Whether ``apply_items(sigma, pattern) == subject``, found by walking
+    the pattern against the subject: it stops at the first mismatch and
+    builds no instance."""
+    at, end = 0, len(subject)
+    for item in pattern:
+        if isinstance(item, SeqVar):
+            value = sigma[item]
+            if subject[at:at + len(value)] != value:
+                return False
+            at += len(value)
+        elif at < end and term_matches(sigma, item, subject[at]):
+            at += 1
+        else:
+            return False
+    return at == end
+
+
+def term_matches(sigma, p, t):
+    """Whether ``apply_term(sigma, p) == t``, by the same walk."""
+    if isinstance(p, Compound):
+        head = sigma[p.head] if isinstance(p.head, FunVar) else p.head
+        return (isinstance(t, Compound) and t.head == head
+                and items_match(sigma, p.args, t.args))
+    if isinstance(p, IndVar):
+        return sigma[p] == t
+    if isinstance(p, CtxApply):
+        # follow the context's hole down t; off that path the two must agree
+        ctx = sigma[p.var]
+        while ctx != HOLE:
+            if not (isinstance(t, Compound) and t.head == ctx.head
+                    and len(t.args) == len(ctx.args)):
+                return False
+            (i,) = [k for k, arg in enumerate(ctx.args) if has_hole(arg)]
+            if ctx.args[:i] != t.args[:i] or ctx.args[i + 1:] != t.args[i + 1:]:
+                return False
+            ctx, t = ctx.args[i], t.args[i]
+        return term_matches(sigma, p.arg, t)
+    return p == t
+
+
+def has_hole(t):
+    return t == HOLE or isinstance(t, Compound) and any(map(has_hole, t.args))
 
 
 # -- the documented matcher order, without pruning ----------------------------

@@ -10,16 +10,20 @@ import rholog.engine
 import rholog.matching
 import rholog.terms
 from rholog import (
+    Compound,
     CtxVar,
     EngineConfig,
     IndVar,
+    PredAtom,
     PredClause,
     ProximityRelation,
     RhoAtom,
     RhoClause,
     SeqVar,
     SourceProgram,
+    Subst,
     atom,
+    is_ground,
     load_program,
     parse_program,
     parse_proximity_decls,
@@ -38,14 +42,22 @@ from rholog.errors import (
     NonGroundRedexError,
     NonNumericError,
     NonTermResultError,
+    RhoError,
     StepLimitError,
     ThresholdRangeError,
     UnknownPredicateError,
     UnknownStrategyError,
 )
-from rholog.program import Query, clause_locals
+from rholog.program import Query, apply_to_literal, clause_locals
 
-from tests.genrand import ground_hedge, ground_subst_for, make_rng, random_relation, rule_sides
+from tests.genrand import (
+    ground_hedge,
+    ground_subst_for,
+    make_rng,
+    random_relation,
+    rho_clause_with_body,
+    rule_sides,
+)
 from tests.oracles import ordered_matchers
 from tests.strategy_oracle import drain
 from tests.test_strategy_oracle import OUT, THRESHOLDS, case, load
@@ -878,3 +890,265 @@ class TestTrustedMatcherInputs:
                     degree_var="Degree",
                 )
             drain(solve(load(rules), query, rel), NonTermResultError)
+
+
+def traced(query_text, program, rel=None):
+    """The trace lines and answers, or the error, of a query."""
+    lines = []
+    config = EngineConfig(trace=True, trace_sink=lines.append)
+    try:
+        got = [(render_answer(a), a.degree) for a in solve(
+            db_of(program), parse_query(query_text), rel, config)]
+    except RhoError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    return lines, got
+
+
+class TestReadiness:
+    """Whether a goal is ground when selected is worked out at load; an
+    unready goal raises where the selection-time check raised."""
+
+    PROGRAM = (
+        "st :: a ==> b.\nst :: b ==> c.\n"
+        "later :: i_X ==> i_Y :- st :: i_Z ==> i_Y, st :: i_X ==> i_Z.\n"
+        "neg :: i_X ==> i_Y :- st :: i_X =\\=> i_Z, st :: i_Z ==> i_Y.\n"
+        "under :: i_X ==> i_Y :- not(st :: i_X ==> i_Z), st :: i_Z ==> i_Y.\n"
+        "open :: i_X ==> (i_Y, s_Q) :- st :: i_X ==> i_Y.\n"
+        "pcall :: i_X ==> ok :- p(i_X).\n"
+        "p(i_A) :- st :: i_A ==> i_B, q(i_C).\nq(a).\n"
+        "bare :: i_X ==> (i_X, s_Q).\n"
+    )
+
+    @pytest.mark.parametrize("query, lines, error", [
+        ("?(later :: a ==> s_R, Result).", [
+            "select: later :: a ==> s_R",
+            "clause: later :: i_X ==> i_Y :- st :: i_Z ==> i_Y, st :: i_X ==> i_Z.",
+        ], "strategy and left-hand side must be ground when selected: st :: i_Z~1 ==> i_Y~1"),
+        ("?(neg :: c ==> s_R, Result).", [
+            "select: neg :: c ==> s_R",
+            "clause: neg :: i_X ==> i_Y :- st :: i_X =\\=> i_Z, st :: i_Z ==> i_Y.",
+            "negation: st :: c =\\=> i_Z~1",
+            "select: st :: c ==> i_Z~1",
+        ], "strategy and left-hand side must be ground when selected: st :: i_Z~1 ==> i_Y~1"),
+        ("?(under :: c ==> s_R, Result).", [
+            "select: under :: c ==> s_R",
+            "clause: under :: i_X ==> i_Y :- not(st :: i_X ==> i_Z), st :: i_Z ==> i_Y.",
+        ], "negated goal is not ground: not(st :: c ==> i_Z~1)"),
+        ("?(open :: a ==> s_R, Result).", [
+            "select: open :: a ==> s_R",
+            "clause: open :: i_X ==> (i_Y,s_Q) :- st :: i_X ==> i_Y.",
+            "select: st :: a ==> i_Y~1",
+            "clause: st :: a ==> b.",
+            "select: id :: b ==> i_Y~1",
+        ], "strategy and left-hand side must be ground when selected: id :: (b,s_Q~1) ==> s_R"),
+        ("?(bare :: a ==> s_R, Result).", [
+            "select: bare :: a ==> s_R",
+            "clause: bare :: i_X ==> (i_X,s_Q).",
+        ], "strategy and left-hand side must be ground when selected: id :: (a,s_Q~1) ==> s_R"),
+        ("?(pcall :: a ==> s_R, Result).", [
+            "select: pcall :: a ==> s_R",
+            "clause: pcall :: i_X ==> ok :- p(i_X).",
+            "select: p(a)",
+            "clause: p(i_A) :- st :: i_A ==> i_B, q(i_C).",
+            "select: st :: a ==> i_B~1",
+            "clause: st :: a ==> b.",
+            "select: id :: b ==> i_B~1",
+        ], "predicate call is not ground: q(i_C~1)"),
+        ("?(st :: a ==> s_X, st :: s_Y ==> s_Z, Result).", [
+            "select: st :: a ==> s_X",
+            "clause: st :: a ==> b.",
+            "select: id :: b ==> s_X",
+        ], "strategy and left-hand side must be ground when selected: st :: s_Y ==> s_Z"),
+    ])
+    def test_unready_goals_raise_when_selected(self, query, lines, error):
+        assert traced(query, self.PROGRAM) == (lines, f"NonGroundRedexError: {error}")
+
+    def test_an_unready_goal_that_is_never_selected_raises_nothing(self):
+        lines, got = traced("?(st :: c ==> s_X, st :: s_Y ==> s_Z, Result).", self.PROGRAM)
+        assert (lines, got) == (["select: st :: c ==> s_X"], [])
+
+    def test_grounding_lint_reads_the_readiness_pass(self, caplog):
+        with caplog.at_level("WARNING", logger="rholog.engine"):
+            db_of(self.PROGRAM)
+        later = "later :: i_X ==> i_Y :- st :: i_Z ==> i_Y, st :: i_X ==> i_Z."
+        under = "under :: i_X ==> i_Y :- not(st :: i_X ==> i_Z), st :: i_Z ==> i_Y."
+        assert caplog.messages == [
+            f"variable i_Z may be unbound when its literal is selected: {later}",
+            "variable i_Z may be unbound when its literal is selected: "
+            "neg :: i_X ==> i_Y :- st :: i_X =\\=> i_Z, st :: i_Z ==> i_Y.",
+            f"variable i_Z may be unbound when its literal is selected: {under}",
+            f"variable i_Z may be unbound when its literal is selected: {under}",
+            "right-hand side variable s_Q may never be bound: "
+            "open :: i_X ==> (i_Y,s_Q) :- st :: i_X ==> i_Y.",
+            "right-hand side variable s_Q may never be bound: bare :: i_X ==> (i_X,s_Q).",
+        ]
+
+    def test_flags_agree_with_the_groundness_of_instances(self):
+        def needed(lit):
+            if isinstance(lit, RhoAtom):
+                return (lit.strategy,) + lit.lhs
+            if isinstance(lit, PredAtom):
+                return (Compound(lit.head),) + lit.args
+            return needed(lit.inner) + needed_rhs(lit.inner)
+
+        def needed_rhs(lit):
+            return lit.rhs if isinstance(lit, RhoAtom) else ()
+
+        flags = []
+        for seed in range(300):
+            rng = make_rng(seed)
+            clause = rho_clause_with_body(rng)
+            sigma = ground_subst_for(rng, (clause.strategy,) + clause.lhs)
+            ((_, _, _, (_, _, ready, _)),) = db_of_clauses(clause).rho_for(
+                "st", sigma.apply_hedge(clause.lhs))
+            assert len(ready) == len(clause.body) + 1
+            for lit, flag in zip(clause.body, ready):
+                instance = apply_to_literal(sigma, lit)
+                assert flag == is_ground(needed(instance)), (seed, lit)
+                if isinstance(lit, RhoAtom) and lit.positive:
+                    # the step binds whatever of its rhs is still free
+                    more = ground_subst_for(rng, instance.rhs)
+                    sigma = Subst({**dict(sigma.items()), **dict(more.items())})
+            assert ready[-1] == is_ground(sigma.apply_hedge(clause.rhs)), seed
+            flags += ready
+        assert flags.count(True) > 200 and flags.count(False) > 200
+
+
+def db_of_clauses(*clauses):
+    return load_program(SourceProgram(clauses))
+
+
+class TestGuards:
+    """A clause's leading guard is tested in the clause-try loop, with the
+    trace lines, degrees and errors its selection gives."""
+
+    PROGRAM = (
+        "g :: (i_X, i_Y) ==> i_X :- id :: i_X ==> i_Y.\n"
+        "g :: (i_X, s_Y) ==> none.\n"
+        "p :: (s_A, i_X, s_B, i_Y, s_C) ==> (i_X, i_Y) :- prox :: i_X ==> i_Y.\n"
+        "p5 :: (s_A, i_X, s_B, i_Y, s_C) ==> (i_X, i_Y) :- "
+        "prox(0.5) :: i_X ==> i_Y, id :: i_X ==> s_Z.\n"
+        "le :: (s_A, i_X, i_Y, s_B) ==> (i_X, i_Y) :- i_X =< i_Y.\n"
+        "nle :: (s_A, i_X, i_Y, s_B) ==> (i_X, i_Y) :- not(=<(i_X, i_Y)).\n"
+        "by(f_F) :: (s_A, i_X, i_Y, s_B) ==> (i_X, i_Y) :- f_F(i_X, i_Y), id :: i_X ==> s_Z.\n"
+        "small(1). small(2).\n"
+        "up(i_X, i_Y) :- i_X < i_Y, small(i_X).\n"
+    )
+    REL = ProximityRelation([("a", "b", D("0.6")), ("b", "c", D("0.8"))])
+    P = "p :: (s_A,i_X,s_B,i_Y,s_C) ==> (i_X,i_Y) :- prox :: i_X ==> i_Y."
+    P5 = ("p5 :: (s_A,i_X,s_B,i_Y,s_C) ==> (i_X,i_Y) :- "
+          "prox(0.5) :: i_X ==> i_Y, id :: i_X ==> s_Z.")
+    LE = "le :: (s_A,i_X,i_Y,s_B) ==> (i_X,i_Y) :- =<(i_X,i_Y)."
+    NLE = "nle :: (s_A,i_X,i_Y,s_B) ==> (i_X,i_Y) :- not(=<(i_X,i_Y))."
+    BY = "by(f_F) :: (s_A,i_X,i_Y,s_B) ==> (i_X,i_Y) :- f_F(i_X,i_Y), id :: i_X ==> s_Z."
+    UP = "up(i_X,i_Y) :- <(i_X,i_Y), small(i_X)."
+
+    @pytest.mark.parametrize("query, lines, got", [
+        ("?(g :: (a,b) ==> s_R, Result).", [
+            "select: g :: (a,b) ==> s_R",
+            "clause: g :: (i_X,i_Y) ==> i_X :- id :: i_X ==> i_Y.",
+            "select: id :: a ==> b",
+            "clause: g :: (i_X,s_Y) ==> none.",
+            "select: id :: none ==> s_R",
+        ], [("[s_R ---> none]", D(1))]),
+        ("?(p :: (a,d,b) ==> s_R, 0.5, Degree, Result).", [
+            "select: p :: (a,d,b) ==> s_R",
+            f"clause: {P}", "select: prox :: a ==> b", "select: prox(0.5) :: (a,b) ==> s_R",
+            f"clause: {P}", "select: prox :: a ==> d",
+            f"clause: {P}", "select: prox :: d ==> b",
+        ], [("[s_R ---> (a,b)]", D("0.6"))]),
+        # the failed first hit still takes a fresh-name number (s_Z~1)
+        ("?(p5 :: (a,b,c) ==> s_R, Result).", [
+            "select: p5 :: (a,b,c) ==> s_R",
+            f"clause: {P5}", "select: prox(0.5) :: a ==> c",
+            f"clause: {P5}", "select: prox(0.5) :: a ==> b",
+            "select: id :: a ==> s_Z~2", "select: id :: (a,b) ==> s_R",
+            f"clause: {P5}", "select: prox(0.5) :: b ==> c",
+            "select: id :: b ==> s_Z~3", "select: id :: (b,c) ==> s_R",
+        ], [("[s_R ---> (a,b)]", D("0.6")), ("[s_R ---> (b,c)]", D("0.8"))]),
+        ("?(le :: (3,1,2) ==> s_R, Result).", [
+            "select: le :: (3,1,2) ==> s_R",
+            f"clause: {LE}", "select: =<(3,1)",
+            f"clause: {LE}", "select: =<(1,2)", "select: id :: (1,2) ==> s_R",
+        ], [("[s_R ---> (1,2)]", D(1))]),
+        ("?(nle :: (3,1,2) ==> s_R, Result).", [
+            "select: nle :: (3,1,2) ==> s_R",
+            f"clause: {NLE}", "negation: not(=<(3,1))", "select: =<(3,1)",
+            "select: id :: (3,1) ==> s_R",
+            f"clause: {NLE}", "negation: not(=<(1,2))", "select: =<(1,2)",
+        ], [("[s_R ---> (3,1)]", D(1))]),
+        ("?(by(=<) :: (3,1,2) ==> s_R, Result).", [
+            "select: by(=<) :: (3,1,2) ==> s_R",
+            f"clause: {BY}", "select: =<(3,1)",
+            f"clause: {BY}", "select: =<(1,2)",
+            "select: id :: 1 ==> s_Z~2", "select: id :: (1,2) ==> s_R",
+        ], [("[s_R ---> (1,2)]", D(1))]),
+        # f_F names a user predicate: no guard, the body runs as selected
+        ("?(by(up) :: (3,1,2) ==> s_R, Result).", [
+            "select: by(up) :: (3,1,2) ==> s_R",
+            f"clause: {BY}", "select: up(3,1)", f"clause: {UP}", "select: <(3,1)",
+            f"clause: {BY}", "select: up(1,2)", f"clause: {UP}", "select: <(1,2)",
+            "select: small(1)", "clause: small(1).",
+            "select: id :: 1 ==> s_Z~2", "select: id :: (1,2) ==> s_R",
+        ], [("[s_R ---> (1,2)]", D(1))]),
+        ("?(up(1, 3), up(3, 4), Result).", [
+            "select: up(1,3)", f"clause: {UP}", "select: <(1,3)",
+            "select: small(1)", "clause: small(1).",
+            "select: up(3,4)", f"clause: {UP}", "select: <(3,4)", "select: small(3)",
+        ], []),
+        ("?(le :: (1,a) ==> s_R, Result).", [
+            "select: le :: (1,a) ==> s_R", f"clause: {LE}", "select: =<(1,a)",
+        ], "NonNumericError: =< needs numeric constants: =<(1,a)"),
+    ])
+    def test_traces_and_degrees(self, query, lines, got):
+        assert traced(query, self.PROGRAM, self.REL) == (lines, got)
+
+    def test_which_first_literals_are_guards(self):
+        program = (
+            "s :: (i_X, i_Y) ==> ok :- id :: i_X ==> i_Y.\n"
+            "s :: (i_X, i_Y) ==> ok :- prox(0.5) :: i_X ==> i_Y.\n"
+            "s(f_F) :: (i_X, i_Y) ==> ok :- not(f_F(i_X, i_Y)).\n"
+            "s :: (i_X, i_Y) ==> ok :- not(f_F(i_X, i_Y)).\n"
+            "s :: (i_X, i_Y) ==> ok :- prox(abc) :: i_X ==> i_Y.\n"
+            "s :: (i_X, i_Y) ==> ok :- =<(i_X, i_Y, i_X).\n"
+            "s :: (i_X, s_Y) ==> ok :- =<(i_X, s_Y).\n"
+            "s :: (i_X, i_Y) ==> ok :- id(a) :: i_X ==> i_Y.\n"
+            "s :: (i_X, i_Y) ==> ok :- id :: i_X ==> i_Z.\n"
+            "s :: (i_X, i_Y) ==> ok :- id :: i_X =\\=> i_Y.\n"
+            "s :: (i_X, i_Y) ==> ok :- small(i_X).\n"
+        )
+        entries = db_of(program).rho_for("s", (T("a"), T("b")))
+        guards = [facts[3] is not None for _, _, _, facts in entries]
+        assert guards == [True, True, True] + [False] * 8
+
+    def test_failed_guards_build_no_body(self, monkeypatch):
+        degree_calls, instantiated = [], []
+        degree, apply = ProximityRelation.degree, rholog.engine.apply_to_literal
+
+        def counted_degree(rel, a, b):
+            degree_calls.append((a, b))
+            return degree(rel, a, b)
+
+        def counted_apply(subst, lit):
+            instantiated.append(lit)
+            return apply(subst, lit)
+
+        monkeypatch.setattr(ProximityRelation, "degree", counted_degree)
+        monkeypatch.setattr(rholog.engine, "apply_to_literal", counted_apply)
+        bundled = (PROGRAMS / "proximity.rho").read_text(encoding="utf-8")
+        rel = ProximityRelation(parse_proximity_decls(
+            (PROGRAMS / "proximity.prox").read_text(encoding="utf-8")))
+        query = "?(merge_proximals :: (a,b,d,b,c) ==> s_Ans, 0.5, Degree, Result)."
+        want = [
+            ("[s_Ans ---> (b,d,b,c)]", D("0.6")), ("[s_Ans ---> (b,d,b,c)]", D("0.6")),
+            ("[s_Ans ---> (a,d,b,c)]", D("0.8")), ("[s_Ans ---> (a,d,b,c)]", D(1)),
+            ("[s_Ans ---> (a,b,d,c)]", D("0.8")),
+        ]
+        # ten heads hit, each guard asks for one degree, five pass
+        assert results(query, bundled, rel) == want
+        assert len(degree_calls) == 10 and instantiated == []
+        # with a second body literal, only the five hits that pass build it
+        degree_calls.clear()
+        longer = bundled.replace("prox :: i_X ==> i_Y.", "prox :: i_X ==> i_Y, id :: a ==> a.")
+        assert results(query, longer, rel) == want
+        assert len(degree_calls) == 10 and len(instantiated) == 5
