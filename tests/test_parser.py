@@ -265,6 +265,121 @@ class TestPositions:
         assert err.value.expected == ("'.'",)
 
 
+# (parser, text, message, line, column, expected): one case or more per place
+# in parser.py that raises a ParseError, over one-line, multi-line, CRLF and
+# tab inputs. The message is given without its position and hint.
+_ERROR_GOLDENS = [
+    # the scan: a character no token starts with
+    (parse_program, "p(a).\n% q(b).\nq(b) ! r.", "unexpected character '!'", 3, 6, ()),
+    (parse_program, "p(a).\r\n\tq(b) $", "unexpected character '$'", 2, 7, ()),
+    # expect_punct
+    (parse_program, "f(a", "unexpected end of input", 1, 4, ("')'",)),
+    (parse_program, "st :: a ==> b % no dot", "unexpected end of input", 1, 23, ("'.'",)),
+    (parse_program, "st :: a\n\t  b.", "unexpected 'b'", 2, 4, ("'==>'",)),
+    (parse_program, "st :: a ==> b\nst2 :: a ==> b.", "unexpected 'st2'", 2, 1, ("'.'",)),
+    (parse_sequence, "(a,\n\t b", "unexpected end of input", 2, 4, ("')'",)),
+    (parse_query, "?(st :: a ==> s_X, Result)", "unexpected end of input", 1, 27, ("'.'",)),
+    (parse_query, "(st :: a ==> s_X, R).", "unexpected '('", 1, 1, ("'?'",)),
+    # expect_eof
+    (parse_term, "f(a) g", "unexpected trailing 'g'", 1, 6, ("end of input",)),
+    (parse_term, "f(a)\n\t)", "unexpected trailing ')'", 2, 2, ("end of input",)),
+    (parse_term, "1(a)", "unexpected trailing '('", 1, 2, ("end of input",)),
+    (parse_literal, "f :: a ==> b c", "unexpected trailing 'c'", 1, 14, ("end of input",)),
+    (parse_query, "?(st :: a ==> s_X, Result).\n  ?", "unexpected trailing '?'", 2, 3,
+     ("end of input",)),
+    # _make: rejected names
+    (parse_program, "p(i_).\n", "variable name 'i_' must be i_<base>", 1, 3, ()),
+    (parse_program, "p(f_).\n", "variable name 'f_' must be f_<base>", 1, 3, ()),
+    (parse_program, "p(c_(a)).\n", "variable name 'c_' must be c_<base>", 1, 3, ()),
+    (parse_proximity_decls, "prox(a,\r\n\t i_X, 0.5).",
+     "symbol name 'i_X' starts with a variable prefix", 2, 3, ()),
+    (parse_proximity_decls, "prox(hole, b, 0.5).", "'hole' is a reserved word", 1, 6, ()),
+    # term
+    (parse_term, "eps", "eps is the empty sequence, not a term", 1, 1, ()),
+    (parse_term, "s_X", "sequence variable not allowed here (only inside a sequence)", 1, 1, ()),
+    (parse_term, "c_X(\r\n  s_Y)",
+     "sequence variable not allowed here (only inside a sequence)", 2, 3, ()),
+    (parse_term, "", "unexpected end of input", 1, 1, ("a term",)),
+    (parse_term, "  \r\n\t", "unexpected end of input", 2, 2, ("a term",)),
+    (parse_term, "f(,)", "unexpected ','", 1, 3, ("a term",)),
+    (parse_program, "p(a) :-\n  .", "unexpected '.'", 2, 3, ("a term",)),
+    # literal and literal_or_term
+    (parse_literal, "hole", "expected a literal", 1, 5, ()),
+    (parse_literal, "not(hole)", "expected a literal", 1, 9, ()),
+    (parse_program, "p(a) :-\n  hole :: a ==> b, hole.", "expected a literal", 2, 24, ()),
+    (parse_literal, "st :: a", "expected an arrow after the left-hand side", 1, 8,
+     ("'==>'", "'=\\=>'")),
+    (parse_literal, "st :: i_X\n  s_Y", "expected an arrow after the left-hand side", 2, 3,
+     ("'==>'", "'=\\=>'")),
+    (parse_program, "p(a) :-\n  st :: a b.", "expected an arrow after the left-hand side", 2, 11,
+     ("'==>'", "'=\\=>'")),
+    # clause
+    (parse_program, "st :: a ==> b.\r\n\tst :: a =\\=> b.", "a clause head cannot be negated",
+     2, 10, ()),
+    (parse_program, "p(a).\n  i_X :- q.", "a predicate clause head must be symbol-headed",
+     2, 7, ()),
+    (parse_program, "p(a)\n\tq(b).", "unexpected 'q'", 2, 2, ("'::'", "':='", "':-'", "'.'")),
+    # queries
+    (parse_query, "?(st :: a ==> s_X, result).",
+     "a query must end with a result variable (a capitalized identifier)", 1, 28, ()),
+    (parse_query, "?(st :: a ==> s_X,\r\n\tR, Result).", "unexpected variable R in the goal",
+     2, 13, ()),
+    (parse_query, "?(hole, Result).", "not a literal: hole", 1, 17, ()),
+    (parse_query, "?(Result).", "query has no goal literals", 1, 11, ()),
+    # proximity declarations
+    (parse_proximity_decls, "prox(a, b, 0.5).\n\tpx(a, b, 0.5).", "unexpected 'px'", 2, 2,
+     ("'prox'",)),
+    (parse_proximity_decls, "prox(a, b, c).", "unexpected 'c'", 1, 12, ("a degree",)),
+    (parse_proximity_decls, "prox(a, b,", "unexpected end of input", 1, 11, ("a degree",)),
+    (parse_proximity_decls, "prox(a, (, 0.5).", "unexpected '('", 1, 9, ("a symbol",)),
+    (parse_proximity_decls, "prox(a, b, 0.5).\nprox(\n", "unexpected end of input", 3, 1,
+     ("a symbol",)),
+]
+
+
+class TestErrorGoldens:
+    @pytest.mark.parametrize(
+        "parse, text, message, line, col, expected", _ERROR_GOLDENS,
+        ids=[f"{case[0].__name__}:{case[1]!r}" for case in _ERROR_GOLDENS],
+    )
+    def test_error(self, parse, text, message, line, col, expected):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        hint = " (expected " + " or ".join(expected) + ")" if expected else ""
+        assert str(err.value) == f"{message} at line {line}, column {col}{hint}"
+        assert (err.value.line, err.value.col, err.value.expected) == (line, col, expected)
+
+    def test_where_is_unsupported_at_its_position(self):
+        with pytest.raises(UnsupportedFeatureError) as err:
+            parse_program("p(a).\n\tst :: a ==> b where c.")
+        assert str(err.value) == "'where' constraints are not supported at line 2, column 16"
+        assert (err.value.line, err.value.col, err.value.expected) == (2, 16, ())
+
+    def test_too_deep_a_nesting_is_reported_inside_it(self):
+        # The column is where the stack ran out, which depends on the stack a
+        # parse uses, so it is pinned to a token of the nest, more than 300
+        # levels in, of a fresh interpreter at its default recursion limit.
+        out = in_fresh_interpreter(
+            "from rholog import parse_program, parse_sequence, parse_term\n"
+            "from rholog.errors import ParseError\n"
+            "nest = 'f(' * 2000 + 'a' + ')' * 2000\n"
+            "for parse, text in [(parse_term, nest), (parse_term, 'g(a,\\n' + nest),\n"
+            "                    (parse_sequence, '\\r\\n\\t' + nest),\n"
+            "                    (parse_program, 'p(a).\\nq(' + nest + ').')]:\n"
+            "    try:\n"
+            "        parse(text)\n"
+            "    except ParseError as exc:\n"
+            "        line = text.split('\\n')[exc.line - 1]\n"
+            "        level = line[:exc.col - 1].count('f(') - line.startswith('g')\n"
+            "        print(repr((str(exc), exc.line, exc.col, exc.expected,\n"
+            "                    line[exc.col - 1], level > 300)))\n"
+        )
+        for printed, line in zip(out.splitlines(), (1, 2, 2, 2), strict=True):
+            message, at_line, col, expected, char, deep = eval(printed)
+            assert message == f"term nested too deeply at line {line}, column {col}"
+            assert (at_line, expected, char in "f(", deep) == (line, (), True, True)
+
+
 # Shapes and slot fillers for the leak fuzz: the grammar's tokens, words
 # that are not grammar numbers (nan, 0E5, ²) and reserved words out of place.
 _SLOTS = {
