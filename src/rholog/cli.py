@@ -26,6 +26,9 @@ from .program import Query, SourceProgram
 from .proximity import ProximityRelation
 
 
+_CAUGHT = (RhoError, ValueError, RecursionError)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rholog",
@@ -65,16 +68,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_session(args):
-    clauses = []
-    for path in args.load:
+def _from_file(path, parse):
+    """``parse`` of the text of the file ``path``; an error names the file."""
+    try:
         with open(path, encoding="utf-8") as handle:
-            clauses.extend(parse_program(handle.read()).clauses)
-    db = load_program(SourceProgram(tuple(clauses)))
+            return parse(handle.read())
+    except (OSError, *_CAUGHT) as exc:
+        raise RhoError(f"{path}: {exc}") from exc
+
+
+def _load_session(args):
+    clauses = [c for path in args.load for c in _from_file(path, parse_program).clauses]
+    try:
+        db = load_program(SourceProgram(tuple(clauses)))
+    except _CAUGHT:
+        # clauses are checked in order, so the first file that does not load
+        # on its own holds the clause that failed
+        for path in args.load:
+            _from_file(path, lambda text: load_program(parse_program(text)))
+        raise
     relation = ProximityRelation()
     if args.prox:
-        with open(args.prox, encoding="utf-8") as handle:
-            relation = ProximityRelation(parse_proximity_decls(handle.read()))
+        relation = ProximityRelation(_from_file(args.prox, parse_proximity_decls))
     return db, relation
 
 
@@ -84,9 +99,6 @@ def _answer_lines(query: Query, answer: Answer) -> list:
         lines.append(f"{query.degree_var} = {answer.degree},")
     lines.append(f"{query.result_var} = {render_answer(answer)}")
     return lines
-
-
-_CAUGHT = (RhoError, ValueError, RecursionError)
 
 
 def run_batch(queries, db, relation, config) -> int:
@@ -160,8 +172,8 @@ def _repl_answers(query, db, relation, config) -> None:
 
 
 def main(argv=None) -> int:
-    # the parser, the printer, iter_vars and term hashing recurse over deep
-    # terms; give them room (ROADMAP items 4 and 5 make them iterative)
+    # the parser, the printer and term hashing recurse over deep terms;
+    # give them room (ROADMAP item 3 makes them iterative)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 20_000))
     try:

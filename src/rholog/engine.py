@@ -161,43 +161,50 @@ def _index(clauses):
 def _facts(clause, head):
     """``(locals, single, ready, guard)``: ``clause_locals``, whether the head
     has at most one matcher, whether each body literal and the continuation is
-    ground when selected, and the leading guard; lints a transformation clause."""
-    local_vars, guard = clause_locals(clause), None
+    ground when selected, and the leading guard; lints a transformation clause.
+    The head, the rhs and each body literal are walked once for all four."""
     rho = isinstance(clause, RhoClause)
-    unbound = [local_vars] if rho else []  # the continuation needs the locals
-    if clause.body:
-        head_vars = set(iter_vars(head))
-        unbound = _unbound_when_selected(head_vars, clause.body, clause.rhs if rho else None)
-        guard = _leading_guard(clause.body[0], head_vars)
+    head_vars, rhs_vars = list(iter_vars(head)), list(iter_vars(clause.rhs)) if rho else []
+    parts = [_literal_parts(lit) for lit in clause.body]
+    bound = set(head_vars)
+    unbound = _unbound_when_selected(bound, clause.body, parts, rhs_vars if rho else None)
+    guard = _leading_guard(clause.body[0], bound, parts[0]) if clause.body else None
     for k, names in enumerate(unbound if rho else ()):
         for v in sorted(names, key=lambda v: v.name):
             message = (f"variable {v!r} may be unbound when its literal is selected"
                        if k < len(clause.body) else
                        f"right-hand side variable {v!r} may never be bound")
             log.warning("%s: %s", message, render_clause(clause))
-    return local_vars, at_most_one_matcher(head), tuple(not names for names in unbound), guard
+    local_vars = clause_locals(clause, (head_vars, rhs_vars, [n + r for n, r in parts]))
+    return local_vars, at_most_one_matcher(head_vars), tuple(not n for n in unbound), guard
 
 
-def _unbound_when_selected(bound, literals, rhs=None):
-    """Per literal, the variables it needs (a rho atom's strategy and lhs, any
-    other literal's all) and lacks when selected; then those of ``rhs``, if any."""
+def _literal_parts(lit) -> tuple:
+    """A literal's variable occurrences in two lists: those it needs bound when
+    selected (a rho atom's strategy and lhs, any other literal's all), and the
+    rest (a rho atom's rhs)."""
+    if isinstance(lit, RhoAtom):
+        redex = (lit.strategy,) + lit.lhs
+        needed = [] if is_ground(redex) else list(iter_vars(redex))  # cached for compounds
+        return needed, list(iter_vars(lit.rhs))
+    return list(literal_vars(lit)), []
+
+
+def _unbound_when_selected(bound, literals, parts, rhs_vars=None):
+    """Per literal, with its ``_literal_parts``, the variables it needs and lacks
+    when selected; then those of ``rhs_vars``, if given."""
     bound, unbound = set(bound), []
-    for lit in literals:
-        if isinstance(lit, RhoAtom):
-            redex = (lit.strategy,) + lit.lhs
-            needed = () if is_ground(redex) else iter_vars(redex)  # cached for compounds
-        else:
-            needed = literal_vars(lit)
+    for lit, (needed, rest) in zip(literals, parts):
         unbound.append(set(needed) - bound)
         if isinstance(lit, RhoAtom) and lit.positive:
-            bound.update(iter_vars(lit.rhs))
-    return unbound if rhs is None else unbound + [set(iter_vars(rhs)) - bound]
+            bound.update(rest)
+    return unbound if rhs_vars is None else unbound + [set(rhs_vars) - bound]
 
 
-def _leading_guard(lit, head_vars):
-    """``lit`` if its variables are all ``head_vars`` and it is an ``id``,
-    ``prox`` or ``prox(numeral)`` step or a two-term comparison, maybe negated
-    or headed by an ``f_`` variable."""
+def _leading_guard(lit, head_vars, parts):
+    """``lit``, with its ``_literal_parts``, if its variables are all ``head_vars``
+    and it is an ``id``, ``prox`` or ``prox(numeral)`` step or a two-term
+    comparison, maybe negated or headed by an ``f_`` variable."""
     call = lit.inner if isinstance(lit, NotGoal) else lit
     if isinstance(call, RhoAtom):
         st = call.strategy
@@ -208,7 +215,7 @@ def _leading_guard(lit, head_vars):
         guard = isinstance(call, PredAtom) and len(call.args) == 2 and (
             isinstance(call.head, FunVar) or call.head.name in COMPARISONS
         ) and SeqVar not in map(type, call.args)
-    return lit if guard and head_vars.issuperset(literal_vars(lit)) else None
+    return lit if guard and head_vars.issuperset(itertools.chain(*parts)) else None
 
 
 def _candidates(index, name, items):
@@ -227,49 +234,26 @@ def load_program(program: SourceProgram) -> ClauseDB:
     for clause in program.clauses:
         if isinstance(clause, StrategyAbbrev):
             n = next(fresh)
-            left = SeqVar(f"s__Abbrev{n}L")
-            right = SeqVar(f"s__Abbrev{n}R")
-            clause = RhoClause(
-                clause.lhs,
-                (left,),
-                (right,),
-                (RhoAtom(clause.rhs, (left,), (right,)),),
-            )
+            left, right = SeqVar(f"s__Abbrev{n}L"), SeqVar(f"s__Abbrev{n}R")
+            clause = RhoClause(clause.lhs, (left,), (right,),
+                               (RhoAtom(clause.rhs, (left,), (right,)),))
         if isinstance(clause, RhoClause):
-            _validate_rho_clause(clause)
-            rho.append(clause)
+            st = clause.strategy
+            if not (isinstance(st, Compound) and isinstance(st.head, Sym)):
+                raise LoadError(f"strategy head must be symbol-headed: {render_clause(clause)}")
+            kind, name, shadows = "strategy", st.head.name, st.head.name in BUILTIN_STRATEGIES
+            holes, into = hole_count(st) + hole_count(clause.lhs) + hole_count(clause.rhs), rho
         elif isinstance(clause, PredClause):
-            _validate_pred_clause(clause)
-            preds.append(clause)
+            kind, name, holes, into = "predicate", clause.name, hole_count(clause.params), preds
+            shadows = name in COMPARISONS or name == "not"
         else:
             raise LoadError(f"unsupported clause: {clause!r}")
+        if shadows:
+            raise DuplicateBuiltinError(f"{kind} {name!r} shadows a builtin {kind}")
+        if holes or any(literal_hole_count(lit) for lit in clause.body):
+            raise LoadError(f"hole is not allowed in clauses: {render_clause(clause)}")
+        into.append(clause)
     return ClauseDB(rho, preds)
-
-
-def _validate_rho_clause(clause: RhoClause) -> None:
-    st = clause.strategy
-    if not (isinstance(st, Compound) and isinstance(st.head, Sym)):
-        raise LoadError(f"strategy head must be symbol-headed: {render_clause(clause)}")
-    if st.head.name in BUILTIN_STRATEGIES:
-        raise DuplicateBuiltinError(
-            f"strategy {st.head.name!r} shadows a builtin strategy"
-        )
-    if (
-        hole_count(st) + hole_count(clause.lhs) + hole_count(clause.rhs)
-        or any(literal_hole_count(lit) for lit in clause.body)
-    ):
-        raise LoadError(f"hole is not allowed in clauses: {render_clause(clause)}")
-
-
-def _validate_pred_clause(clause: PredClause) -> None:
-    if clause.name in COMPARISONS or clause.name == "not":
-        raise DuplicateBuiltinError(
-            f"predicate {clause.name!r} shadows a builtin predicate"
-        )
-    if hole_count(clause.params) or any(
-        literal_hole_count(lit) for lit in clause.body
-    ):
-        raise LoadError(f"hole is not allowed in clauses: {render_clause(clause)}")
 
 
 @dataclass(frozen=True)
@@ -554,7 +538,7 @@ class _Solver:
                 self._bound(theta, d, rest, answer, degree)
                 for theta, d in self._step_matchers(name, args, lhs, rhs)
             )
-            return next(steps, None) if at_most_one_matcher(rhs) else steps
+            return next(steps, None) if at_most_one_matcher(iter_vars(rhs)) else steps
         if name == "compose":
             if len(args) < 2:
                 raise ArityError("compose takes at least two strategies")
@@ -642,7 +626,8 @@ def solve(db: ClauseDB, query: Query, relation=None, config=None) -> Iterator[An
                 raise HoleInGoalError(
                     f"hole is not allowed in goals: {render_literal(lit)}"
                 )
-        unbound = _unbound_when_selected((), query.goal)
+        parts = [_literal_parts(lit) for lit in query.goal]
+        unbound = _unbound_when_selected((), query.goal, parts)
         goals = [_Unready(lit) if names else lit for lit, names in zip(query.goal, unbound)]
         for bindings, degree in solver.run(goals):
             if query.threshold is not None and degree < query.threshold:

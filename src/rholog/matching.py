@@ -48,7 +48,6 @@ from .terms import (
     EMPTY_SUBST,
     hole_count,
     is_ground,
-    iter_vars,
 )
 
 ZERO = Decimal(0)
@@ -73,13 +72,11 @@ def enumerate_contexts(subject) -> Iterator[tuple]:
                 yield wrapped, plugged
 
 
-def at_most_one_matcher(pattern) -> bool:
-    """Whether a pattern hedge has at most one matcher against any subject:
-    so it does if it has no context variable and one sequence variable at
-    most, since every position and width is then forced."""
-    if is_ground(pattern):
-        return True
-    kinds = [type(v) for v in iter_vars(pattern)]
+def at_most_one_matcher(pattern_vars) -> bool:
+    """Whether a pattern hedge with the variable occurrences ``pattern_vars``
+    has at most one matcher against any subject: it has if it has no context
+    variable and one sequence variable at most, which force every width."""
+    kinds = list(map(type, pattern_vars))
     return CtxVar not in kinds and kinds.count(SeqVar) <= 1
 
 

@@ -8,8 +8,11 @@ Input formats (full EBNF in docs/grammar.md):
   the markers are capitalized identifiers;
 * proximity declarations: lines of ``prox(sym, sym, degree).``.
 
-Identifier tokens are runs of letters, digits and ``_`` (``\\w+``); one
-made only of decimal digits is a number, and so is ``digits.digits``.
+The text is scanned once, by one regular expression, into token texts
+and their start offsets. Identifier tokens are runs of letters, digits and
+``_`` (``\\w+``); one made only of decimal digits is a number, and so is
+``digits.digits``; a token's line and column are worked out from its
+offset only for a ParseError.
 Names starting with ``i_``, ``s_``, ``f_``, ``c_`` are variables of the
 corresponding kind, and the comparison operators ``=<  <  >  >=`` double
 as function symbols so they can be passed as strategy arguments.
@@ -69,25 +72,52 @@ class Token:
     col: int
 
 
+# the first characters of punctuation; every other token starts with ``\w``
+_PUNCT_START = "=><:()?,."
+
+
+def _is_num(word: str) -> bool:
+    """Whether a token text is a number: decimal digits, maybe ``.digits``."""
+    whole, dot, fraction = word.partition(".")
+    return whole.isdecimal() and (not dot or fraction.isdecimal())
+
+
+def _kind(word: str) -> str:
+    if word[:1] in _PUNCT_START:  # as is "", in every string
+        return "punct" if word else "eof"
+    return "num" if _is_num(word) else "ident"
+
+
+def _line_col(text: str, offset: int) -> tuple:
+    """The 1-based line and column of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _scan(text: str) -> tuple:
+    """The token texts of ``text`` and their start offsets, each list ending
+    with the end of input, ``""`` at ``len(text)``. A character that starts
+    no token is a ParseError."""
+    texts, starts, end = [], [], 0
+    for m in _TOKEN.finditer(text):
+        start = m.start()
+        if start != end:  # the match skipped the character at ``end``
+            break
+        end = m.end()
+        if m.lastgroup != "skip":
+            texts.append(m.group())
+            starts.append(start)
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", *_line_col(text, end))
+    texts.append("")
+    starts.append(end)
+    return texts, starts
+
+
 def tokenize(text: str) -> list:
-    tokens = []
-    pos, line, line_start = 0, 1, 0
-    while (m := _TOKEN.match(text, pos)) is not None:
-        kind, start, pos = m.lastgroup, m.start(), m.end()
-        if kind == "skip":
-            newlines = text.count("\n", start, pos)
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\n", start, pos) + 1
-            continue
-        word = m.group()
-        if kind == "word":
-            kind = "num" if word.isdecimal() else "ident"
-        tokens.append(Token(kind, word, line, start - line_start + 1))
-    if pos < len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
+    """The tokens of ``text`` with their kinds and positions, then ``eof``."""
+    texts, starts = _scan(text)
+    return [Token(_kind(word), word, *_line_col(text, start))
+            for word, start in zip(texts, starts)]
 
 
 def _as_literal(parsed):
@@ -99,110 +129,99 @@ def _as_literal(parsed):
 
 
 class _Parser:
+    """Recursive descent over the token texts; ``pos`` indexes them, and a
+    token's line and column are worked out only for an error."""
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.texts, self.starts = _scan(text)
         self.pos = 0
 
-    def peek(self, offset=0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self, offset=0) -> str:
+        return self.texts[self.pos + offset]
 
-    def take(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
+    def skip(self, text) -> bool:
+        """Whether the current token is ``text``, which is then consumed."""
+        if self.texts[self.pos] == text:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def at_punct(self, *texts) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text in texts
-
-    def at_ident(self, text) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == text
-
-    def expect_punct(self, text) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            self.unexpected(tok, repr(text))
-        return self.take()
+    def expect_punct(self, text) -> None:
+        if self.texts[self.pos] != text:
+            self.unexpected(self.pos, repr(text))
+        self.pos += 1
 
     def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(f"unexpected trailing {self._describe(tok)}", tok,
-                      expected=("end of input",))
+        word = self.texts[self.pos]
+        if word:
+            self.fail(f"unexpected trailing {word!r}", expected=("end of input",))
 
-    @staticmethod
-    def _describe(tok: Token) -> str:
-        return "end of input" if tok.kind == "eof" else repr(tok.text)
+    def fail(self, message, at=None, expected=(), error=ParseError):
+        """Raise ``error`` at token ``at``, by default the current one."""
+        offset = self.starts[self.pos if at is None else at]
+        raise error(message, *_line_col(self.text, offset), expected)
 
-    def fail(self, message, tok=None, expected=()):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col, expected)
+    def unexpected(self, at, *expected):
+        word = self.texts[at]
+        self.fail(f"unexpected {repr(word) if word else 'end of input'}", at, expected)
 
-    def unexpected(self, tok: Token, *expected):
-        self.fail(f"unexpected {self._describe(tok)}", tok, expected)
-
-    def _make(self, ctor, tok: Token):
-        """``ctor(tok.text)``, with a rejected name reported at ``tok``."""
+    def _make(self, ctor, at):
+        """``ctor`` of the text of token ``at``, with a rejected name reported there."""
         try:
-            return ctor(tok.text)
+            return ctor(self.texts[at])
         except ValueError as exc:
-            self.fail(str(exc), tok)
+            self.fail(str(exc), at)
 
     # -- terms and sequences ------------------------------------------------
 
     def term(self):
-        tok = self.peek()
-        word = tok.text
-        if tok.kind == "num":
-            self.take()
+        at = self.pos
+        word = self.texts[at]
+        if word in _COMPARE_OPS:
+            self.pos += 1
+            head = Sym(word)
+        elif not word or word[0] in _PUNCT_START:
+            self.unexpected(at, "a term")
+        elif _is_num(word):
+            self.pos += 1
             return Compound(Sym(word))
-        if tok.kind == "ident":
+        else:
             if word == "hole":
-                self.take()
+                self.pos += 1
                 return HOLE
             if word == "eps":
-                self.fail("eps is the empty sequence, not a term", tok)
+                self.fail("eps is the empty sequence, not a term")
             if word.startswith("s_"):
-                self.fail(
-                    "sequence variable not allowed here (only inside a sequence)", tok
-                )
-            self.take()
+                self.fail("sequence variable not allowed here (only inside a sequence)")
+            self.pos += 1
             if word.startswith("i_"):
-                return self._make(IndVar, tok)
+                return self._make(IndVar, at)
             if word.startswith("c_"):
                 self.expect_punct("(")
                 arg = self.term()
                 self.expect_punct(")")
-                return CtxApply(self._make(CtxVar, tok), arg)
-            head = self._make(FunVar if word.startswith("f_") else Sym, tok)
-        elif tok.kind == "punct" and word in _COMPARE_OPS:
-            self.take()
-            head = Sym(word)
-        else:
-            self.unexpected(tok, "a term")
-        return Compound(head, self.sequence() if self.at_punct("(") else ())
+                return CtxApply(self._make(CtxVar, at), arg)
+            head = self._make(FunVar if word.startswith("f_") else Sym, at)
+        return Compound(head, self.sequence() if self.texts[self.pos] == "(" else ())
 
     def sequence(self) -> tuple:
         """``eps``, a sequence variable, ``( [items] )`` or a term, where the
         items are sequences separated by commas. Items splice into the
         enclosing sequence, so the result is flat."""
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "eps":
-            self.take()
+        word = self.texts[self.pos]
+        if word == "eps":
+            self.pos += 1
             return ()
-        if tok.kind == "ident" and tok.text.startswith("s_"):
-            self.take()
-            return (self._make(SeqVar, tok),)
-        if not self.at_punct("("):
+        if word.startswith("s_"):
+            self.pos += 1
+            return (self._make(SeqVar, self.pos - 1),)
+        if not self.skip("("):
             return (self.term(),)
-        self.take()
         items = []
-        if not self.at_punct(")"):
+        if self.texts[self.pos] != ")":
             items.extend(self.sequence())
-            while self.at_punct(","):
-                self.take()
+            while self.skip(","):
                 items.extend(self.sequence())
         self.expect_punct(")")
         return tuple(items)
@@ -217,73 +236,57 @@ class _Parser:
 
     def literal_or_term(self):
         """Parse a literal if an atom shape follows, otherwise a bare term."""
-        if self.at_ident("not") and self.peek(1).kind == "punct" and self.peek(1).text == "(":
-            self.take()
-            self.take()
+        if self.peek() == "not" and self.peek(1) == "(":
+            self.pos += 2
             inner = self.literal()
             self.expect_punct(")")
             return NotGoal(inner)
         t = self.term()
-        if self.at_punct("::"):
-            self.take()
-            lhs = self.sequence()
-            if self.at_punct("==>"):
-                positive = True
-            elif self.at_punct("=\\=>"):
-                positive = False
-            else:
+        if self.skip("::"):
+            lhs, arrow = self.sequence(), self.peek()
+            if arrow not in ("==>", "=\\=>"):
                 self.fail("expected an arrow after the left-hand side",
                           expected=("'==>'", "'=\\=>'"))
-            self.take()
-            rhs = self.sequence()
-            return RhoAtom(t, lhs, rhs, positive)
-        if self.at_punct(*_COMPARE_OPS):
-            op = self.take()
-            rhs = self.term()
-            return PredAtom(Sym(op.text), (t, rhs))
+            self.pos += 1
+            return RhoAtom(t, lhs, self.sequence(), arrow == "==>")
+        op = self.peek()
+        if op in _COMPARE_OPS:
+            self.pos += 1
+            return PredAtom(Sym(op), (t, self.term()))
         return t
 
     def body(self) -> tuple:
         """The rest of a clause: an optional ``:- literal, ...`` and the ``.``."""
-        literals = []
-        if self.at_punct(":-"):
-            self.take()
+        literals = [self.literal()] if self.skip(":-") else []
+        while literals and self.skip(","):
             literals.append(self.literal())
-            while self.at_punct(","):
-                self.take()
-                literals.append(self.literal())
         self.expect_punct(".")
         return tuple(literals)
 
     def clause(self):
         head = self.term()
-        if self.at_punct("::"):
-            self.take()
+        if self.skip("::"):
             lhs = self.sequence()
-            if self.at_punct("=\\=>"):
+            if self.peek() == "=\\=>":
                 self.fail("a clause head cannot be negated")
             self.expect_punct("==>")
             rhs = self.sequence()
-            if self.at_ident("where"):
-                tok = self.peek()
-                raise UnsupportedFeatureError(
-                    "'where' constraints are not supported", tok.line, tok.col
-                )
+            if self.peek() == "where":
+                self.fail("'where' constraints are not supported", error=UnsupportedFeatureError)
             return RhoClause(head, lhs, rhs, self.body())
-        if self.at_punct(":="):
-            self.take()
+        if self.skip(":="):
             rhs = self.term()
             self.expect_punct(".")
             return StrategyAbbrev(head, rhs)
-        if self.at_punct(":-", "."):
+        if self.peek() in (":-", "."):
             if not (isinstance(head, Compound) and isinstance(head.head, Sym)):
                 self.fail("a predicate clause head must be symbol-headed")
             return PredClause(head.head.name, head.args, self.body())
-        self.unexpected(self.peek(), "'::'", "':='", "':-'", "'.'")
+        self.unexpected(self.pos, "'::'", "':='", "':-'", "'.'")
 
     def program(self) -> SourceProgram:
         clauses = []
-        while self.peek().kind != "eof":
+        while self.peek():
             clauses.append(self.clause())
         return SourceProgram(tuple(clauses))
 
@@ -292,14 +295,14 @@ class _Parser:
     def query(self) -> Query:
         self.expect_punct("?")
         self.expect_punct("(")
-        entries = [self.literal_or_term()]
-        while self.at_punct(","):
-            self.take()
+        last, entries = self.pos, [self.literal_or_term()]
+        while self.skip(","):
+            last = self.pos
             entries.append(self.literal_or_term())
         self.expect_punct(")")
         self.expect_punct(".")
         self.expect_eof()
-        return self._classify_query(entries)
+        return self._classify_query(entries, last)
 
     @staticmethod
     def _marker_name(entry):
@@ -312,7 +315,8 @@ class _Parser:
             return entry.head.name
         return None
 
-    def _classify_query(self, entries) -> Query:
+    def _classify_query(self, entries, last) -> Query:
+        """The query of the parsed ``entries``, the last starting at token ``last``."""
         result_var = self._marker_name(entries[-1])
         if result_var is None:
             self.fail("a query must end with a result variable "
@@ -324,8 +328,11 @@ class _Parser:
             maybe_degree = self._marker_name(entries[-2])
             maybe_threshold = numeral_value(entries[-3])
             if maybe_degree is not None and maybe_threshold is not None:
-                degree_var = maybe_degree
                 threshold = check_threshold(maybe_threshold)
+                if maybe_degree == result_var:
+                    self.fail(f"marker {result_var} names both the degree and the result",
+                              last)
+                degree_var = maybe_degree
                 goal_entries = entries[:-3]
         goal = []
         for entry in goal_entries:
@@ -343,29 +350,29 @@ class _Parser:
 
     def prox_decls(self) -> list:
         out = []
-        while self.peek().kind != "eof":
-            if not self.at_ident("prox"):
-                self.unexpected(self.peek(), "'prox'")
-            self.take()
+        while self.peek():
+            if not self.skip("prox"):
+                self.unexpected(self.pos, "'prox'")
             self.expect_punct("(")
             a = self.prox_symbol()
             self.expect_punct(",")
             b = self.prox_symbol()
             self.expect_punct(",")
-            tok = self.take()
-            if tok.kind != "num":
-                self.unexpected(tok, "a degree")
-            degree = check_degree(tok.text)
+            if not _is_num(self.peek()):
+                self.unexpected(self.pos, "a degree")
+            degree = check_degree(self.peek())
+            self.pos += 1
             self.expect_punct(")")
             self.expect_punct(".")
             out.append((a, b, degree))
         return out
 
     def prox_symbol(self) -> Sym:
-        tok = self.take()
-        if tok.kind in ("ident", "num") or (tok.kind == "punct" and tok.text in _COMPARE_OPS):
-            return self._make(Sym, tok)
-        self.unexpected(tok, "a symbol")
+        word = self.peek()
+        if word[:1] in _PUNCT_START and word not in _COMPARE_OPS:  # or the end
+            self.unexpected(self.pos, "a symbol")
+        self.pos += 1
+        return self._make(Sym, self.pos - 1)
 
 
 def _parse(text: str, rule):

@@ -85,26 +85,19 @@ class Query:
 
 
 def literal_vars(lit):
+    """All variable occurrences of a literal, in preorder."""
+    while isinstance(lit, NotGoal):
+        lit = lit.inner
     if isinstance(lit, RhoAtom):
-        yield from iter_vars(lit.strategy)
-        yield from iter_vars(lit.lhs)
-        yield from iter_vars(lit.rhs)
-    elif isinstance(lit, PredAtom):
-        yield from iter_vars(lit.head)
-        yield from iter_vars(lit.args)
-    elif isinstance(lit, NotGoal):
-        yield from literal_vars(lit.inner)
-    else:
-        raise TypeError(f"not a literal: {lit!r}")
+        return iter_vars(((lit.strategy,) + lit.lhs, lit.rhs))
+    if isinstance(lit, PredAtom):
+        return iter_vars((lit.head, lit.args))
+    raise TypeError(f"not a literal: {lit!r}")
 
 
 def goal_vars(literals) -> tuple:
     """Distinct variables of a goal in order of first occurrence."""
-    seen = {}
-    for lit in literals:
-        for v in literal_vars(lit):
-            seen.setdefault(v, None)
-    return tuple(seen)
+    return tuple(dict.fromkeys(itertools.chain.from_iterable(map(literal_vars, literals))))
 
 
 def apply_to_literal(subst: Subst, lit):
@@ -122,18 +115,18 @@ def apply_to_literal(subst: Subst, lit):
     raise TypeError(f"not a literal: {lit!r}")
 
 
-def clause_locals(clause) -> tuple:
+def clause_locals(clause, walked=None) -> tuple:
     """Distinct variables of a clause's rhs and body that its head (strategy
-    and lhs, or the predicate params) lacks, in order of first occurrence."""
-    if isinstance(clause, RhoClause):
-        head, rest = (clause.strategy,) + clause.lhs, [iter_vars(clause.rhs)]
-    elif isinstance(clause, PredClause):
-        head, rest = clause.params, []
-    else:
-        raise TypeError(f"not a clause: {clause!r}")
-    head = set(iter_vars(head))
-    found = dict.fromkeys(itertools.chain(*rest, *map(literal_vars, clause.body)))
-    return tuple(v for v in found if v not in head)
+    and lhs, or the predicate params) lacks, in order of first occurrence.
+    ``walked`` gives the variable occurrences of the head, of the rhs and of
+    each body literal, if they are known."""
+    if walked is None:
+        rho = isinstance(clause, RhoClause)
+        head, rhs = ((clause.strategy,) + clause.lhs, clause.rhs) if rho else (clause.params, ())
+        walked = iter_vars(head), iter_vars(rhs), map(literal_vars, clause.body)
+    head, rhs, body = walked
+    head = set(head)
+    return tuple(v for v in dict.fromkeys(itertools.chain(rhs, *body)) if v not in head)
 
 
 def literal_hole_count(lit) -> int:

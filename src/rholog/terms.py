@@ -204,20 +204,25 @@ def seq(*items) -> tuple:
 
 
 def iter_vars(x) -> Iterator[Var]:
-    """All variable occurrences of a term, item, head, or hedge, preorder."""
-    if isinstance(x, tuple):
-        for item in x:
-            yield from iter_vars(item)
-    elif isinstance(x, Var):
-        yield x
-    elif isinstance(x, Compound):
-        if isinstance(x.head, FunVar):
-            yield x.head
-        yield from iter_vars(x.args)
-    elif isinstance(x, CtxApply):
-        yield x.var
-        yield from iter_vars(x.arg)
-    # Sym and Hole contain no variables
+    """All variable occurrences of a term, item, head, or hedge, in preorder:
+    one loop over a stack of what is left to visit, so nesting costs no
+    Python stack. A compound whose cached flag says it is ground is skipped."""
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Compound):
+            if not x._ground:
+                if isinstance(x.head, FunVar):
+                    yield x.head
+                stack.extend(x.args[::-1])
+        elif isinstance(x, tuple):
+            stack.extend(x[::-1])
+        elif isinstance(x, Var):
+            yield x
+        elif isinstance(x, CtxApply):
+            yield x.var
+            stack.append(x.arg)
+        # Sym and Hole contain no variables
 
 
 def free_vars(x) -> tuple:

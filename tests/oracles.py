@@ -12,6 +12,7 @@ module's own ``apply_items``; only the term constructors come from the
 package, so a fault in ``Subst`` or the matcher cannot cancel out.
 """
 
+import functools
 import itertools
 from decimal import Decimal
 
@@ -118,6 +119,18 @@ def subject_contexts(subject):
     return list(seen)
 
 
+@functools.lru_cache(maxsize=4096)
+def subject_pools(subject):
+    """The candidate values of each variable kind over a ground hedge, built
+    once per subject: a corpus pairs every pattern with every subject."""
+    return {
+        IndVar: subject_terms(subject),
+        SeqVar: subject_hedges(subject),
+        FunVar: subject_heads(subject),
+        CtxVar: subject_contexts(subject),
+    }
+
+
 # -- substitutions as plain dicts ---------------------------------------------
 
 def plain(sigma):
@@ -180,20 +193,9 @@ def brute_force_matchers(pattern, subject):
     pattern = tuple(pattern)
     subject = tuple(subject)
     variables = pattern_vars(pattern)
-    pools = []
-    for v in variables:
-        if isinstance(v, IndVar):
-            pools.append(subject_terms(subject))
-        elif isinstance(v, SeqVar):
-            pools.append(subject_hedges(subject))
-        elif isinstance(v, FunVar):
-            pools.append(subject_heads(subject))
-        elif isinstance(v, CtxVar):
-            pools.append(subject_contexts(subject))
-        else:
-            raise TypeError(v)
+    pools = subject_pools(subject)
     found = set()
-    for values in itertools.product(*pools):
+    for values in itertools.product(*(pools[type(v)] for v in variables)):
         candidate = dict(zip(variables, values))
         if items_match(candidate, pattern, subject):
             found.add(plain(candidate))

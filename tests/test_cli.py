@@ -124,6 +124,32 @@ class TestBatch:
         assert code == 1
         assert err.startswith("load error: ") and err.count("\n") == 1
 
+    def test_load_error_names_the_program_file(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.rho", tmp_path / "bad.rho"
+        good.write_text("st :: a ==> b.\n", encoding="utf-8")
+        bad.write_text("st :: a ==> b\nst2 :: a ==> b.\n", encoding="utf-8")
+        code, out, err = run(capsys, ["--load", str(good), "--load", str(bad)])
+        assert code == 1
+        assert err == (f"load error: {bad}: unexpected 'st2' at line 2, column 1 "
+                       "(expected '.')\n")
+
+    def test_clause_error_names_the_file_of_the_clause(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.rho", tmp_path / "bad.rho"
+        good.write_text("st :: a ==> b.\n", encoding="utf-8")
+        bad.write_text("st :: b ==> c.\nid :: a ==> b.\n", encoding="utf-8")
+        code, out, err = run(capsys, ["--load", str(bad), "--load", str(good)])
+        assert code == 1
+        assert err == f"load error: {bad}: strategy 'id' shadows a builtin strategy\n"
+
+    def test_load_error_names_the_proximity_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.prox"
+        bad.write_text("prox(a, b, 0.5).\nprox(a, c, 1.5).\n", encoding="utf-8")
+        code, out, err = run(capsys, [
+            "--load", str(PROGRAMS / "proximity.rho"), "--prox", str(bad),
+        ])
+        assert code == 1
+        assert err == f"load error: {bad}: proximity degree must be in (0, 1], got 1.5\n"
+
     @pytest.mark.parametrize("threshold", ["nan", "NaN", "sNaN", "0E5"])
     def test_threshold_that_is_not_a_number_is_a_query_error(self, capsys, threshold):
         code, out, err = run(capsys, ["--query", f"?(id :: a ==> s_X, {threshold}, D, R)."])

@@ -203,6 +203,13 @@ class TestQueries:
         assert q.degree_var == "D"
         assert q.result_var == "R"
 
+    def test_degree_marker_cannot_be_the_result_marker(self):
+        with pytest.raises(ParseError) as err:
+            parse_query("?(id :: a ==> s_X,\n  0.5, R, R).")
+        assert str(err.value) == (
+            "marker R names both the degree and the result at line 2, column 11"
+        )
+
     @pytest.mark.parametrize("threshold", ["nan", "NaN", "sNaN", "0E5"])
     def test_threshold_must_be_a_number(self, threshold):
         with pytest.raises(ParseError):

@@ -25,6 +25,8 @@ from rholog import (
     seq,
 )
 from rholog.errors import KindMismatchError
+from rholog.program import NotGoal, RhoAtom
+from rholog.terms import iter_vars
 
 from tests.genrand import (
     ground_context,
@@ -32,7 +34,9 @@ from tests.genrand import (
     ground_term,
     make_rng,
     pattern_hedge,
+    rho_clause_with_body,
 )
+from tests.test_engine import in_fresh_interpreter
 
 
 def T(text):
@@ -257,6 +261,83 @@ class TestCachedInvariants:
         object.__setattr__(fresh, "_holes", 7)
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
+
+
+def _ref_vars(x):
+    """Variable occurrences in preorder, by plain recursion, ground or not."""
+    if isinstance(x, tuple):
+        return [v for item in x for v in _ref_vars(item)]
+    if isinstance(x, (IndVar, SeqVar, FunVar, CtxVar)):
+        return [x]
+    if isinstance(x, Compound):
+        return _ref_vars(x.head) + _ref_vars(x.args)
+    if isinstance(x, CtxApply):
+        return [x.var] + _ref_vars(x.arg)
+    return []
+
+
+class TestIterVars:
+    """``iter_vars`` walks with an explicit stack and skips ground compounds."""
+
+    def samples(self):
+        rng = make_rng(31)
+        for _ in range(300):
+            yield (ground_term(rng),)
+            yield (ground_context(rng),)
+            pattern = pattern_hedge(rng)
+            yield pattern
+            # some variables bound: ground compounds inside non-ground ones
+            sigma = ground_subst_for(rng, pattern)
+            yield sigma.restrict(free_vars(pattern)[::2]).apply_hedge(pattern)
+            if pattern and not isinstance(pattern[0], SeqVar):
+                yield (apply_context(ground_context(rng), pattern[0]),)
+            clause = rho_clause_with_body(rng)
+            yield clause.lhs
+            yield clause.rhs
+            for lit in clause.body:
+                lit = lit.inner if isinstance(lit, NotGoal) else lit
+                if isinstance(lit, RhoAtom):
+                    yield (lit.strategy,) + lit.lhs
+                    yield lit.rhs
+                else:
+                    yield (Compound(lit.head, lit.args),)
+                    yield lit.args
+
+    def test_walk_matches_recursive_reference(self):
+        repeats = ground_inside = 0
+        for hedge in self.samples():
+            want = _ref_vars(hedge)
+            assert list(iter_vars(hedge)) == want
+            for item in hedge:
+                assert list(iter_vars(item)) == _ref_vars(item)
+            assert free_vars(hedge) == tuple(dict.fromkeys(want))
+            repeats += len(set(want)) < len(want)
+            ground_inside += bool(want) and any(
+                is_ground(t) and t.args for t in _compounds(hedge))
+        assert repeats > 100 and ground_inside > 200
+
+    def test_heads_and_atoms(self):
+        assert list(iter_vars(FunVar("f_F"))) == [FunVar("f_F")]
+        assert list(iter_vars(Sym("f"))) == list(iter_vars(HOLE)) == []
+        assert list(iter_vars(T("g(c_C(f_F(i_X, s_Y)), i_X)"))) == [
+            CtxVar("c_C"), FunVar("f_F"), IndVar("i_X"), SeqVar("s_Y"), IndVar("i_X")
+        ]
+
+    def test_deep_clause_at_the_default_recursion_limit(self):
+        out = in_fresh_interpreter(
+            "from rholog import *\n"
+            "from rholog.program import RhoClause, RhoAtom, SourceProgram\n"
+            "from rholog.terms import iter_vars\n"
+            "t = SeqVar('s_X')\n"
+            "for _ in range(10_000):\n"
+            "    t = Compound(Sym('f'), (t,))\n"
+            "body = (RhoAtom(atom('id'), (t,), (SeqVar('s_Y'),)),)\n"
+            "clause = RhoClause(atom('st'), (t,), (mk('g', SeqVar('s_Y')), t), body)\n"
+            "print(list(iter_vars(clause.lhs)), free_vars((t, mk('g', t, IndVar('i_Z')))))\n"
+            "db = load_program(SourceProgram((clause,)))\n"
+            "print(db.rho_for('st', (atom('f'),))[0][3][:3])\n"
+        )
+        assert out.splitlines() == ["[s_X] (s_X, i_Z)", "((s_Y,), True, (True, True))"]
 
 
 ATOM_KINDS = [(Sym, "a"), (IndVar, "i_X"), (SeqVar, "s_X"), (FunVar, "f_X"), (CtxVar, "c_X")]
