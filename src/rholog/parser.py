@@ -72,7 +72,8 @@ class Token:
     col: int
 
 
-# the first characters of punctuation; every other token starts with ``\w``
+# The first characters of punctuation; every other token starts with ``\w``.
+# ``word[:1] in _PUNCT_START`` holds for the end of input too, as "" is in it.
 _PUNCT_START = "=><:()?,."
 
 
@@ -83,7 +84,7 @@ def _is_num(word: str) -> bool:
 
 
 def _kind(word: str) -> str:
-    if word[:1] in _PUNCT_START:  # as is "", in every string
+    if word[:1] in _PUNCT_START:
         return "punct" if word else "eof"
     return "num" if _is_num(word) else "ident"
 
@@ -181,7 +182,7 @@ class _Parser:
         if word in _COMPARE_OPS:
             self.pos += 1
             head = Sym(word)
-        elif not word or word[0] in _PUNCT_START:
+        elif word[:1] in _PUNCT_START:
             self.unexpected(at, "a term")
         elif _is_num(word):
             self.pos += 1
@@ -369,7 +370,7 @@ class _Parser:
 
     def prox_symbol(self) -> Sym:
         word = self.peek()
-        if word[:1] in _PUNCT_START and word not in _COMPARE_OPS:  # or the end
+        if word[:1] in _PUNCT_START and word not in _COMPARE_OPS:
             self.unexpected(self.pos, "a symbol")
         self.pos += 1
         return self._make(Sym, self.pos - 1)
