@@ -181,8 +181,7 @@ def _facts(clause, head):
 
 def _literal_parts(lit) -> tuple:
     """A literal's variable occurrences in two lists: those it needs bound when
-    selected (a rho atom's strategy and lhs, any other literal's all), and the
-    rest (a rho atom's rhs)."""
+    selected (a rho atom's strategy and lhs, else all) and the rest (its rhs)."""
     if isinstance(lit, RhoAtom):
         redex = (lit.strategy,) + lit.lhs
         needed = [] if is_ground(redex) else list(iter_vars(redex))  # cached for compounds

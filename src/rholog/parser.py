@@ -83,12 +83,6 @@ def _is_num(word: str) -> bool:
     return whole.isdecimal() and (not dot or fraction.isdecimal())
 
 
-def _kind(word: str) -> str:
-    if word[:1] in _PUNCT_START:
-        return "punct" if word else "eof"
-    return "num" if _is_num(word) else "ident"
-
-
 def _line_col(text: str, offset: int) -> tuple:
     """The 1-based line and column of ``offset`` in ``text``."""
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
@@ -117,8 +111,16 @@ def _scan(text: str) -> tuple:
 def tokenize(text: str) -> list:
     """The tokens of ``text`` with their kinds and positions, then ``eof``."""
     texts, starts = _scan(text)
-    return [Token(_kind(word), word, *_line_col(text, start))
-            for word, start in zip(texts, starts)]
+    tokens, line, line_start, last = [], 1, 0, 0
+    for word, start in zip(texts, starts):
+        if newlines := text.count("\n", last, start):
+            line, line_start = line + newlines, text.rfind("\n", last, start) + 1
+        kind = "punct" if word else "eof"
+        if word[:1] not in _PUNCT_START:
+            kind = "num" if _is_num(word) else "ident"
+        tokens.append(Token(kind, word, line, start - line_start + 1))
+        last = start
+    return tokens
 
 
 def _as_literal(parsed):

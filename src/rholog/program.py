@@ -117,9 +117,8 @@ def apply_to_literal(subst: Subst, lit):
 
 def clause_locals(clause, walked=None) -> tuple:
     """Distinct variables of a clause's rhs and body that its head (strategy
-    and lhs, or the predicate params) lacks, in order of first occurrence.
-    ``walked`` gives the variable occurrences of the head, of the rhs and of
-    each body literal, if they are known."""
+    and lhs, or the predicate params) lacks, in order of first occurrence;
+    ``walked`` gives the occurrences in the head, rhs and each literal."""
     if walked is None:
         rho = isinstance(clause, RhoClause)
         head, rhs = ((clause.strategy,) + clause.lhs, clause.rhs) if rho else (clause.params, ())

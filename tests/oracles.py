@@ -124,10 +124,10 @@ def subject_pools(subject):
     """The candidate values of each variable kind over a ground hedge, built
     once per subject: a corpus pairs every pattern with every subject."""
     return {
-        IndVar: subject_terms(subject),
-        SeqVar: subject_hedges(subject),
-        FunVar: subject_heads(subject),
-        CtxVar: subject_contexts(subject),
+        IndVar: tuple(subject_terms(subject)),
+        SeqVar: tuple(subject_hedges(subject)),
+        FunVar: tuple(subject_heads(subject)),
+        CtxVar: tuple(subject_contexts(subject)),
     }
 
 
