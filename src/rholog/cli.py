@@ -73,7 +73,9 @@ def _from_file(path, parse):
     try:
         with open(path, encoding="utf-8") as handle:
             return parse(handle.read())
-    except (OSError, *_CAUGHT) as exc:
+    except OSError as exc:
+        raise RhoError(f"{path}: {exc.strerror}") from exc
+    except _CAUGHT as exc:
         raise RhoError(f"{path}: {exc}") from exc
 
 
@@ -101,25 +103,20 @@ def _answer_lines(query: Query, answer: Answer) -> list:
     return lines
 
 
-def run_batch(queries, db, relation, config) -> int:
-    """Run queries to exhaustion (or the answer limit); 0 iff no errors."""
+def run_batch(queries, db, relation, config, limit=None) -> int:
+    """Run queries to exhaustion (or to ``limit`` answers); 0 iff no errors."""
     status = 0
     for text in queries:
         print(f"?- {text.strip()}")
         try:
             query = parse_query(text)
-            limit = config.answer_limit
-            shown = 0
-            exhausted = True
-            for answer in solve(db, query, relation, config):
+            for n, answer in enumerate(solve(db, query, relation, config), 1):
                 lines = _answer_lines(query, answer)
                 lines[-1] += " ;"
                 print("\n".join(lines))
-                shown += 1
-                if limit is not None and shown >= limit:
-                    exhausted = False
+                if n == limit:
                     break
-            if exhausted:
+            else:
                 print("false.")
         except _CAUGHT as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -128,7 +125,7 @@ def run_batch(queries, db, relation, config) -> int:
     return status
 
 
-def run_repl(db, relation, config) -> int:
+def run_repl(db, relation, config, limit) -> int:
     print("rholog. Queries look like ?(st :: lhs ==> rhs, Result). "
           "Type halt. to quit.")
     while True:
@@ -148,17 +145,15 @@ def run_repl(db, relation, config) -> int:
             print(f"error: {exc}", file=sys.stderr)
             continue
         try:
-            _repl_answers(query, db, relation, config)
+            _repl_answers(query, db, relation, config, limit)
         except _CAUGHT as exc:
             print(f"error: {exc}", file=sys.stderr)
 
 
-def _repl_answers(query, db, relation, config) -> None:
-    shown = 0
-    for answer in solve(db, query, relation, config):
+def _repl_answers(query, db, relation, config, limit) -> None:
+    for n, answer in enumerate(solve(db, query, relation, config), 1):
         print("\n".join(_answer_lines(query, answer)))
-        shown += 1
-        if config.answer_limit is not None and shown >= config.answer_limit:
+        if n == limit:
             print(".")
             return
         try:
@@ -177,20 +172,22 @@ def main(argv=None) -> int:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 20_000))
     try:
-        args = build_arg_parser().parse_args(argv)
+        ap = build_arg_parser()
+        args = ap.parse_args(argv)
+        if args.answers is not None and args.answers < 1:
+            ap.error("argument --answers: must be at least 1")
         try:
             db, relation = _load_session(args)
-        except (OSError, *_CAUGHT) as exc:
+        except _CAUGHT as exc:
             print(f"load error: {exc}", file=sys.stderr)
             return 1
         config = EngineConfig(
             nf_step_limit=args.nf_limit,
-            answer_limit=args.answers,
             trace=args.trace,
         )
         if args.query:
-            return run_batch(args.query, db, relation, config)
-        return run_repl(db, relation, config)
+            return run_batch(args.query, db, relation, config, args.answers)
+        return run_repl(db, relation, config, args.answers)
     finally:
         sys.setrecursionlimit(limit)
 

@@ -107,7 +107,6 @@ COMPARISONS: dict[str, Callable] = {
 @dataclass
 class EngineConfig:
     nf_step_limit: int | None = None
-    answer_limit: int | None = None
     trace: bool = False
     trace_sink: Callable[[str], None] | None = None
 
@@ -614,6 +613,7 @@ def solve(db: ClauseDB, query: Query, relation=None, config=None) -> Iterator[An
     degree (1 in exact mode). In threshold mode, answers whose degree
     falls below the query threshold are dropped. A goal that contains
     ``hole`` raises ``HoleInGoalError`` when the first answer is asked for.
+    ``itertools.islice(solve(...), n)`` searches for the first n answers only.
     """
     config = config or EngineConfig()
     order = goal_vars(query.goal)
@@ -633,7 +633,4 @@ def solve(db: ClauseDB, query: Query, relation=None, config=None) -> Iterator[An
                 continue
             yield Answer(Subst(bindings, _checked=True).restrict(order), degree)
 
-    stream = answers()
-    if config.answer_limit is not None:
-        stream = itertools.islice(stream, config.answer_limit)
-    return stream
+    return answers()

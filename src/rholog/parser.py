@@ -24,7 +24,6 @@ functions as in the engine: ``terms.numeral_value``,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError, UnsupportedFeatureError
 from .program import (
@@ -64,14 +63,6 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "num" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
-
-
 # The first characters of punctuation; every other token starts with ``\w``.
 # ``word[:1] in _PUNCT_START`` holds for the end of input too, as "" is in it.
 _PUNCT_START = "=><:()?,."
@@ -106,21 +97,6 @@ def _scan(text: str) -> tuple:
     texts.append("")
     starts.append(end)
     return texts, starts
-
-
-def tokenize(text: str) -> list:
-    """The tokens of ``text`` with their kinds and positions, then ``eof``."""
-    texts, starts = _scan(text)
-    tokens, line, line_start, last = [], 1, 0, 0
-    for word, start in zip(texts, starts):
-        if newlines := text.count("\n", last, start):
-            line, line_start = line + newlines, text.rfind("\n", last, start) + 1
-        kind = "punct" if word else "eof"
-        if word[:1] not in _PUNCT_START:
-            kind = "num" if _is_num(word) else "ident"
-        tokens.append(Token(kind, word, line, start - line_start + 1))
-        last = start
-    return tokens
 
 
 def _as_literal(parsed):

@@ -17,21 +17,13 @@ from .program import (
     SourceProgram,
     StrategyAbbrev,
 )
-from .terms import SeqVar, Subst, Sym
+from .terms import SeqVar, Subst, Sym, render_sequence
 
 BINDING_ARROW = "--->"
 
 
 def render_term(t) -> str:
     return repr(t)
-
-
-def render_sequence(h) -> str:
-    if not h:
-        return "eps"
-    if len(h) == 1:
-        return repr(h[0])
-    return "(" + ",".join(map(repr, h)) + ")"
 
 
 def _render_value(var, value) -> str:

@@ -203,6 +203,15 @@ def seq(*items) -> tuple:
     return tuple(out)
 
 
+def render_sequence(h) -> str:
+    """A hedge as text: ``eps``, its one item, or ``(item,...,item)``."""
+    if not h:
+        return "eps"
+    if len(h) == 1:
+        return repr(h[0])
+    return "(" + ",".join(map(repr, h)) + ")"
+
+
 def iter_vars(x) -> Iterator[Var]:
     """All variable occurrences of a term, item, head, or hedge, in preorder:
     one loop over a stack of what is left to visit, so nesting costs no
@@ -314,21 +323,9 @@ class Subst:
                     m[var] = value
         self._map = m
 
-    def bind(self, var, value) -> "Subst":
-        """Extend with one binding; rebinding to a different value is a bug."""
-        _check_binding(var, value)
-        old = self._map.get(var)
-        if old is not None:
-            if old == value:
-                return self
-            raise ValueError(f"{var!r} is already bound")
-        if _is_identity(var, value):
-            return self
-        return self._extend(var, value)
-
     def _extend(self, var, value) -> "Subst":
-        """``bind`` unchecked, for an unbound variable and a kind-correct,
-        ground value: the matcher's, taken from a subject checked on entry."""
+        """One more binding, unchecked: for an unbound variable and a ground
+        value of its kind, as the matcher takes from a subject checked on entry."""
         out = Subst.__new__(Subst)
         out._map = {**self._map, var: value}
         return out
@@ -398,16 +395,10 @@ class Subst:
         return hash(frozenset(self._map.items()))
 
     def __repr__(self) -> str:
-        def show(value):
-            if isinstance(value, tuple):
-                if not value:
-                    return "eps"
-                if len(value) == 1:
-                    return repr(value[0])
-                return "(" + ",".join(map(repr, value)) + ")"
-            return repr(value)
-
-        inner = ", ".join(f"{v!r} -> {show(b)}" for v, b in self._map.items())
+        inner = ", ".join(
+            f"{v!r} -> {render_sequence(b) if isinstance(b, tuple) else repr(b)}"
+            for v, b in self._map.items()
+        )
         return "{" + inner + "}"
 
 

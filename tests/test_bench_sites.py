@@ -15,7 +15,6 @@ import pytest
 import rholog.engine
 import rholog.matching
 from rholog.proximity import ProximityRelation
-from rholog.terms import Subst
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -38,7 +37,7 @@ def test_engine_calls_the_matchers_the_tracer_counts():
     assert rholog.engine.scored_match_hedge is rholog.matching.scored_match_hedge
 
 
-@pytest.mark.parametrize("cls, name", [(ProximityRelation, "degree"), (Subst, "bind")])
+@pytest.mark.parametrize("cls, name", [(ProximityRelation, "degree")])
 def test_class_sites_the_counters_wrap_are_methods(cls, name):
     # the tracer's counters wrap these class attributes; an instance
     # attribute of the same name would hide the wrapper

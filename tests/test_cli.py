@@ -1,4 +1,6 @@
+import errno
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -30,6 +32,13 @@ Result = [s_Ans ---> (d,c,a)] ;
 false.
 
 """
+
+REWRITE_QUERY = "?(rewrite_step(st) :: f(f(g(a),a),a) ==> s_Out, Result)."
+REWRITE_ANSWERS = [
+    "Result = [s_Out ---> f(f(g(b),a),a)]",
+    "Result = [s_Out ---> f(f(g(a),b),a)]",
+    "Result = [s_Out ---> f(f(g(a),a),b)]",
+]
 
 MERGE_ARGS = [
     "--load", str(PROGRAMS / "proximity.rho"),
@@ -95,6 +104,23 @@ class TestBatch:
         assert out.count("Result =") == 2
         assert "false." not in out
 
+    def test_answer_limit_never_reached_prints_false(self, capsys):
+        code, out, err = run(capsys, [
+            "--load", str(PROGRAMS / "rewriting.rho"),
+            "--answers", "5",
+            "--query", REWRITE_QUERY,
+        ])
+        assert code == 0 and err == ""
+        assert out == f"?- {REWRITE_QUERY}\n" + " ;\n".join(REWRITE_ANSWERS) + " ;\nfalse.\n\n"
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_answer_limit_below_one_is_a_usage_error(self, capsys, limit):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--answers", limit, "--query", "?(id :: a ==> s_X, Result)."])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == ""
+        assert captured.err.endswith("error: argument --answers: must be at least 1\n")
+
     def test_empty_query_list_runs_nothing(self, capsys):
         from rholog.cli import run_batch
         from rholog.engine import ClauseDB, EngineConfig
@@ -109,6 +135,13 @@ class TestBatch:
         code, out, err = run(capsys, ["--load", "no/such/file.rho"])
         assert code == 1
         assert "load error:" in err
+
+    @pytest.mark.parametrize("option", ["--load", "--prox"])
+    def test_missing_file_is_one_line_naming_it(self, capsys, tmp_path, option):
+        missing = tmp_path / "nosuch"
+        code, out, err = run(capsys, [option, str(missing)])
+        assert code == 1
+        assert err == f"load error: {missing}: {os.strerror(errno.ENOENT)}\n"
 
     def test_parse_error_in_program_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.rho"
@@ -256,6 +289,14 @@ class TestRepl:
         assert code == 0
         assert out.count("Result =") == 1
         assert "false." not in out
+
+    def test_answer_limit_never_reached_steps_to_false(self, capsys, monkeypatch):
+        self.feed(monkeypatch, f"{REWRITE_QUERY}\n;\n;\n;\nhalt.\n")
+        code, out, err = run(capsys, [
+            "--load", str(PROGRAMS / "rewriting.rho"), "--answers", "5",
+        ])
+        assert code == 0 and err == ""
+        assert out.endswith("?- " + "\n".join(REWRITE_ANSWERS) + "\nfalse.\n?- ")
 
     def test_eof_ends_the_session(self, capsys, monkeypatch):
         self.feed(monkeypatch, "")

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -743,12 +744,10 @@ class TestDeterminism:
 
 
 class TestConfig:
-    def test_answer_limit(self):
-        got = answers(
-            "?(id :: (a,b,c) ==> (s_X, s_Y), Result).",
-            config=EngineConfig(answer_limit=2),
-        )
-        assert len(got) == 2
+    def test_settable_fields(self):
+        # an answer limit is itertools.islice over the lazy stream, not a field
+        names = [f.name for f in dataclasses.fields(EngineConfig)]
+        assert names == ["nf_step_limit", "trace", "trace_sink"]
 
     def test_trace_reports_selections_and_clauses(self):
         lines = []

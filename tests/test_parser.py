@@ -32,7 +32,7 @@ from rholog.errors import (
     ThresholdRangeError,
     UnsupportedFeatureError,
 )
-from rholog.parser import Token, tokenize
+from rholog.terms import numeral_value
 
 from tests.genrand import ground_hedge, make_rng, pattern_hedge, rule_sides
 from tests.test_engine import in_fresh_interpreter
@@ -135,7 +135,11 @@ class TestTermsAndSequences:
         assert parse_term("f((), a)") == parse_term("f(a)")
 
     def test_non_decimal_digits_make_an_identifier(self):
-        assert [t.kind for t in tokenize("² 1² 7")] == ["ident", "ident", "num", "eof"]
+        assert [numeral_value(parse_term(t)) for t in ("²", "1²", "7")] == [None, None, 7]
+        # an identifier takes arguments, a number does not
+        assert parse_term("1²(a)") == Compound(Sym("1²"), (Compound(Sym("a")),))
+        with pytest.raises(ParseError):
+            parse_term("7(a)")
 
 
 class TestLiterals:
@@ -246,16 +250,21 @@ class TestProximityDecls:
 
 class TestPositions:
     def test_tokens_after_comments_crlf_and_tabs(self):
-        tokens = tokenize("a % note\r\n\tb(\t1.5)\r\n  % end\n  c")
-        assert [(t.kind, t.text, t.line, t.col) for t in tokens] == [
-            ("ident", "a", 1, 1),
-            ("ident", "b", 2, 2),
-            ("punct", "(", 2, 3),
-            ("num", "1.5", 2, 5),
-            ("punct", ")", 2, 8),
-            ("ident", "c", 4, 3),
-            ("eof", "", 4, 4),
+        # one error at each token of "a % note\r\n\tb(\t1.5)\r\n  % end\n  c",
+        # made by changing the text at that token and at none before it
+        cases = [
+            (") % note", 1, 1),
+            ("a % note\r\n\tb(\t1.5)", 2, 2),
+            ("  % note\r\n\tb,\t1.5)", 2, 3),
+            ("  % note\r\n\tb(\t:- )", 2, 5),
+            ("  % note\r\n\tb(\t1.5.", 2, 8),
+            ("  % note\r\n\tb(\t1.5)\r\n  % end\n  c", 4, 3),
+            ("  % note\r\n\tb(\t1.5,\r\n  % end\n  c", 4, 4),
         ]
+        for text, line, col in cases:
+            with pytest.raises(ParseError) as err:
+                parse_term(text)
+            assert (err.value.line, err.value.col) == (line, col), text
 
     def test_unexpected_character_on_line_three(self):
         with pytest.raises(ParseError) as err:
@@ -264,8 +273,11 @@ class TestPositions:
         assert str(err.value) == "unexpected character '!' at line 3, column 6"
 
     def test_end_of_input_after_a_trailing_comment(self):
-        assert tokenize("a % tail")[-1] == Token("eof", "", 1, 9)
-        assert tokenize("a\n% x")[-1] == Token("eof", "", 2, 4)
+        for text, line, col in (("a % tail", 1, 9), ("a\n% x", 2, 4)):
+            with pytest.raises(ParseError) as err:
+                parse_program(text)
+            assert (err.value.line, err.value.col) == (line, col)
+            assert str(err.value).startswith("unexpected end of input")
         with pytest.raises(ParseError) as err:
             parse_program("st :: a ==> b % no dot")
         assert (err.value.line, err.value.col) == (1, 23)

@@ -163,35 +163,21 @@ class TestValidation:
             Subst({CtxVar("c_X"): T("f(a)")})  # no hole
         with pytest.raises(KindMismatchError):
             Subst({IndVar("i_X"): T("f(hole)")})  # hole leaks into a term
+        with pytest.raises(KindMismatchError):
+            Subst({SeqVar("s_X"): H("(a, g(hole))")})  # and into a sequence
+        with pytest.raises(KindMismatchError):
+            Subst({CtxVar("c_X"): T("f(hole,hole)")})  # two holes
 
     def test_identity_bindings_normalize_away(self):
         assert Subst({IndVar("i_X"): IndVar("i_X")}) == EMPTY_SUBST
         assert Subst({SeqVar("s_X"): (SeqVar("s_X"),)}) == EMPTY_SUBST
         assert Subst({CtxVar("c_X"): CtxApply(CtxVar("c_X"), HOLE)}) == EMPTY_SUBST
 
-    def test_rebinding_conflict(self):
-        sigma = Subst({IndVar("i_X"): T("a")})
-        with pytest.raises(ValueError):
-            sigma.bind(IndVar("i_X"), T("b"))
-        assert sigma.bind(IndVar("i_X"), T("a")) == sigma
-
-    def test_bind_checks_kinds(self):
-        bad = [
-            (IndVar("i_X"), T("f(hole)")),  # hole leaks into a term
-            (SeqVar("s_X"), H("(a, g(hole))")),  # and into a sequence
-            (IndVar("i_X"), H("(a,b)")),
-            (SeqVar("s_X"), T("a")),
-            (FunVar("f_X"), T("a")),
-            (CtxVar("c_X"), T("f(a)")),  # no hole
-            (CtxVar("c_X"), T("f(hole,hole)")),
-        ]
-        for var, value in bad:
-            with pytest.raises(KindMismatchError):
-                EMPTY_SUBST.bind(var, value)
-
-    def test_bind_normalizes_identity(self):
-        assert EMPTY_SUBST.bind(IndVar("i_X"), IndVar("i_X")) == EMPTY_SUBST
-        assert EMPTY_SUBST.bind(SeqVar("s_X"), (SeqVar("s_X"),)) == EMPTY_SUBST
+    def test_repr_renders_sequence_bindings_as_the_printer_does(self):
+        sigma = Subst({IndVar("i_X"): T("f(a)"), SeqVar("s_E"): (),
+                       SeqVar("s_One"): H("(g(b))"), SeqVar("s_Three"): H("(a,f(b),c)")})
+        assert repr(sigma) == "{i_X -> f(a), s_E -> eps, s_One -> g(b), s_Three -> (a,f(b),c)}"
+        assert repr(EMPTY_SUBST) == "{}"
 
 
 def _ref_holes(x):
