@@ -163,15 +163,27 @@ class TestValidation:
             Subst({CtxVar("c_X"): T("f(a)")})  # no hole
         with pytest.raises(KindMismatchError):
             Subst({IndVar("i_X"): T("f(hole)")})  # hole leaks into a term
-        with pytest.raises(KindMismatchError):
-            Subst({SeqVar("s_X"): H("(a, g(hole))")})  # and into a sequence
-        with pytest.raises(KindMismatchError):
-            Subst({CtxVar("c_X"): T("f(hole,hole)")})  # two holes
+
+    def test_bind_checks_kinds(self):
+        bad = [
+            (SeqVar("s_X"), H("(a, g(hole))")),  # hole leaks into a sequence
+            (CtxVar("c_X"), T("f(hole,hole)")),  # two holes
+        ]
+        for var, value in bad:
+            with pytest.raises(KindMismatchError):
+                Subst({var: value})
 
     def test_identity_bindings_normalize_away(self):
         assert Subst({IndVar("i_X"): IndVar("i_X")}) == EMPTY_SUBST
         assert Subst({SeqVar("s_X"): (SeqVar("s_X"),)}) == EMPTY_SUBST
         assert Subst({CtxVar("c_X"): CtxApply(CtxVar("c_X"), HOLE)}) == EMPTY_SUBST
+
+    def test_bind_normalizes_identity(self):
+        # An identity binding beside real ones is dropped; the others stay.
+        sigma = Subst({IndVar("i_X"): IndVar("i_X"), IndVar("i_Y"): T("a"),
+                       SeqVar("s_X"): (SeqVar("s_X"),)})
+        assert sigma == Subst({IndVar("i_Y"): T("a")})
+        assert sigma.domain() == (IndVar("i_Y"),)
 
     def test_repr_renders_sequence_bindings_as_the_printer_does(self):
         sigma = Subst({IndVar("i_X"): T("f(a)"), SeqVar("s_E"): (),
