@@ -1102,6 +1102,67 @@ class TestGuards:
     def test_traces_and_degrees(self, query, lines, got):
         assert traced(query, self.PROGRAM, self.REL) == (lines, got)
 
+    EDGES = (
+        "e1 :: (i_X, i_Y) ==> ok :- prox(abc) :: i_X ==> i_Y.\n"
+        "e2 :: (i_X, i_Y) ==> ok :- prox(0.5, 0.6) :: i_X ==> i_Y.\n"
+        "e3 :: (i_X, i_Y) ==> ok :- id(a) :: i_X ==> i_Y.\n"
+        "e4 :: (i_X, i_Y) ==> ok :- =<(i_X, i_Y, i_X).\n"
+        "e5 :: (i_X, i_Y) ==> ok :- not(=<(i_X, i_Y, i_X)).\n"
+        "e6 :: (i_X, s_Y) ==> ok :- =<(i_X, s_Y).\n"
+        "e7 :: (i_X, s_Y) ==> ok :- not(=<(i_X, s_Y)).\n"
+        "e8(f_F) :: (i_X, s_Y) ==> ok :- not(f_F(i_X, s_Y)).\n"
+        "e9(f_F) :: (i_X, i_Y, i_Z) ==> ok :- f_F(i_X, i_Y, i_Z).\n"
+        "e10(i_M) :: (i_X, i_Y) ==> ok :- prox(i_M) :: i_X ==> i_Y.\n"
+        "e11(i_M) :: (i_X, i_Y) ==> ok :- id(i_M) :: i_X ==> i_Y.\n"
+    )
+    E6 = "e6 :: (i_X,s_Y) ==> ok :- =<(i_X,s_Y)."
+    E7 = "e7 :: (i_X,s_Y) ==> ok :- not(=<(i_X,s_Y))."
+    E8 = "e8(f_F) :: (i_X,s_Y) ==> ok :- not(f_F(i_X,s_Y))."
+    E9 = "e9(f_F) :: (i_X,i_Y,i_Z) ==> ok :- f_F(i_X,i_Y,i_Z)."
+    E10 = "e10(i_M) :: (i_X,i_Y) ==> ok :- prox(i_M) :: i_X ==> i_Y."
+    OK = ["select: id :: ok ==> s_R"]
+    ONE_OK = [("[s_R ---> ok]", D(1))]
+    NOT_TWO = "ArityError: =< takes two arguments"
+
+    # whether the engine tests a first literal as a guard or not, it gives
+    # the lines, answers and errors that selecting it in the body gives
+    @pytest.mark.parametrize("redex, clause, lines, got", [
+        ("e1 :: (a,b)", "e1 :: (i_X,i_Y) ==> ok :- prox(abc) :: i_X ==> i_Y.",
+         ["select: prox(abc) :: a ==> b"], "NonNumericError: prox needs a numeric threshold"),
+        ("e2 :: (a,b)", "e2 :: (i_X,i_Y) ==> ok :- prox(0.5,0.6) :: i_X ==> i_Y.",
+         ["select: prox(0.5,0.6) :: a ==> b"], "ArityError: prox takes at most one argument"),
+        ("e3 :: (a,b)", "e3 :: (i_X,i_Y) ==> ok :- id(a) :: i_X ==> i_Y.",
+         ["select: id(a) :: a ==> b"], "ArityError: id takes no arguments"),
+        ("e4 :: (1,2)", "e4 :: (i_X,i_Y) ==> ok :- =<(i_X,i_Y,i_X).",
+         ["select: =<(1,2,1)"], NOT_TWO),
+        ("e5 :: (1,2)", "e5 :: (i_X,i_Y) ==> ok :- not(=<(i_X,i_Y,i_X)).",
+         ["negation: not(=<(1,2,1))", "select: =<(1,2,1)"], NOT_TWO),
+        ("e6 :: 1", E6, ["select: =<(1)"], NOT_TWO),
+        ("e6 :: (1,2)", E6, ["select: =<(1,2)"] + OK, ONE_OK),
+        ("e6 :: (2,1)", E6, ["select: =<(2,1)"], []),
+        ("e6 :: (1,2,3)", E6, ["select: =<(1,2,3)"], NOT_TWO),
+        ("e7 :: 1", E7, ["negation: not(=<(1))", "select: =<(1)"], NOT_TWO),
+        ("e7 :: (1,2)", E7, ["negation: not(=<(1,2))", "select: =<(1,2)"], []),
+        ("e7 :: (2,1)", E7, ["negation: not(=<(2,1))", "select: =<(2,1)"] + OK, ONE_OK),
+        ("e7 :: (1,2,3)", E7, ["negation: not(=<(1,2,3))", "select: =<(1,2,3)"], NOT_TWO),
+        ("e8(=<) :: (2,1)", E8, ["negation: not(=<(2,1))", "select: =<(2,1)"] + OK, ONE_OK),
+        ("e8(=<) :: (1,2)", E8, ["negation: not(=<(1,2))", "select: =<(1,2)"], []),
+        ("e8(<) :: (1,a)", E8, ["negation: not(<(1,a))", "select: <(1,a)"],
+         "NonNumericError: < needs numeric constants: <(1,a)"),
+        ("e9(=<) :: (1,2,3)", E9, ["select: =<(1,2,3)"], NOT_TWO),
+        ("e9(<) :: (a,b,c)", E9, ["select: <(a,b,c)"], "ArityError: < takes two arguments"),
+        ("e10(0.5) :: (a,b)", E10, ["select: prox(0.5) :: a ==> b"] + OK,
+         [("[s_R ---> ok]", D("0.6"))]),
+        ("e10(0.7) :: (a,b)", E10, ["select: prox(0.7) :: a ==> b"], []),
+        ("e10(abc) :: (a,b)", E10, ["select: prox(abc) :: a ==> b"],
+         "NonNumericError: prox needs a numeric threshold"),
+        ("e11(a) :: (a,b)", "e11(i_M) :: (i_X,i_Y) ==> ok :- id(i_M) :: i_X ==> i_Y.",
+         ["select: id(a) :: a ==> b"], "ArityError: id takes no arguments"),
+    ])
+    def test_guard_edge_cases_select_as_the_body_would(self, redex, clause, lines, got):
+        want = [f"select: {redex} ==> s_R", f"clause: {clause}"] + lines
+        assert traced(f"?({redex} ==> s_R, Result).", self.EDGES, self.REL) == (want, got)
+
     def test_which_first_literals_are_guards(self):
         program = (
             "s :: (i_X, i_Y) ==> ok :- id :: i_X ==> i_Y.\n"
