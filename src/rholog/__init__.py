@@ -53,7 +53,6 @@ from .printer import (
     render_program,
     render_query,
     render_sequence,
-    render_term,
 )
 from .program import (
     NotGoal,
@@ -70,7 +69,6 @@ from .proximity import (
     ProximityRelation,
     hedge_proximity,
     prox_match_hedge,
-    prox_match_term,
     term_proximity,
 )
 from .terms import (

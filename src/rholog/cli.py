@@ -26,7 +26,7 @@ from .program import Query, SourceProgram
 from .proximity import ProximityRelation
 
 
-_CAUGHT = (RhoError, ValueError, RecursionError)
+_CAUGHT = (RhoError, RecursionError)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -97,7 +97,7 @@ def _load_session(args):
 
 def _answer_lines(query: Query, answer: Answer) -> list:
     lines = []
-    if query.wants_degree:
+    if query.degree_var is not None:
         lines.append(f"{query.degree_var} = {answer.degree},")
     lines.append(f"{query.result_var} = {render_answer(answer)}")
     return lines
@@ -176,6 +176,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         if args.answers is not None and args.answers < 1:
             ap.error("argument --answers: must be at least 1")
+        if args.nf_limit is not None and args.nf_limit < 0:
+            ap.error("argument --nf-limit: must be at least 0")
         try:
             db, relation = _load_session(args)
         except _CAUGHT as exc:

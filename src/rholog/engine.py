@@ -72,8 +72,6 @@ from .program import (
     SourceProgram,
     StrategyAbbrev,
     apply_to_literal,
-    clause_locals,
-    goal_vars,
     literal_hole_count,
     literal_vars,
 )
@@ -158,10 +156,11 @@ def _index(clauses):
 
 
 def _facts(clause, head):
-    """``(locals, single, ready, guard)``: ``clause_locals``, whether the head
-    has at most one matcher, whether each body literal and the continuation is
-    ground when selected, and the leading guard; lints a transformation clause.
-    The head, the rhs and each body literal are walked once for all four."""
+    """``(locals, single, ready, guard)``: the rhs and body variables the head
+    lacks, distinct and in order, whether the head has at most one matcher,
+    whether each body literal and the continuation is ground when selected,
+    and the leading guard; lints a transformation clause. The head, the rhs
+    and each body literal are walked once for all four."""
     rho = isinstance(clause, RhoClause)
     head_vars, rhs_vars = list(iter_vars(head)), list(iter_vars(clause.rhs)) if rho else []
     parts = [_literal_parts(lit) for lit in clause.body]
@@ -174,7 +173,8 @@ def _facts(clause, head):
                        if k < len(clause.body) else
                        f"right-hand side variable {v!r} may never be bound")
             log.warning("%s: %s", message, render_clause(clause))
-    local_vars = clause_locals(clause, (head_vars, rhs_vars, [n + r for n, r in parts]))
+    occurring = dict.fromkeys(itertools.chain(rhs_vars, *(n + r for n, r in parts)))
+    local_vars = tuple(v for v in occurring if v not in bound)
     return local_vars, at_most_one_matcher(head_vars), tuple(not n for n in unbound), guard
 
 
@@ -201,18 +201,16 @@ def _unbound_when_selected(bound, literals, parts, rhs_vars=None):
 
 def _leading_guard(lit, head_vars, parts):
     """``lit``, with its ``_literal_parts``, if its variables are all ``head_vars``
-    and it is an ``id``, ``prox`` or ``prox(numeral)`` step or a two-term
-    comparison, maybe negated or headed by an ``f_`` variable."""
+    and it is an ``id`` or ``prox`` step or a comparison, maybe negated or headed
+    by an ``f_`` variable; ``_guard`` raises the errors selecting it raises."""
     call = lit.inner if isinstance(lit, NotGoal) else lit
     if isinstance(call, RhoAtom):
         st = call.strategy
-        guard = call is lit and call.positive and isinstance(st, Compound) and (
-            st.head.name == "id" and not st.args or st.head.name == "prox"
-            and len(st.args) <= 1 and all(numeral_value(a) is not None for a in st.args))
+        guard = (call is lit and call.positive and isinstance(st, Compound)
+                 and st.head.name in ("id", "prox"))
     else:
-        guard = isinstance(call, PredAtom) and len(call.args) == 2 and (
-            isinstance(call.head, FunVar) or call.head.name in COMPARISONS
-        ) and SeqVar not in map(type, call.args)
+        guard = isinstance(call, PredAtom) and (
+            isinstance(call.head, FunVar) or call.head.name in COMPARISONS)
     return lit if guard and head_vars.issuperset(itertools.chain(*parts)) else None
 
 
@@ -489,16 +487,16 @@ class _Solver:
         return next(hits(), None) if len(clauses) == 1 and clauses[0][3][1] else hits()
 
     def _guard(self, lit, sigma, answer, degree):
-        """Test a hit's guard ``lit`` as selecting it would, instantiating only its
-        arguments: the body literals it used up (0 if an ``f_`` head names no
+        """Test a hit's guard ``lit`` as selecting it would, instantiating only the
+        guard: the body literals it used up (0 if an ``f_`` head names no
         comparison) and the degree after it, or None if it fails."""
         negated = isinstance(lit, NotGoal)
         call = lit.inner if negated else lit
         if isinstance(call, RhoAtom):
+            st = sigma.apply_term(call.strategy)
             lhs, rhs = sigma.apply_hedge(call.lhs), sigma.apply_hedge(call.rhs)
             if self.cfg.trace:
-                self._trace("select", render_literal, RhoAtom(call.strategy, lhs, rhs))
-            st = call.strategy
+                self._trace("select", render_literal, RhoAtom(st, lhs, rhs))
             matched = next(self._step_matchers(st.head.name, st.args, lhs, rhs), None)
             return None if matched is None else (1, min(degree, matched[1]))
         head = sigma.apply_head(call.head)
@@ -615,8 +613,8 @@ def solve(db: ClauseDB, query: Query, relation=None, config=None) -> Iterator[An
     ``hole`` raises ``HoleInGoalError`` when the first answer is asked for.
     ``itertools.islice(solve(...), n)`` searches for the first n answers only.
     """
-    config = config or EngineConfig()
-    order = goal_vars(query.goal)
+    parts = [_literal_parts(lit) for lit in query.goal]
+    order = tuple(dict.fromkeys(v for needed, rest in parts for v in needed + rest))
     solver = _Solver(db, relation, config, query.threshold, order)
 
     def answers():
@@ -625,7 +623,6 @@ def solve(db: ClauseDB, query: Query, relation=None, config=None) -> Iterator[An
                 raise HoleInGoalError(
                     f"hole is not allowed in goals: {render_literal(lit)}"
                 )
-        parts = [_literal_parts(lit) for lit in query.goal]
         unbound = _unbound_when_selected((), query.goal, parts)
         goals = [_Unready(lit) if names else lit for lit, names in zip(query.goal, unbound)]
         for bindings, degree in solver.run(goals):

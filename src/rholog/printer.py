@@ -17,27 +17,17 @@ from .program import (
     SourceProgram,
     StrategyAbbrev,
 )
-from .terms import SeqVar, Subst, Sym, render_sequence
+from .terms import Subst, Sym, render_sequence
 
 BINDING_ARROW = "--->"
 
 
-def render_term(t) -> str:
-    return repr(t)
-
-
-def _render_value(var, value) -> str:
-    if isinstance(var, SeqVar):
-        return render_sequence(value)
-    return repr(value)
-
-
-def render_bindings(subst: Subst, order=()) -> str:
-    """``[v ---> value, ...]`` with variables in the given order."""
-    ordered = [v for v in order if v in subst]
-    ordered += [v for v in subst.domain() if v not in set(order)]
+def render_bindings(subst: Subst) -> str:
+    """``[v ---> value, ...]`` in the order of ``subst``, each value as its
+    ``repr`` shows it."""
     inner = ", ".join(
-        f"{v!r} {BINDING_ARROW} {_render_value(v, subst.get(v))}" for v in ordered
+        f"{v!r} {BINDING_ARROW} {render_sequence(b) if isinstance(b, tuple) else repr(b)}"
+        for v, b in subst.items()
     )
     return "[" + inner + "]"
 

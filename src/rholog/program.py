@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
@@ -79,10 +78,6 @@ class Query:
     threshold: Decimal | None = None
     degree_var: str | None = None
 
-    @property
-    def wants_degree(self) -> bool:
-        return self.degree_var is not None
-
 
 def literal_vars(lit):
     """All variable occurrences of a literal, in preorder."""
@@ -93,11 +88,6 @@ def literal_vars(lit):
     if isinstance(lit, PredAtom):
         return iter_vars((lit.head, lit.args))
     raise TypeError(f"not a literal: {lit!r}")
-
-
-def goal_vars(literals) -> tuple:
-    """Distinct variables of a goal in order of first occurrence."""
-    return tuple(dict.fromkeys(itertools.chain.from_iterable(map(literal_vars, literals))))
 
 
 def apply_to_literal(subst: Subst, lit):
@@ -113,19 +103,6 @@ def apply_to_literal(subst: Subst, lit):
     if isinstance(lit, NotGoal):
         return NotGoal(apply_to_literal(subst, lit.inner))
     raise TypeError(f"not a literal: {lit!r}")
-
-
-def clause_locals(clause, walked=None) -> tuple:
-    """Distinct variables of a clause's rhs and body that its head (strategy
-    and lhs, or the predicate params) lacks, in order of first occurrence;
-    ``walked`` gives the occurrences in the head, rhs and each literal."""
-    if walked is None:
-        rho = isinstance(clause, RhoClause)
-        head, rhs = ((clause.strategy,) + clause.lhs, clause.rhs) if rho else (clause.params, ())
-        walked = iter_vars(head), iter_vars(rhs), map(literal_vars, clause.body)
-    head, rhs, body = walked
-    head = set(head)
-    return tuple(v for v in dict.fromkeys(itertools.chain(rhs, *body)) if v not in head)
 
 
 def literal_hole_count(lit) -> int:

@@ -102,10 +102,6 @@ def prox_match_hedge(rel, pattern, subject, threshold) -> Iterator[DegreedMatche
         yield DegreedMatcher(subst, degree)
 
 
-def prox_match_term(rel, pattern, subject, threshold) -> Iterator[DegreedMatcher]:
-    yield from prox_match_hedge(rel, (pattern,), (subject,), threshold)
-
-
 def term_proximity(rel, t1, t2) -> Decimal:
     """Proximity degree of two ground, hole-free terms."""
     return hedge_proximity(rel, (t1,), (t2,))

@@ -333,9 +333,6 @@ class Subst:
     def get(self, var):
         return self._map.get(var)
 
-    def domain(self) -> tuple:
-        return tuple(self._map)
-
     def items(self):
         return self._map.items()
 

@@ -121,6 +121,22 @@ class TestBatch:
         assert exit_.value.code == 2 and captured.out == ""
         assert captured.err.endswith("error: argument --answers: must be at least 1\n")
 
+    def test_nf_limit_below_zero_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--nf-limit", "-1", "--query", "?(id :: a ==> s_X, Result)."])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == ""
+        assert captured.err.endswith("error: argument --nf-limit: must be at least 0\n")
+
+    def test_nf_limit_zero_allows_no_nf_step(self, capsys):
+        code, out, err = run(capsys, ["--nf-limit", "0",
+                                      "--query", "?(id :: a ==> s_X, Result).",
+                                      "--query", "?(nf(id) :: a ==> s_X, Result)."])
+        assert code == 2
+        assert out == ("?- ?(id :: a ==> s_X, Result).\nResult = [s_X ---> a] ;\nfalse.\n\n"
+                       "?- ?(nf(id) :: a ==> s_X, Result).\n\n")
+        assert err == "error: nf exceeded the step limit of 0\n"
+
     def test_empty_query_list_runs_nothing(self, capsys):
         from rholog.cli import run_batch
         from rholog.engine import ClauseDB, EngineConfig

@@ -35,6 +35,7 @@ from rholog import (
     render_sequence,
     solve,
 )
+from rholog.engine import _facts
 from rholog.errors import (
     ArityError,
     DuplicateBuiltinError,
@@ -49,7 +50,7 @@ from rholog.errors import (
     UnknownPredicateError,
     UnknownStrategyError,
 )
-from rholog.program import Query, apply_to_literal, clause_locals
+from rholog.program import Query, apply_to_literal
 
 from tests.genrand import (
     ground_hedge,
@@ -503,7 +504,7 @@ class TestClauseSelection:
             "st(i_A) :: (i_X, s_R) ==> (s_Z, i_X, i_Y) :- "
             "i_A :: i_X ==> (i_Y, s_W), c :: s_Z ==> c_C(i_V)."
         ).clauses
-        assert clause_locals(clause) == (
+        assert _facts(clause, (clause.strategy,) + clause.lhs)[0] == (
             SeqVar("s_Z"), IndVar("i_Y"), SeqVar("s_W"), CtxVar("c_C"), IndVar("i_V")
         )
 
@@ -511,11 +512,12 @@ class TestClauseSelection:
         (clause,) = parse_program(
             "p(i_X, f_F(s_A)) :- q(i_Z, i_X), f_F(s_B), not(r(i_Z, s_A))."
         ).clauses
-        assert clause_locals(clause) == (IndVar("i_Z"), SeqVar("s_B"))
+        assert _facts(clause, clause.params)[0] == (IndVar("i_Z"), SeqVar("s_B"))
 
     def test_locals_of_an_expanded_abbreviation(self):
         (clause,) = db_of("st := compose(a1, a2).").rho_clauses
-        assert clause_locals(clause) == (clause.rhs[0],) == (SeqVar("s__Abbrev1R"),)
+        locals_ = _facts(clause, (clause.strategy,) + clause.lhs)[0]
+        assert locals_ == (clause.rhs[0],) == (SeqVar("s__Abbrev1R"),)
 
     def test_recursive_clause_keeps_each_hits_locals_apart(self):
         # every pending continuation holds s_U and s_R of an outer hit while
@@ -1179,7 +1181,7 @@ class TestGuards:
         )
         entries = db_of(program).rho_for("s", (T("a"), T("b")))
         guards = [facts[3] is not None for _, _, _, facts in entries]
-        assert guards == [True, True, True] + [False] * 8
+        assert guards == [True] * 3 + [False] + [True] * 4 + [False] * 3
 
     def test_failed_guards_build_no_body(self, monkeypatch):
         degree_calls, instantiated = [], []

@@ -168,7 +168,7 @@ class TestQueries:
     def test_two_argument_form(self):
         q = parse_query("?(bubble_sort(=<) :: (1,3,4,3,2) ==> s_X, Result).")
         assert q.threshold is None
-        assert not q.wants_degree
+        assert q.degree_var is None
         assert q.result_var == "Result"
         (goal,) = q.goal
         assert isinstance(goal, RhoAtom)

@@ -27,9 +27,9 @@ def test_sequence_rendering():
 
 def test_binding_list_style():
     subst = Subst({SeqVar("s_X"): parse_sequence("(1,2,3,3,4)")})
-    assert render_bindings(subst, (SeqVar("s_X"),)) == "[s_X ---> (1,2,3,3,4)]"
+    assert render_bindings(subst.restrict((SeqVar("s_X"),))) == "[s_X ---> (1,2,3,3,4)]"
     subst = Subst({IndVar("i_X"): parse_term("a")})
-    assert render_bindings(subst, (IndVar("i_X"),)) == "[i_X ---> a]"
+    assert render_bindings(subst.restrict((IndVar("i_X"),))) == "[i_X ---> a]"
 
 
 def test_bindings_follow_first_occurrence_order():
@@ -40,7 +40,7 @@ def test_bindings_follow_first_occurrence_order():
         }
     )
     order = (SeqVar("s_A"), IndVar("i_B"))
-    assert render_bindings(subst, order) == "[s_A ---> eps, i_B ---> b]"
+    assert render_bindings(subst.restrict(order)) == "[s_A ---> eps, i_B ---> b]"
 
 
 def test_answer_rendering():

@@ -10,7 +10,6 @@ from rholog import (
     parse_sequence,
     parse_term,
     prox_match_hedge,
-    prox_match_term,
     term_proximity,
 )
 from rholog.errors import DegreeRangeError, ThresholdRangeError
@@ -187,5 +186,5 @@ class TestProxMatch:
         assert approximate > 20
 
     def test_term_level_wrapper(self, rel):
-        got = list(prox_match_term(rel, T("g(b)"), T("g(c)"), D("0.5")))
+        got = list(prox_match_hedge(rel, (T("g(b)"),), (T("g(c)"),), D("0.5")))
         assert [m.degree for m in got] == [D("0.8")]

@@ -183,7 +183,7 @@ class TestValidation:
         sigma = Subst({IndVar("i_X"): IndVar("i_X"), IndVar("i_Y"): T("a"),
                        SeqVar("s_X"): (SeqVar("s_X"),)})
         assert sigma == Subst({IndVar("i_Y"): T("a")})
-        assert sigma.domain() == (IndVar("i_Y"),)
+        assert [v for v, _ in sigma.items()] == [IndVar("i_Y")]
 
     def test_repr_renders_sequence_bindings_as_the_printer_does(self):
         sigma = Subst({IndVar("i_X"): T("f(a)"), SeqVar("s_E"): (),
