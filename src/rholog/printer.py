@@ -23,7 +23,7 @@ BINDING_ARROW = "--->"
 
 
 def render_bindings(subst: Subst) -> str:
-    """``[v ---> value, ...]`` in the order of ``subst``, each value as its
+    """``[v ---> value, ...]`` in ``subst``'s order, each value as ``Subst``'s
     ``repr`` shows it."""
     inner = ", ".join(
         f"{v!r} {BINDING_ARROW} {render_sequence(b) if isinstance(b, tuple) else repr(b)}"
