@@ -26,7 +26,8 @@ from .program import Query, SourceProgram
 from .proximity import ProximityRelation
 
 
-_CAUGHT = (RhoError, RecursionError)
+# UnicodeError: a file that is not UTF-8, or a stdout that cannot encode an answer
+_CAUGHT = (RhoError, UnicodeError, RecursionError)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

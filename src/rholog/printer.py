@@ -26,7 +26,7 @@ def render_bindings(subst: Subst) -> str:
     """``[v ---> value, ...]`` in ``subst``'s order, each value as ``Subst``'s
     ``repr`` shows it."""
     inner = ", ".join(
-        f"{v!r} {BINDING_ARROW} {render_sequence(b) if isinstance(b, tuple) else repr(b)}"
+        f"{v!r} {BINDING_ARROW} {render_sequence(b)}"
         for v, b in subst.items()
     )
     return "[" + inner + "]"

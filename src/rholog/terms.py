@@ -204,7 +204,9 @@ def seq(*items) -> tuple:
 
 
 def render_sequence(h) -> str:
-    """A hedge as text: ``eps``, its one item, or ``(item,...,item)``."""
+    """A hedge or a lone item as text: ``eps``, the item, or ``(item,...,item)``."""
+    if not isinstance(h, tuple):
+        return repr(h)
     if not h:
         return "eps"
     if len(h) == 1:
@@ -393,7 +395,7 @@ class Subst:
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            f"{v!r} -> {render_sequence(b) if isinstance(b, tuple) else repr(b)}"
+            f"{v!r} -> {render_sequence(b)}"
             for v, b in self._map.items()
         )
         return "{" + inner + "}"

@@ -166,6 +166,15 @@ class TestBatch:
         assert code == 1
         assert "load error:" in err
 
+    @pytest.mark.parametrize("option", ["--load", "--prox"])
+    def test_file_that_is_not_utf8_is_one_line_naming_it(self, capsys, tmp_path, option):
+        bad = tmp_path / "latin1"
+        bad.write_bytes(b"st :: \xe9 ==> b.")
+        code, out, err = run(capsys, [option, str(bad)])
+        assert code == 1
+        assert err == (f"load error: {bad}: 'utf-8' codec can't decode byte 0xe9 "
+                       "in position 6: invalid continuation byte\n")
+
     def test_non_decimal_digit_degree_is_a_load_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.prox"
         bad.write_text("prox(a, b, ²).", encoding="utf-8")
@@ -245,6 +254,19 @@ class TestBatch:
         code, out, err = run(capsys, ["--query", f"?({goal}, Result)."])
         assert code == 2
         assert err == f"error: hole is not allowed in goals: {goal}\n"
+
+    def test_answer_that_stdout_cannot_encode_is_a_query_error(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        rules = tmp_path / "rules.rho"
+        rules.write_text("st :: a ==> caf\u00e9.\n", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+        code = main(["--load", str(rules), "--query", "?(st :: a ==> s_X, R)."])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: 'ascii' codec can't encode character '\\xe9' in position 17: "
+            "ordinal not in range(128)\n"
+        )
 
     def test_trace_goes_to_stderr(self, capsys):
         code, out, err = run(capsys, [

@@ -32,6 +32,13 @@ def test_binding_list_style():
     assert render_bindings(subst.restrict((IndVar("i_X"),))) == "[i_X ---> a]"
 
 
+def test_answers_and_substitutions_render_values_alike():
+    subst = Subst({SeqVar("s_X"): parse_sequence("(a,b)"), IndVar("i_Y"): parse_term("f(a)")})
+    assert render_bindings(subst) == "[s_X ---> (a,b), i_Y ---> f(a)]"
+    assert repr(subst) == "{s_X -> (a,b), i_Y -> f(a)}"
+    assert render_sequence(parse_term("f(a)")) == render_sequence((parse_term("f(a)"),))
+
+
 def test_bindings_follow_first_occurrence_order():
     subst = Subst(
         {
