@@ -16,6 +16,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .engine import Answer, EngineConfig, load_program, solve
@@ -99,7 +100,7 @@ def _load_session(args):
 def _answer_lines(query: Query, answer: Answer) -> list:
     lines = []
     if query.degree_var is not None:
-        lines.append(f"{query.degree_var} = {answer.degree},")
+        lines.append(f"{query.degree_var} = {answer.degree:f},")
     lines.append(f"{query.result_var} = {render_answer(answer)}")
     return lines
 
@@ -184,10 +185,8 @@ def main(argv=None) -> int:
         except _CAUGHT as exc:
             print(f"load error: {exc}", file=sys.stderr)
             return 1
-        config = EngineConfig(
-            nf_step_limit=args.nf_limit,
-            trace=args.trace,
-        )
+        trace_sink = functools.partial(print, file=sys.stderr) if args.trace else None
+        config = EngineConfig(nf_step_limit=args.nf_limit, trace_sink=trace_sink)
         if args.query:
             return run_batch(args.query, db, relation, config, args.answers)
         return run_repl(db, relation, config, args.answers)

@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 import logging
 import operator
-import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Iterator
@@ -105,8 +104,7 @@ COMPARISONS: dict[str, Callable] = {
 @dataclass
 class EngineConfig:
     nf_step_limit: int | None = None
-    trace: bool = False
-    trace_sink: Callable[[str], None] | None = None
+    trace_sink: Callable[[str], None] | None = None  # gets each trace line; None: off
 
 
 @dataclass(frozen=True)
@@ -320,9 +318,8 @@ class _Solver:
 
     def _trace(self, kind: str, render, item) -> None:
         """Report ``kind: render(item)``; nothing is rendered with tracing off."""
-        if self.cfg.trace:
-            sink = self.cfg.trace_sink or (lambda s: print(s, file=sys.stderr))
-            sink(f"{kind}: {render(item)}")
+        if self.cfg.trace_sink is not None:
+            self.cfg.trace_sink(f"{kind}: {render(item)}")
 
     def _with_fresh_locals(self, sigma, local_vars):
         """``sigma`` plus fresh names, under one new counter value, for a
@@ -495,7 +492,7 @@ class _Solver:
         if isinstance(call, RhoAtom):
             st = sigma.apply_term(call.strategy)
             lhs, rhs = sigma.apply_hedge(call.lhs), sigma.apply_hedge(call.rhs)
-            if self.cfg.trace:
+            if self.cfg.trace_sink is not None:
                 self._trace("select", render_literal, RhoAtom(st, lhs, rhs))
             matched = next(self._step_matchers(st.head.name, st.args, lhs, rhs), None)
             return None if matched is None else (1, min(degree, matched[1]))

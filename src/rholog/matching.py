@@ -45,7 +45,6 @@ from .terms import (
     SeqVar,
     Subst,
     Sym,
-    EMPTY_SUBST,
     hole_count,
     is_ground,
 )
@@ -102,7 +101,7 @@ def scored_match_hedge(
     if not _checked:
         _check_inputs(pattern, subject)
     return _match_items(
-        tuple(pattern), 0, tuple(subject), 0, EMPTY_SUBST, ONE, False, sym_degree, floor, None
+        tuple(pattern), 0, tuple(subject), 0, {}, ONE, False, sym_degree, floor, None
     )
 
 
@@ -119,14 +118,16 @@ def match_term(pattern, subject) -> Iterator[Subst]:
 
 def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor, more):
     """Match ``items[i:]`` with ``subject[j:]``, then each level left in the
-    linked list ``more = (items, i, subject, j, more)``; yield ``(subst,
-    degree)``. ``greedy``: a sequence variable is bound on this path."""
+    linked list ``more = (items, i, subject, j, more)``; yield ``(matcher,
+    degree)``. ``subst`` is a plain dict: a binding makes a new one for its
+    search path, and a ``Subst`` is built only for a yielded matcher.
+    ``greedy``: a sequence variable is bound on this path."""
     while True:
         if i == len(items):
             if j != len(subject):
                 return
             if more is None:
-                yield subst, degree
+                yield Subst(subst, _checked=True), degree
                 return
             items, i, subject, j, more = more
             continue
@@ -155,11 +156,11 @@ def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor,
             if free:
                 for w in range(top, -1, -1) if greedy else range(top + 1):
                     yield from _match_items(
-                        items, i, subject, j + w, subst._extend(first, subject[j:j + w]),
+                        items, i, subject, j + w, {**subst, first: subject[j:j + w]},
                         degree, True, sym_degree, floor, more,
                     )
                 return
-            subst, j, greedy = subst._extend(first, subject[j:j + top]), j + top, True
+            subst, j, greedy = {**subst, first: subject[j:j + top]}, j + top, True
             continue
 
         if j == len(subject):
@@ -170,7 +171,7 @@ def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor,
         if isinstance(first, IndVar):
             bound = subst.get(first)
             if bound is None:
-                subst = subst._extend(first, t)
+                subst = {**subst, first: t}
             elif bound != t:
                 return
         elif isinstance(first, Compound):  # so is t: a ground, hole-free term
@@ -188,7 +189,7 @@ def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor,
             else:  # function variable: binds the subject head verbatim
                 bound = subst.get(head)
                 if bound is None:
-                    subst = subst._extend(head, t.head)
+                    subst = {**subst, head: t.head}
                 elif bound is not t.head:
                     return
             more = (items, i, subject, j, more)
@@ -198,7 +199,7 @@ def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor,
             more = (items, i, subject, j, more)
             for ctx, plugged in enumerate_contexts(t):
                 if bound is None:
-                    here = subst._extend(first.var, ctx)
+                    here = {**subst, first.var: ctx}
                 elif ctx != bound:
                     continue
                 else:

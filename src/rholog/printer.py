@@ -77,7 +77,7 @@ def render_program(program: SourceProgram) -> str:
 def render_query(query: Query) -> str:
     parts = [render_literal(lit) for lit in query.goal]
     if query.threshold is not None:
-        parts.append(str(query.threshold))
+        parts.append(format(query.threshold, "f"))
         parts.append(query.degree_var)
     parts.append(query.result_var)
     return "?(" + ", ".join(parts) + ")."

@@ -311,26 +311,25 @@ class Subst:
     to one-hole contexts. Variables outside the map are implicitly bound
     to themselves; identity bindings are normalized away, so equality of
     substitutions coincides with equality of their action.
+
+    ``Subst(mapping)`` copies ``mapping``, checks each value's kind and
+    drops identity bindings. The private ``Subst(mapping, _checked=True)``
+    adopts ``mapping`` as it is: the caller hands over a fresh dict of
+    ground or fresh-name values of the right kind, with no identity
+    binding, that nobody mutates afterwards.
     """
 
     __slots__ = ("_map",)
 
     def __init__(self, mapping=None, *, _checked=False):
-        m = {}
-        if mapping:
-            for var, value in mapping.items():
-                if not _checked:
-                    _check_binding(var, value)
-                if not _is_identity(var, value):
-                    m[var] = value
-        self._map = m
-
-    def _extend(self, var, value) -> "Subst":
-        """One more binding, unchecked: for an unbound variable and a ground
-        value of its kind, as the matcher takes from a subject checked on entry."""
-        out = Subst.__new__(Subst)
-        out._map = {**self._map, var: value}
-        return out
+        if _checked:
+            self._map = mapping
+            return
+        self._map = {}
+        for var, value in (mapping or {}).items():
+            _check_binding(var, value)
+            if not _is_identity(var, value):
+                self._map[var] = value
 
     def get(self, var):
         return self._map.get(var)

@@ -208,6 +208,14 @@ class TestBatch:
         assert code == 1
         assert err == f"load error: {bad}: proximity degree must be in (0, 1], got 1.5\n"
 
+    def test_small_degree_prints_without_an_exponent(self, capsys, tmp_path):
+        rel = tmp_path / "small.prox"
+        rel.write_text("prox(a, b, 0.0000001).\n", encoding="utf-8")
+        query = "?(prox :: a ==> b, 0.0000001, Degree, Result)."
+        code, out, err = run(capsys, ["--prox", str(rel), "--query", query])
+        assert (code, err) == (0, "")
+        assert out == f"?- {query}\nDegree = 0.0000001,\nResult = [] ;\nfalse.\n\n"
+
     @pytest.mark.parametrize("threshold", ["nan", "NaN", "sNaN", "0E5"])
     def test_threshold_that_is_not_a_number_is_a_query_error(self, capsys, threshold):
         code, out, err = run(capsys, ["--query", f"?(id :: a ==> s_X, {threshold}, D, R)."])

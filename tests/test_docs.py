@@ -1,9 +1,12 @@
-"""README's library example runs as written, and the names it lists exist."""
+"""README's library example and batch transcript run as written, and the
+names it lists exist."""
 
 import re
+import shlex
 from pathlib import Path
 
 import rholog
+from rholog.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -17,6 +20,16 @@ def test_library_example_runs_from_the_repo_root(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     exec(compile(padding + found.group(1), "README.md", "exec"), {})
     assert capsys.readouterr().out == "{s_Ans -> (d,c)} 0.6\n"
+
+
+def test_batch_transcript_matches_the_command_line(capsys, monkeypatch):
+    found = re.compile(r"```\n\$ (rholog [^`]*?--query '[^']*')\n([^`]*)```").search(README)
+    command, printed = found.groups()
+    assert printed.count("\n") == 4
+    monkeypatch.chdir(ROOT)
+    assert main(shlex.split(command.replace("\\\n", " "))[1:]) == 0
+    # batch mode ends each query's block with an empty line
+    assert capsys.readouterr().out == printed + "\n"
 
 
 def test_lower_level_entry_points_exist():

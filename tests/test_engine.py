@@ -580,7 +580,7 @@ class TestFirstArgumentIndex:
         hits, candidates = INDEXED_SCAN[subject]
         patterns = matcher_patterns(monkeypatch)
         lines = []
-        config = EngineConfig(trace=True, trace_sink=lines.append)
+        config = EngineConfig(trace_sink=lines.append)
         got = answers(f"?(p({subject}), Result).", ".\n".join(heads) + ".", config=config)
         assert len(got) == len(hits)
         assert [line for line in lines if line.startswith("clause:")] == [
@@ -749,11 +749,11 @@ class TestConfig:
     def test_settable_fields(self):
         # an answer limit is itertools.islice over the lazy stream, not a field
         names = [f.name for f in dataclasses.fields(EngineConfig)]
-        assert names == ["nf_step_limit", "trace", "trace_sink"]
+        assert names == ["nf_step_limit", "trace_sink"]
 
     def test_trace_reports_selections_and_clauses(self):
         lines = []
-        config = EngineConfig(trace=True, trace_sink=lines.append)
+        config = EngineConfig(trace_sink=lines.append)
         answers("?(st :: a ==> i_X, Result).", "st :: a ==> b.", config=config)
         assert any(line.startswith("select:") for line in lines)
         assert any(line.startswith("clause:") for line in lines)
@@ -773,7 +773,7 @@ class TestConfig:
 
         monkeypatch.setattr(rholog.engine, "render_literal", fail)
         monkeypatch.setattr(rholog.engine, "render_clause", fail)
-        off = EngineConfig(trace=False)
+        off = EngineConfig()
         got = solve(
             sorting,
             parse_query("?(bubble_sort(=<) :: (1,3,4,3,2) ==> s_X, Result)."),
@@ -896,7 +896,7 @@ class TestTrustedMatcherInputs:
 def traced(query_text, program, rel=None):
     """The trace lines and answers, or the error, of a query."""
     lines = []
-    config = EngineConfig(trace=True, trace_sink=lines.append)
+    config = EngineConfig(trace_sink=lines.append)
     try:
         got = [(render_answer(a), a.degree) for a in solve(
             db_of(program), parse_query(query_text), rel, config)]

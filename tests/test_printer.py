@@ -78,6 +78,7 @@ def test_query_rendering_round_trips():
     for text in (
         "?(st :: (a,b) ==> s_X, Result).",
         "?(merge :: (a,b) ==> s_X, 0.5, Degree, Result).",
+        "?(merge :: (a,b) ==> s_X, 0.0000001, Degree, Result).",
     ):
         q = parse_query(text)
         assert parse_query(render_query(q)) == q
