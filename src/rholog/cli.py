@@ -10,13 +10,13 @@ Batch mode answers print in transcript style, one block per query::
 Interactively, answers appear one at a time: type ``;`` for the next
 answer, anything else (or just Enter) to stop. ``false.`` marks stream
 exhaustion. Exit codes: 0 on success, 1 on load errors, 2 on query
-errors.
+errors and on usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
+import re
 import sys
 
 from .engine import Answer, EngineConfig, load_program, solve
@@ -31,43 +31,67 @@ from .proximity import ProximityRelation
 _CAUGHT = (RhoError, UnicodeError, RecursionError)
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="rholog",
-        description="Interpreter for a strategy-based transformation language "
-        "over unranked terms.",
-    )
-    ap.add_argument(
-        "--load",
-        metavar="FILE",
-        action="append",
-        default=[],
-        help="program file to load (repeatable; clause order follows file order)",
-    )
-    ap.add_argument(
-        "--prox",
-        metavar="FILE",
-        help="proximity declaration file (prox(sym, sym, degree). lines)",
-    )
-    ap.add_argument(
-        "--query",
-        metavar="QUERY",
-        action="append",
-        default=[],
-        help="query to run in batch mode (repeatable); omit for a REPL",
-    )
-    ap.add_argument(
-        "--answers", metavar="N", type=int, help="stop after N answers per query"
-    )
-    ap.add_argument(
-        "--nf-limit", metavar="N", type=int, help="rewrite-step limit for nf"
-    )
-    ap.add_argument(
-        "--trace",
-        action="store_true",
-        help="print selected literals and chosen clauses to stderr",
-    )
-    return ap
+OPTIONS = {  # option: (metavar, None for a flag; least value of a number; help)
+    "--help": (None, None, "show this help message and exit"),
+    "--load": ("FILE", None, "program file to load (repeatable; clause order follows file order)"),
+    "--prox": ("FILE", None, "proximity declaration file (prox(sym, sym, degree). lines)"),
+    "--query": ("QUERY", None, "query to run in batch mode (repeatable); omit for a REPL"),
+    "--answers": ("N", 1, "stop after N answers per query (N at least 1)"),
+    "--nf-limit": ("N", 0, "rewrite-step limit for nf (N at least 0)"),
+    "--trace": (None, None, "print selected literals and chosen clauses to stderr"),
+}
+USAGE = "usage: rholog " + " ".join(
+    f"[{o} {m}]" if m else f"[{o}]" for o, (m, _, _) in OPTIONS.items()).replace("--help", "-h")
+
+
+def _option(word):
+    """None for a value, else the option ``word`` names or abbreviates and its ``=`` value."""
+    name, equals, value = word.partition("=")
+    if word[:2] == "-h":  # -h, -hh, ...; any other -hVALUE or -h=VALUE gives -h a value
+        value = word[2:].removeprefix("=")
+        name, equals = "--help", bool(value.strip("h")) or word == "-h="
+    found = [option for option in OPTIONS if option.startswith(name)] if name[:2] == "--" else ()
+    if len(found) == 1:
+        return found[0], value if equals else None
+    if word[1:] and word[0] == "-" and " " not in word and not re.match(r"-\d*\.?\d+$", word):
+        return None, None
+
+
+def parse_args(argv) -> dict:
+    """The options in ``argv`` by name; ``--load`` and ``--query`` give lists of values."""
+    def fail(message):
+        print(f"{USAGE}\nrholog: error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+    args = {option: [] for option in OPTIONS}
+    unknown = []
+    words = iter(argv)
+    for word in words:
+        option, value = _option(word) or (None, None)
+        if option is None:  # everything after -- is unknown too
+            unknown += [word, *words] if word == "--" else [word]
+            continue
+        metavar, least, _ = OPTIONS[option]
+        if metavar is None and value is not None:
+            fail(f"argument {option}: ignored explicit argument {value!r}")
+        if option == "--help":
+            print(USAGE, "", "options:", *(f"  {o} {m or ''}".ljust(18) + text
+                                           for o, (m, _, text) in OPTIONS.items()), sep="\n")
+            raise SystemExit(0)
+        if metavar is not None and value is None:
+            value = next(words, "--")  # the end of argv reads as an option
+            if value[:1] == "-" and _option(value):
+                fail(f"argument {option}: expected one argument")
+        try:
+            args[option].append(True if metavar is None else
+                                value if least is None else int(value))
+        except ValueError:
+            fail(f"argument {option}: invalid int value: {value!r}")
+    if unknown:
+        fail("unrecognized arguments: " + " ".join(unknown))
+    for option, (_, least, _) in OPTIONS.items():
+        if least is not None and args[option] and args[option][-1] < least:
+            fail(f"argument {option}: must be at least {least}")
+    return {o: v if o in ("--load", "--query") else (v or [None])[-1] for o, v in args.items()}
 
 
 def _from_file(path, parse):
@@ -75,47 +99,38 @@ def _from_file(path, parse):
     try:
         with open(path, encoding="utf-8") as handle:
             return parse(handle.read())
-    except OSError as exc:
-        raise RhoError(f"{path}: {exc.strerror}") from exc
-    except _CAUGHT as exc:
-        raise RhoError(f"{path}: {exc}") from exc
+    except (OSError, *_CAUGHT) as exc:
+        raise RhoError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _load_session(args):
-    clauses = [c for path in args.load for c in _from_file(path, parse_program).clauses]
+    clauses = [c for path in args["--load"] for c in _from_file(path, parse_program).clauses]
     try:
         db = load_program(SourceProgram(tuple(clauses)))
     except _CAUGHT:
         # clauses are checked in order, so the first file that does not load
         # on its own holds the clause that failed
-        for path in args.load:
+        for path in args["--load"]:
             _from_file(path, lambda text: load_program(parse_program(text)))
         raise
-    relation = ProximityRelation()
-    if args.prox:
-        relation = ProximityRelation(_from_file(args.prox, parse_proximity_decls))
-    return db, relation
+    prox = args["--prox"]
+    return db, ProximityRelation(_from_file(prox, parse_proximity_decls) if prox else ())
 
 
 def _answer_lines(query: Query, answer: Answer) -> list:
-    lines = []
-    if query.degree_var is not None:
-        lines.append(f"{query.degree_var} = {answer.degree:f},")
-    lines.append(f"{query.result_var} = {render_answer(answer)}")
-    return lines
+    degree = [] if query.degree_var is None else [f"{query.degree_var} = {answer.degree:f},"]
+    return degree + [f"{query.result_var} = {render_answer(answer)}"]
 
 
 def run_batch(queries, db, relation, config, limit=None) -> int:
     """Run queries to exhaustion (or to ``limit`` answers); 0 iff no errors."""
     status = 0
-    for text in queries:
-        print(f"?- {text.strip()}")
+    for text in map(str.strip, queries):
+        print(f"?- {text}")
         try:
             query = parse_query(text)
             for n, answer in enumerate(solve(db, query, relation, config), 1):
-                lines = _answer_lines(query, answer)
-                lines[-1] += " ;"
-                print("\n".join(lines))
+                print("\n".join(_answer_lines(query, answer)) + " ;")
                 if n == limit:
                     break
             else:
@@ -142,12 +157,7 @@ def run_repl(db, relation, config, limit) -> int:
         if line in ("halt.", "quit.", "exit."):
             return 0
         try:
-            query = parse_query(line)
-        except _CAUGHT as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            continue
-        try:
-            _repl_answers(query, db, relation, config, limit)
+            _repl_answers(parse_query(line), db, relation, config, limit)
         except _CAUGHT as exc:
             print(f"error: {exc}", file=sys.stderr)
 
@@ -155,14 +165,11 @@ def run_repl(db, relation, config, limit) -> int:
 def _repl_answers(query, db, relation, config, limit) -> None:
     for n, answer in enumerate(solve(db, query, relation, config), 1):
         print("\n".join(_answer_lines(query, answer)))
-        if n == limit:
-            print(".")
-            return
         try:
-            response = input("")
+            more = n != limit and input("").strip() == ";"
         except EOFError:
             return
-        if response.strip() != ";":
+        if not more:
             print(".")
             return
     print("false.")
@@ -174,22 +181,17 @@ def main(argv=None) -> int:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 20_000))
     try:
-        ap = build_arg_parser()
-        args = ap.parse_args(argv)
-        if args.answers is not None and args.answers < 1:
-            ap.error("argument --answers: must be at least 1")
-        if args.nf_limit is not None and args.nf_limit < 0:
-            ap.error("argument --nf-limit: must be at least 0")
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         try:
             db, relation = _load_session(args)
         except _CAUGHT as exc:
             print(f"load error: {exc}", file=sys.stderr)
             return 1
-        trace_sink = functools.partial(print, file=sys.stderr) if args.trace else None
-        config = EngineConfig(nf_step_limit=args.nf_limit, trace_sink=trace_sink)
-        if args.query:
-            return run_batch(args.query, db, relation, config, args.answers)
-        return run_repl(db, relation, config, args.answers)
+        trace_sink = functools.partial(print, file=sys.stderr) if args["--trace"] else None
+        config = EngineConfig(nf_step_limit=args["--nf-limit"], trace_sink=trace_sink)
+        if args["--query"]:
+            return run_batch(args["--query"], db, relation, config, args["--answers"])
+        return run_repl(db, relation, config, args["--answers"])
     finally:
         sys.setrecursionlimit(limit)
 

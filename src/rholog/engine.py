@@ -41,7 +41,6 @@ predicates: the numeric comparisons ``=<  <  >  >=``.
 from __future__ import annotations
 
 import itertools
-import logging
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -90,8 +89,6 @@ from .terms import (
     iter_vars,
     numeral_value,
 )
-
-log = logging.getLogger(__name__)
 
 BUILTIN_STRATEGIES = frozenset(
     {"id", "prox", "compose", "choice", "first_one", "first_all", "map", "nf"}
@@ -170,7 +167,8 @@ def _facts(clause, head):
             message = (f"variable {v!r} may be unbound when its literal is selected"
                        if k < len(clause.body) else
                        f"right-hand side variable {v!r} may never be bound")
-            log.warning("%s: %s", message, render_clause(clause))
+            import logging  # here, not at the top: only a lint pays for importing it
+            logging.getLogger(__name__).warning("%s: %s", message, render_clause(clause))
     occurring = dict.fromkeys(itertools.chain(rhs_vars, *(n + r for n, r in parts)))
     local_vars = tuple(v for v in occurring if v not in bound)
     return local_vars, at_most_one_matcher(head_vars), tuple(not n for n in unbound), guard

@@ -1,12 +1,15 @@
 import errno
 import io
 import os
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from rholog.cli import main
+import rholog
+from rholog.cli import main, parse_args
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -276,6 +279,14 @@ class TestBatch:
             "ordinal not in range(128)\n"
         )
 
+    def test_padded_query_errors_at_the_column_of_its_echo(self, capsys, monkeypatch):
+        query = "   ?(id :: a ==> s_X, R)"
+        message = "unexpected end of input at line 1, column 22 (expected '.')"
+        assert run(capsys, ["--query", query]) == (2, f"?- {query.strip()}\n\n",
+                                                   f"error: {message}\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(query + "\n"))
+        assert run(capsys, [])[2] == f"error: {message}\n"
+
     def test_trace_goes_to_stderr(self, capsys):
         code, out, err = run(capsys, [
             "--load", str(PROGRAMS / "sorting.rho"),
@@ -284,6 +295,83 @@ class TestBatch:
         ])
         assert code == 0
         assert "select:" in err
+
+
+REWRITING = str(PROGRAMS / "rewriting.rho")
+
+
+def first_rewrite_answers(n):
+    return f"?- {REWRITE_QUERY}\n" + "".join(a + " ;\n" for a in REWRITE_ANSWERS[:n]) + "\n"
+
+
+class TestCommandLine:
+    """How options are read: the forms, their order and their errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--answers=1", "--load", REWRITING, "--query", REWRITE_QUERY],
+        ["--ans", "1", "--load", REWRITING, "--query", REWRITE_QUERY],
+        ["--load=" + REWRITING, "--answers", "1", "--query", REWRITE_QUERY],
+    ])
+    def test_equals_and_prefix_forms(self, capsys, argv):
+        assert run(capsys, argv) == (0, first_rewrite_answers(1), "")
+
+    def test_query_before_load(self, capsys):
+        argv = ["--query", REWRITE_QUERY, "--answers", "2", "--load", REWRITING]
+        assert run(capsys, argv) == (0, first_rewrite_answers(2), "")
+
+    def test_last_prox_file_wins(self, capsys, tmp_path):
+        first, last = tmp_path / "first.prox", tmp_path / "last.prox"
+        first.write_text("prox(a, b, 0.5).\n", encoding="utf-8")
+        last.write_text("prox(a, b, 0.9).\n", encoding="utf-8")
+        query = "?(prox :: a ==> b, 0.1, Degree, Result)."
+        code, out, err = run(capsys, ["--prox", str(first), "--prox", str(last),
+                                      "--answers", "1", "--query", query])
+        assert (code, err) == (0, "")
+        assert out == f"?- {query}\nDegree = 0.9,\nResult = [] ;\n\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--answers", "x", "--query", REWRITE_QUERY], "argument --answers: invalid int value: 'x'"),
+        (["--query", REWRITE_QUERY, "--load"], "argument --load: expected one argument"),
+        (["--bogus", "--query", REWRITE_QUERY], "unrecognized arguments: --bogus"),
+        (["--trace=1", "--query", REWRITE_QUERY], "argument --trace: ignored explicit argument '1'"),
+    ])
+    def test_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
+
+    def test_help_lists_every_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["-h"])
+        out = capsys.readouterr().out
+        assert exit_.value.code == 0
+        for option in ["-h", "--help", "--load", "--prox", "--query", "--answers",
+                       "--nf-limit", "--trace"]:
+            assert option in out
+
+
+class TestStartUp:
+    """What answering the first query waits for besides the engine."""
+
+    def test_import_loads_neither_argparse_nor_logging(self):
+        src = Path(rholog.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, rholog.cli\n"
+             "print(sorted({'argparse', 'logging'} & set(sys.modules)))"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+    def test_many_queries_parse_in_linear_time_and_in_order(self):
+        queries = [f"?(id :: a{i} ==> s_X, R)." for i in range(20_000)]
+        argv = [word for query in queries for word in ("--query", query)]
+        start = time.perf_counter()
+        args = parse_args(argv)
+        assert time.perf_counter() - start < 1.0
+        assert args["--query"] == queries
 
 
 class TestRepl:

@@ -1,9 +1,11 @@
 """README's library example and batch transcript run as written, and the
-names it lists exist."""
+names and options it lists exist."""
 
 import re
 import shlex
 from pathlib import Path
+
+import pytest
 
 import rholog
 from rholog.cli import main
@@ -40,3 +42,14 @@ def test_lower_level_entry_points_exist():
     missing = [name for name in names
                if not hasattr(rholog, name) and not hasattr(rholog.Subst, name)]
     assert missing == []
+
+
+def test_help_prints_the_options_the_readme_lists(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    printed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+    start = README.index("## Command line\n")
+    section = README[start:README.index("\n## ", start)]
+    listed = re.findall(r"^\* (?:`-h`, )?`(--[a-z-]+)", section, re.M)
+    assert sorted(printed) == sorted(listed)
