@@ -94,24 +94,26 @@ def parse_args(argv) -> dict:
     return {o: v if o in ("--load", "--query") else (v or [None])[-1] for o, v in args.items()}
 
 
-def _from_file(path, parse):
-    """``parse`` of the text of the file ``path``; an error names the file."""
+def _from_file(path, parse, given=None):
+    """``parse`` of ``given``, or else of the text of the file ``path``; an error names it."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return parse(handle.read())
+        if given is None:
+            with open(path, encoding="utf-8") as handle:
+                given = handle.read()
+        return parse(given)
     except (OSError, *_CAUGHT) as exc:
         raise RhoError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _load_session(args):
-    clauses = [c for path in args["--load"] for c in _from_file(path, parse_program).clauses]
+    programs = [_from_file(path, parse_program) for path in args["--load"]]
     try:
-        db = load_program(SourceProgram(tuple(clauses)))
+        db = load_program(SourceProgram(tuple(c for p in programs for c in p.clauses)))
     except _CAUGHT:
-        # clauses are checked in order, so the first file that does not load
-        # on its own holds the clause that failed
-        for path in args["--load"]:
-            _from_file(path, lambda text: load_program(parse_program(text)))
+        # clauses are checked in order, so the first file whose clauses do not
+        # load on their own holds the clause that failed
+        for path, program in zip(args["--load"], programs):
+            _from_file(path, load_program, program)
         raise
     prox = args["--prox"]
     return db, ProximityRelation(_from_file(prox, parse_proximity_decls) if prox else ())

@@ -2,10 +2,12 @@
 
 Resolution is depth-first with leftmost selection: one loop over a goal
 list and a stack of choice points, the control of Warren's Abstract
-Machine without its term store. A choice point is an iterator of
-``(goals, answer, degree)`` states; a state with no goals is an answer.
-A lone clause whose head has at most one matcher, and a step whose
-pattern has at most one, leave no choice point behind.
+Machine without its term store. A selected goal gives an alternative
+``(goals, theta, degree)`` (goals to run first, the step's bindings, its
+degree), None, or a choice point: an iterator of alternatives. Only the
+loop builds states from them; a state with no goals is an answer. A lone
+clause whose head has at most one matcher, and a step whose pattern has
+at most one, leave no choice point behind.
 
 Selecting ``st :: s1 ==> s2`` requires ``st`` and ``s1`` to be ground, which
 is known at load (``_facts``). A clause ``st' :: s1' ==> s2' :- body`` whose
@@ -287,6 +289,10 @@ class _OneTerm:
     out: tuple
 
 
+_PASS = ((), None, ONE)  # the alternative of a step that binds nothing
+_SPENT = (iter(()), (), {}, ONE)  # what a soft cut leaves of a choice point
+
+
 @dataclass(frozen=True)
 class _Unready:
     """Machine-only goal: a goal flagged at load as not ground when selected."""
@@ -348,98 +354,95 @@ class _Solver:
         out = self._fresh_out()
         return (RhoAtom(strategy, lhs, out),) + barrier + (self._into(out, rhs),) + after
 
-    def _bound(self, theta, step_degree, rest, answer, degree):
-        """The state after a step that binds ``theta``: its bindings of query
-        variables join the answer, and the pending goals are instantiated."""
-        if theta:
-            kept = {v: x for v, x in theta.items() if v in self._keep}
-            if kept:
-                answer = {**answer, **kept}
-            rest = tuple(_instantiate(theta, goal) for goal in rest)
-        return rest, answer, min(degree, step_degree)
-
     # -- resolution ----------------------------------------------------------
 
     def run(self, literals) -> Iterator[tuple]:
-        """Depth-first resolution: one loop over a stack of choice points,
-        each an iterator of ``(goals, answer, degree)`` states."""
-        stack, state = [], (tuple(literals), {}, ONE)
+        """Depth-first resolution, the one place that builds a state. A choice
+        point is pushed as ``(alternatives, rest, answer, degree)``; an
+        alternative ``(goals, theta, degree)`` runs its goals before ``rest``,
+        which ``theta`` instantiates, adds ``theta``'s bindings of query
+        variables to the answer and keeps the lower of the two degrees."""
+        stack, goals, answer, degree = [], tuple(literals), {}, ONE
         while True:
-            while state is None:  # backtrack
+            if goals:
+                alt, rest = self._select(goals[0], stack), goals[1:]
+                if not (alt is None or isinstance(alt, tuple)):
+                    stack.append((alt, rest, answer, degree))
+                    alt = None
+            else:
+                yield answer, degree
+                alt = None
+            while alt is None:  # backtrack
                 if not stack:
                     return
-                state = next(stack[-1], None)
-                if state is None:
+                alts, rest, answer, degree = stack[-1]
+                alt = next(alts, None)
+                if alt is None:
                     stack.pop()
-            goals, answer, degree = state
-            if not goals:
-                yield answer, degree
-                state = None
-                continue
-            state = self._select(goals[0], goals[1:], answer, degree, stack)
-            if not (state is None or isinstance(state, tuple)):
-                stack.append(state)
-                state = None
+            body, theta, step = alt
+            if theta:
+                kept = {v: x for v, x in theta.items() if v in self._keep}
+                if kept:
+                    answer = {**answer, **kept}
+                rest = tuple(_instantiate(theta, goal) for goal in rest)
+            dead = body and isinstance(body[-1], _Cut) and body[-1].fail  # rest never runs
+            goals, degree = body if dead else body + rest, step if step < degree else degree
 
-    def _select(self, goal, rest, answer, degree, stack):
-        """What a selected goal leads to: one state, None for failure, or a
-        choice point (an iterator of states) to push on ``stack``."""
+    def _select(self, goal, stack):
+        """What a selected goal leads to: one alternative, None for failure,
+        or a choice point (an iterator of alternatives) to push on ``stack``."""
+        ready = not isinstance(goal, _Unready)
+        goal = goal if ready else goal.goal
         if isinstance(goal, _Into):
             goal = self._into(goal.sigma.apply_hedge(goal.clause_rhs), goal.rhs)
+        if not ready:
+            raise NonGroundRedexError(_Unready.messages[type(goal)] + render_literal(goal))
         if isinstance(goal, RhoAtom):
             if goal.positive:
-                return self._solve_rho(goal, rest, answer, degree, len(stack))
+                return self._solve_rho(goal, len(stack))
             positive = RhoAtom(goal.strategy, goal.lhs, goal.rhs, True)
         elif isinstance(goal, PredAtom):
-            return self._solve_pred(goal, rest, answer, degree)
+            return self._solve_pred(goal)
         elif isinstance(goal, _Cut):
             if goal.soft:
-                stack[goal.height] = iter(())
+                stack[goal.height] = _SPENT
             else:
                 del stack[goal.height:]
-            return None if goal.fail else (rest, answer, degree)
+            return None if goal.fail else _PASS
         elif isinstance(goal, _Nf):
             limit = self.cfg.nf_step_limit
             if limit is not None and goal.depth >= limit:
                 raise StepLimitError(f"nf exceeded the step limit of {limit}")
-            stack[goal.height] = iter(())
-            return self._nf(goal.lit, goal.depth + 1, rest, answer, degree, len(stack))
+            stack[goal.height] = _SPENT
+            return self._nf(goal.lit, goal.depth + 1, len(stack))
         elif isinstance(goal, _OneTerm):
             if len(goal.out) != 1:
                 raise NonTermResultError(
                     "map needs term-to-term strategies, got a result of length "
                     f"{len(goal.out)}"
                 )
-            return rest, answer, degree
+            return _PASS
         elif isinstance(goal, NotGoal):
             positive = goal.inner
-        elif isinstance(goal, _Unready):
-            goal = goal.goal
-            if isinstance(goal, _Into):
-                goal = self._into(goal.sigma.apply_hedge(goal.clause_rhs), goal.rhs)
-            raise NonGroundRedexError(_Unready.messages[type(goal)] + render_literal(goal))
         else:
             raise TypeError(f"not a literal: {goal!r}")
         # negation as failure: an answer of the positive form reaches a cut
-        # that drops this choice point, continuing state included, and fails
+        # that drops this choice point, continuing alternative included, and fails
         self._trace("negation", render_literal, goal)
-        return iter([
-            ((positive, _Cut(len(stack), fail=True)), answer, degree),
-            (rest, answer, degree),
-        ])
+        return iter([((positive, _Cut(len(stack), fail=True)), None, ONE), _PASS])
 
-    def _solve_rho(self, lit, rest, answer, degree, height):
+    def _solve_rho(self, lit, height):
         self._trace("select", render_literal, lit)
         name = lit.strategy.head.name
         if name in BUILTIN_STRATEGIES:
-            return self._builtin(name, lit, rest, answer, degree, height)
+            return self._builtin(name, lit, height)
         clauses = self.db.rho_for(name, lit.lhs)
         if clauses is None:
             raise UnknownStrategyError(f"unknown strategy: {name!r}")
         subject = (lit.strategy,) + lit.lhs
-        return self._resolve(clauses, subject, lit.rhs, rest, answer, degree)
+        return self._resolve(clauses, subject, lit.rhs)
 
-    def _solve_pred(self, lit, rest, answer, degree):
+    def _solve_pred(self, lit):
         self._trace("select", render_literal, lit)
         name = lit.head.name
         if name in COMPARISONS:
@@ -450,41 +453,39 @@ class _Solver:
                 raise NonNumericError(
                     f"{name} needs numeric constants: {render_literal(lit)}"
                 )
-            return (rest, answer, degree) if COMPARISONS[name](*values) else None
+            return _PASS if COMPARISONS[name](*values) else None
         clauses = self.db.preds_for(name, lit.args)
         if clauses is None:
             raise UnknownPredicateError(f"unknown predicate: {name!r}")
-        return self._resolve(clauses, lit.args, None, rest, answer, degree)
+        return self._resolve(clauses, lit.args, None)
 
-    def _resolve(self, clauses, subject, rhs, rest, answer, degree):
-        """A state per clause hit, in source order: the clause body, then for
-        a transformation clause the continuation ``C :: sigma(rhs') ==> rhs``."""
+    def _resolve(self, clauses, subject, rhs):
+        """An alternative per clause hit, in source order: the clause body, then
+        for a transformation clause the continuation ``C :: sigma(rhs') ==> rhs``."""
 
         def hits():
             for _, clause, head, (local_vars, _, ready, guard) in clauses:
                 for sigma in match_hedge(head, subject, _checked=True):
                     self._trace("clause", render_clause, clause)
                     sigma = self._with_fresh_locals(sigma, local_vars)
-                    start, step = 0, degree
-                    if guard is not None:
-                        tested = self._guard(guard, sigma, answer, degree)
-                        if tested is None:
-                            continue
-                        start, step = tested
+                    tested = (0, ONE) if guard is None else self._guard(guard, sigma)
+                    if tested is None:
+                        continue
+                    start, step = tested
                     body = tuple(apply_to_literal(sigma, b) for b in clause.body[start:])
                     if rhs is not None:
                         body += (_Into(sigma, local_vars, clause.rhs, rhs),)
                     if False in ready:
                         flags = ready[start:]
                         body = tuple(g if ok else _Unready(g) for g, ok in zip(body, flags))
-                    yield body + rest, answer, step
+                    yield body, None, step
 
         return next(hits(), None) if len(clauses) == 1 and clauses[0][3][1] else hits()
 
-    def _guard(self, lit, sigma, answer, degree):
+    def _guard(self, lit, sigma):
         """Test a hit's guard ``lit`` as selecting it would, instantiating only the
         guard: the body literals it used up (0 if an ``f_`` head names no
-        comparison) and the degree after it, or None if it fails."""
+        comparison) and the degree of its step, or None if it fails."""
         negated = isinstance(lit, NotGoal)
         call = lit.inner if negated else lit
         if isinstance(call, RhoAtom):
@@ -493,15 +494,15 @@ class _Solver:
             if self.cfg.trace_sink is not None:
                 self._trace("select", render_literal, RhoAtom(st, lhs, rhs))
             matched = next(self._step_matchers(st.head.name, st.args, lhs, rhs), None)
-            return None if matched is None else (1, min(degree, matched[1]))
+            return None if matched is None else (1, matched[1])
         head = sigma.apply_head(call.head)
         if head.name not in COMPARISONS:
-            return 0, degree
+            return 0, ONE
         call = PredAtom(head, sigma.apply_hedge(call.args))
         if negated:
             self._trace("negation", render_literal, NotGoal(call))
-        failed = self._solve_pred(call, (), answer, degree) is None
-        return (1, degree) if failed == negated else None
+        failed = self._solve_pred(call) is None
+        return (1, ONE) if failed == negated else None
 
     # -- builtin strategies ----------------------------------------------------
 
@@ -522,13 +523,10 @@ class _Solver:
             mu = self.lam if self.lam is not None else ONE
         return scored_match_hedge(rhs, lhs, self.rel.degree, mu, _checked=True)
 
-    def _builtin(self, name, lit, rest, answer, degree, height):
+    def _builtin(self, name, lit, height):
         args, lhs, rhs = lit.strategy.args, lit.lhs, lit.rhs
         if name in ("id", "prox"):
-            steps = (
-                self._bound(theta, d, rest, answer, degree)
-                for theta, d in self._step_matchers(name, args, lhs, rhs)
-            )
+            steps = (((), theta, d) for theta, d in self._step_matchers(name, args, lhs, rhs))
             return next(steps, None) if at_most_one_matcher(iter_vars(rhs)) else steps
         if name == "compose":
             if len(args) < 2:
@@ -538,7 +536,7 @@ class _Solver:
                 out = self._fresh_out()
                 goals += (RhoAtom(st, source, out),)
                 source = out
-            return goals + (self._into(source, rhs),) + rest, answer, degree
+            return goals + (self._into(source, rhs),), None, ONE
         if name in ("choice", "first_one", "first_all"):
             if not args:
                 raise ArityError(f"{name} takes at least one strategy")
@@ -546,10 +544,7 @@ class _Solver:
             # first_all every output of the first strategy that has one
             cut = () if name == "choice" else (_Cut(height, soft=name == "first_all"),)
             after = cut if name == "first_one" else ()
-            return (
-                (self._through(st, lhs, rhs, cut, after) + rest, answer, degree)
-                for st in args
-            )
+            return ((self._through(st, lhs, rhs, cut, after), None, ONE) for st in args)
         if name == "map":
             if len(args) != 1:
                 raise ArityError("map takes exactly one strategy")
@@ -558,21 +553,21 @@ class _Solver:
                 out = self._fresh_out()
                 goals += (RhoAtom(args[0], (item,), out), _OneTerm(out))
                 outs += out
-            return goals + (self._into(outs, rhs),) + rest, answer, degree
+            return goals + (self._into(outs, rhs),), None, ONE
         if name == "nf":
             if len(args) != 1:
                 raise ArityError("nf takes exactly one strategy")
-            return self._nf(lit, 0, rest, answer, degree, height)
+            return self._nf(lit, 0, height)
         raise AssertionError(name)
 
-    def _nf(self, lit, depth, rest, answer, degree, height):
+    def _nf(self, lit, depth, height):
         """Choice point of nf step ``depth``: go on from every output of the
         step, or, if it has none, match the input against the rhs."""
         out = self._fresh_out()
         step = RhoAtom(lit.strategy.args[0], lit.lhs, out)
         following = _Nf(RhoAtom(lit.strategy, out, lit.rhs), depth, height)
-        yield (step, following) + rest, answer, degree
-        yield (self._into(lit.lhs, lit.rhs),) + rest, answer, degree
+        yield (step, following), None, ONE
+        yield (self._into(lit.lhs, lit.rhs),), None, ONE
 
 
 def _instantiate(theta, goal):
@@ -604,25 +599,22 @@ def solve(db: ClauseDB, query: Query, relation=None, config=None) -> Iterator[An
 
     Answers carry the bindings of the query variables and the derivation
     degree (1 in exact mode). In threshold mode, answers whose degree
-    falls below the query threshold are dropped. A goal that contains
-    ``hole`` raises ``HoleInGoalError`` when the first answer is asked for.
+    falls below the query threshold are dropped. Every error of the query,
+    such as a threshold out of range or a goal that contains ``hole``, is
+    raised by the answer stream, when the first answer is asked for.
     ``itertools.islice(solve(...), n)`` searches for the first n answers only.
     """
     parts = [_literal_parts(lit) for lit in query.goal]
     order = tuple(dict.fromkeys(v for needed, rest in parts for v in needed + rest))
     solver = _Solver(db, relation, config, query.threshold, order)
-
-    def answers():
-        for lit in query.goal:
-            if literal_hole_count(lit):
-                raise HoleInGoalError(
-                    f"hole is not allowed in goals: {render_literal(lit)}"
-                )
-        unbound = _unbound_when_selected((), query.goal, parts)
-        goals = [_Unready(lit) if names else lit for lit, names in zip(query.goal, unbound)]
-        for bindings, degree in solver.run(goals):
-            if query.threshold is not None and degree < query.threshold:
-                continue
-            yield Answer(Subst(bindings, _checked=True).restrict(order), degree)
-
-    return answers()
+    for lit in query.goal:
+        if literal_hole_count(lit):
+            raise HoleInGoalError(
+                f"hole is not allowed in goals: {render_literal(lit)}"
+            )
+    unbound = _unbound_when_selected((), query.goal, parts)
+    goals = [_Unready(lit) if names else lit for lit, names in zip(query.goal, unbound)]
+    for bindings, degree in solver.run(goals):
+        if query.threshold is not None and degree < query.threshold:
+            continue
+        yield Answer(Subst(bindings, _checked=True).restrict(order), degree)

@@ -202,6 +202,23 @@ class TestBatch:
         assert code == 1
         assert err == f"load error: {bad}: strategy 'id' shadows a builtin strategy\n"
 
+    def test_a_load_error_opens_each_program_file_once(self, capsys, tmp_path, monkeypatch):
+        # so a pipe or a FIFO, which can be read only once, is named too
+        good, bad = tmp_path / "good.rho", tmp_path / "bad.rho"
+        good.write_text("st :: a ==> b.\n", encoding="utf-8")
+        bad.write_text("st :: hole ==> a.\n", encoding="utf-8")
+        opened = []
+
+        def counted_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(rholog.cli, "open", counted_open, raising=False)
+        code, out, err = run(capsys, ["--load", str(good), "--load", str(bad)])
+        assert code == 1
+        assert err == f"load error: {bad}: hole is not allowed in clauses: st :: hole ==> a.\n"
+        assert opened == [str(good), str(bad)]
+
     def test_load_error_names_the_proximity_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.prox"
         bad.write_text("prox(a, b, 0.5).\nprox(a, c, 1.5).\n", encoding="utf-8")

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -686,6 +687,40 @@ class TestMachine:
         assert int(limit) < 1500
         assert got.strip() == "['[s_X ---> b]']"
 
+    def test_memory_of_an_nf_chain_grows_linearly(self):
+        # each nf step soft-cuts the step before; a cut choice point that stayed
+        # alive would hold its step's O(n) sequence, a quadratic peak in all
+        db = db_of("dec :: (a, s_X) ==> (s_X).")
+
+        def peak(n):
+            items = ",".join(["a"] * n + ["b"])
+            query = parse_query(f"?(nf(dec) :: ({items}) ==> s_X, Result).")
+            tracemalloc.start()
+            try:
+                assert [render_answer(a) for a in solve(db, query)] == ["[s_X ---> b]"]
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2000)  # the first run also interns the fresh names
+        assert peak(2000) < 3 * peak(1000)
+
+    def test_a_negated_goal_instantiates_no_goal_after_it(self, monkeypatch):
+        # the positive form's steps bind only its own fresh names, and the
+        # goals after the negation run only if it has no answer
+        instantiated = []
+        apply = rholog.engine.apply_to_literal
+
+        def counted(subst, lit):
+            instantiated.append(lit)
+            return apply(subst, lit)
+
+        monkeypatch.setattr(rholog.engine, "apply_to_literal", counted)
+        query = "?(not(compose(id, id, id) :: a ==> b), id :: c ==> s_Y, Result)."
+        assert results(query) == [("[s_Y ---> c]", D(1))]
+        assert instantiated  # the positive form's own steps
+        assert RhoAtom(atom("id"), (T("c"),), (SeqVar("s_Y"),)) not in instantiated
+
     def test_first_answer_tries_no_clause_of_a_later_choice(self, monkeypatch):
         heads = []
         original = rholog.engine.match_hedge
@@ -723,6 +758,12 @@ class TestHolesInGoals:
     def test_hole_in_a_goal_is_an_error_of_the_answer_stream(self, query):
         stream = solve(db_of(), parse_query(query))
         with pytest.raises(HoleInGoalError, match="hole is not allowed in goals"):
+            next(stream)
+
+    def test_threshold_out_of_range_is_an_error_of_the_answer_stream(self):
+        goal = parse_query("?(id :: a ==> a, Result).").goal
+        stream = solve(db_of(), Query(goal, threshold=Decimal(2)))
+        with pytest.raises(ThresholdRangeError, match="threshold must be in"):
             next(stream)
 
 
