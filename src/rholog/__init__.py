@@ -13,7 +13,6 @@ Typical use::
 
 from .engine import (
     Answer,
-    BUILTIN_STRATEGIES,
     ClauseDB,
     EngineConfig,
     load_program,
@@ -24,6 +23,7 @@ from .errors import (
     DegreeRangeError,
     DuplicateBuiltinError,
     HoleInGoalError,
+    InvalidValueError,
     KindMismatchError,
     LoadError,
     NonGroundRedexError,
@@ -48,7 +48,6 @@ from .parser import (
 )
 from .printer import (
     render_answer,
-    render_bindings,
     render_clause,
     render_program,
     render_query,
@@ -65,31 +64,24 @@ from .program import (
     StrategyAbbrev,
 )
 from .proximity import (
-    DegreedMatcher,
     ProximityRelation,
     hedge_proximity,
     prox_match_hedge,
-    term_proximity,
 )
 from .terms import (
-    EMPTY_SUBST,
     HOLE,
     Compound,
     CtxApply,
     CtxVar,
     FunVar,
-    Hole,
     IndVar,
     SeqVar,
     Subst,
     Sym,
     apply_context,
     atom,
-    free_vars,
     hole_count,
     is_ground,
-    mk,
-    seq,
 )
 
 __version__ = "0.1.0"

@@ -5,6 +5,11 @@ class RhoError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidValueError(RhoError, ValueError):
+    """Argument that is refused: a malformed name, a non-ground subject, a
+    pattern with a hole, or a context without one."""
+
+
 class ParseError(RhoError):
     """Syntax error, with source position and the expected-token set."""
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 from decimal import Decimal
 from typing import Callable, Iterator
 
+from .errors import InvalidValueError
 from .terms import (
     HOLE,
     Compound,
@@ -81,11 +82,11 @@ def at_most_one_matcher(pattern_vars) -> bool:
 
 def _check_inputs(pattern, subject) -> None:
     if hole_count(pattern) != 0:
-        raise ValueError("pattern must be hole-free")
+        raise InvalidValueError("pattern must be hole-free")
     if not is_ground(subject):
-        raise ValueError("subject must be ground")
+        raise InvalidValueError("subject must be ground")
     if hole_count(subject) != 0:
-        raise ValueError("subject must be hole-free")
+        raise InvalidValueError("subject must be hole-free")
 
 
 def scored_match_hedge(

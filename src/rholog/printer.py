@@ -17,23 +17,19 @@ from .program import (
     SourceProgram,
     StrategyAbbrev,
 )
-from .terms import Subst, Sym, render_sequence
+from .terms import Sym, render_sequence
 
 BINDING_ARROW = "--->"
 
 
-def render_bindings(subst: Subst) -> str:
-    """``[v ---> value, ...]`` in ``subst``'s order, each value as ``Subst``'s
-    ``repr`` shows it."""
+def render_answer(answer) -> str:
+    """``[v ---> value, ...]`` in the order of ``answer.bindings``, each value
+    as ``Subst``'s ``repr`` shows it."""
     inner = ", ".join(
         f"{v!r} {BINDING_ARROW} {render_sequence(b)}"
-        for v, b in subst.items()
+        for v, b in answer.bindings.items()
     )
     return "[" + inner + "]"
-
-
-def render_answer(answer) -> str:
-    return render_bindings(answer.bindings)
 
 
 def render_literal(lit) -> str:

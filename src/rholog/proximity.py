@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Iterable, Iterator
 
-from .errors import DegreeRangeError, ThresholdRangeError
+from .errors import DegreeRangeError, InvalidValueError, ThresholdRangeError
 from .matching import ONE, ZERO, scored_match_hedge
 from .terms import Subst, Sym, hole_count, is_ground
 
@@ -50,9 +50,6 @@ class ProximityRelation:
 
     def pairs(self):
         return {(a.name, b.name): d for (a, b), d in self._degrees.items() if a.name < b.name}
-
-    def __len__(self) -> int:
-        return len(self._degrees) // 2
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{a}~{b}:{d}" for (a, b), d in sorted(self.pairs().items()))
@@ -102,15 +99,10 @@ def prox_match_hedge(rel, pattern, subject, threshold) -> Iterator[DegreedMatche
         yield DegreedMatcher(subst, degree)
 
 
-def term_proximity(rel, t1, t2) -> Decimal:
-    """Proximity degree of two ground, hole-free terms."""
-    return hedge_proximity(rel, (t1,), (t2,))
-
-
 def hedge_proximity(rel, h1, h2) -> Decimal:
     """Proximity degree of two ground, hole-free sequences: the degree of
     the one matcher of ``h1`` against ``h2``, or 0 if there is none."""
     for h in (h1, h2):
         if not is_ground(h) or hole_count(h) != 0:
-            raise ValueError("proximity is defined on ground, hole-free terms and hedges")
+            raise InvalidValueError("proximity is defined on ground, hole-free terms and hedges")
     return next(scored_match_hedge(h1, h2, rel.degree, ZERO), (None, ZERO))[1]

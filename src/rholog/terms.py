@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterator, Union
 
-from .errors import KindMismatchError
+from .errors import InvalidValueError, KindMismatchError
 
 VAR_PREFIXES = ("i_", "s_", "f_", "c_")
 RESERVED_NAMES = frozenset({"hole", "eps"})
@@ -68,11 +68,11 @@ class Sym(_Atom):
     @staticmethod
     def _validate(name) -> None:
         if not name:
-            raise ValueError("symbol name must be nonempty")
+            raise InvalidValueError("symbol name must be nonempty")
         if name in RESERVED_NAMES:
-            raise ValueError(f"{name!r} is a reserved word")
+            raise InvalidValueError(f"{name!r} is a reserved word")
         if name.startswith(VAR_PREFIXES):
-            raise ValueError(f"symbol name {name!r} starts with a variable prefix")
+            raise InvalidValueError(f"symbol name {name!r} starts with a variable prefix")
 
 
 class Var(_Atom):
@@ -83,7 +83,7 @@ class Var(_Atom):
     @classmethod
     def _validate(cls, name) -> None:
         if not name.startswith(cls.prefix) or len(name) <= len(cls.prefix):
-            raise ValueError(f"variable name {name!r} must be {cls.prefix}<base>")
+            raise InvalidValueError(f"variable name {name!r} must be {cls.prefix}<base>")
 
 
 class IndVar(Var):
@@ -177,10 +177,6 @@ def atom(name: str) -> Compound:
     return Compound(Sym(name))
 
 
-def mk(name: str, *args) -> Compound:
-    return Compound(Sym(name), seq(*args))
-
-
 _NUMERAL = re.compile(r"\d+(\.\d+)?$")
 
 
@@ -190,17 +186,6 @@ def numeral_value(t) -> Decimal | None:
         if _NUMERAL.match(t.head.name):
             return Decimal(t.head.name)
     return None
-
-
-def seq(*items) -> tuple:
-    """Build a flat hedge; nested tuples are spliced in place."""
-    out = []
-    for it in items:
-        if isinstance(it, tuple):
-            out.extend(it)
-        else:
-            out.append(it)
-    return tuple(out)
 
 
 def render_sequence(h) -> str:
@@ -236,11 +221,6 @@ def iter_vars(x) -> Iterator[Var]:
         # Sym and Hole contain no variables
 
 
-def free_vars(x) -> tuple:
-    """Distinct variables of ``x`` in order of first occurrence."""
-    return tuple(dict.fromkeys(iter_vars(x)))
-
-
 def is_ground(x) -> bool:
     if isinstance(x, tuple):
         return all(map(is_ground, x))
@@ -272,7 +252,7 @@ def apply_context(ctx: Term, t: Term) -> Term:
                 return Compound(ctx.head, ctx.args[:i] + (plugged,) + ctx.args[i + 1:])
     if isinstance(ctx, CtxApply):
         return CtxApply(ctx.var, apply_context(ctx.arg, t))
-    raise ValueError(f"not a context (no hole): {ctx!r}")
+    raise InvalidValueError(f"not a context (no hole): {ctx!r}")
 
 
 def _check_binding(var, value) -> None:
@@ -377,12 +357,6 @@ class Subst:
                 out.append(self.apply_term(item))
         return tuple(out)
 
-    def __contains__(self, var) -> bool:
-        return var in self._map
-
-    def __len__(self) -> int:
-        return len(self._map)
-
     def __bool__(self) -> bool:
         return bool(self._map)
 
@@ -399,5 +373,3 @@ class Subst:
         )
         return "{" + inner + "}"
 
-
-EMPTY_SUBST = Subst()

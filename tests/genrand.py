@@ -18,16 +18,25 @@ from rholog import (
     Subst,
     Sym,
     atom,
-    free_vars,
-    mk,
 )
 from rholog.proximity import ProximityRelation
+from rholog.terms import iter_vars
 
 SYMS = ("a", "b", "c", "f", "g")
 
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def mk(name, *args):
+    """The compound ``name(arg,...,arg)``."""
+    return Compound(Sym(name), args)
+
+
+def free_vars(x):
+    """Distinct variables of ``x`` in order of first occurrence."""
+    return tuple(dict.fromkeys(iter_vars(x)))
 
 
 def ground_term(rng, depth=2):

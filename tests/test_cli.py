@@ -140,6 +140,16 @@ class TestBatch:
                        "?- ?(nf(id) :: a ==> s_X, Result).\n\n")
         assert err == "error: nf exceeded the step limit of 0\n"
 
+    def test_nf_limit_n_allows_exactly_n_steps(self, capsys, tmp_path):
+        program = tmp_path / "dec.rho"
+        program.write_text("dec :: (a, s_X) ==> (s_X).\n", encoding="utf-8")
+        query = "?(nf(dec) :: (a,a,a) ==> s_X, Result)."
+        argv = ["--load", str(program), "--query", query, "--nf-limit"]
+        assert run(capsys, argv + ["3"]) == (
+            0, f"?- {query}\nResult = [s_X ---> eps] ;\nfalse.\n\n", "")
+        assert run(capsys, argv + ["2"]) == (
+            2, f"?- {query}\n\n", "error: nf exceeded the step limit of 2\n")
+
     def test_empty_query_list_runs_nothing(self, capsys):
         from rholog.cli import run_batch
         from rholog.engine import ClauseDB, EngineConfig

@@ -302,6 +302,14 @@ class TestNormalForm:
         with pytest.raises(StepLimitError):
             answers("?(nf(st) :: a ==> s_X, Result).", program, config=config)
 
+    def test_step_limit_allows_exactly_that_many_steps(self):
+        program = "dec :: (a, s_X) ==> (s_X).\n"
+        query = "?(nf(dec) :: (a,a,a) ==> s_X, Result)."
+        got = results(query, program, config=EngineConfig(nf_step_limit=3))
+        assert got == [("[s_X ---> eps]", D(1))]
+        with pytest.raises(StepLimitError, match="step limit of 2"):
+            answers(query, program, config=EngineConfig(nf_step_limit=2))
+
     def test_nf_arity(self):
         with pytest.raises(ArityError):
             answers("?(nf :: a ==> s_X, Result).")
@@ -400,6 +408,12 @@ class TestResolution:
             seen += 1
         assert seen == 2
 
+    def test_an_answer_keeps_the_bindings_of_every_step(self):
+        # the first goal binds i_X, the second i_Y
+        program = "st :: a ==> b.\nst :: b ==> c.\n"
+        got = results("?(st :: a ==> i_X, st :: i_X ==> i_Y, Result).", program)
+        assert got == [("[i_X ---> b, i_Y ---> c]", D(1))]
+
     def test_exact_mode_degree_is_one(self):
         program = "st :: a ==> b.\n"
         assert all(d == D(1) for _, d in results("?(st :: a ==> i_X, Result).", program))
@@ -439,6 +453,12 @@ class TestProximityMode:
         assert answers("?(p :: (a,b) ==> s_R, 0.7, Degree, Result).", program, REL) == []
         got = results("?(p :: (a,b) ==> s_R, 0.5, Degree, Result).", program, REL)
         assert got == [("[s_R ---> ok]", D("0.6"))]
+
+    def test_threshold_zero_matches_no_unrelated_symbol(self):
+        rel = ProximityRelation([("a", "b", D("0.5"))])
+        assert answers("?(prox :: a ==> c, 0, Degree, Result).", rel=rel) == []
+        got = results("?(prox :: a ==> b, 0, Degree, Result).", rel=rel)
+        assert got == [("[]", D("0.5"))]
 
     def test_degree_is_minimum_over_derivation(self):
         program = (

@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import pytest
 
 from rholog import (
@@ -6,6 +8,7 @@ from rholog import (
     CtxVar,
     FunVar,
     IndVar,
+    ProximityRelation,
     SeqVar,
     Subst,
     Sym,
@@ -136,6 +139,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             list(scored_match_hedge(H(pattern), H(subject)))
 
+    def test_a_floor_of_zero_prunes_an_unrelated_symbol_pair(self):
+        rel = ProximityRelation([("a", "b", Decimal("0.5"))])
+        zero = Decimal(0)
+        assert list(scored_match_hedge(H("c"), H("a"), rel.degree, zero)) == []
+        assert list(scored_match_hedge(H("b"), H("a"), rel.degree, zero)) == [
+            (Subst(), Decimal("0.5"))
+        ]
+
 
 class TestProperties:
     def test_soundness_on_random_patterns(self):
@@ -239,7 +250,7 @@ class TestDefaultRecursionLimit:
             "pattern = tuple(IndVar(f'i_X{k}') for k in range(5000))\n"
             "subject = tuple(atom(f'a{k}') for k in range(5000))\n"
             "found = list(match_hedge(pattern, subject))\n"
-            "print(sys.getrecursionlimit(), len(found), len(found[0]),\n"
+            "print(sys.getrecursionlimit(), len(found), len(found[0].items()),\n"
             "      found[0].get(IndVar('i_X4999')))\n"
         )
         assert out.split()[1:] == ["1", "5000", "a4999"]

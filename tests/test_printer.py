@@ -9,13 +9,17 @@ from rholog import (
     parse_query,
     parse_sequence,
     parse_term,
-    render_bindings,
     render_program,
     render_query,
     render_sequence,
 )
 from rholog.engine import Answer
 from rholog.printer import render_answer, render_literal
+
+
+def render_bindings(subst):
+    """An answer of ``subst`` at degree 1, rendered."""
+    return render_answer(Answer(subst, Decimal(1)))
 
 
 def test_sequence_rendering():

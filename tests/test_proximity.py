@@ -4,13 +4,13 @@ import pytest
 
 from rholog import (
     ProximityRelation,
+    Subst,
     Sym,
     hedge_proximity,
     match_hedge,
     parse_sequence,
     parse_term,
     prox_match_hedge,
-    term_proximity,
 )
 from rholog.errors import DegreeRangeError, ThresholdRangeError
 from rholog.proximity import check_threshold
@@ -69,19 +69,19 @@ class TestRelation:
 
 class TestTermProximity:
     def test_identical_terms(self, rel):
-        assert term_proximity(rel, T("f(a)"), T("f(a)")) == 1
+        assert hedge_proximity(rel, (T("f(a)"),), (T("f(a)"),)) == 1
 
     def test_symbol_pair(self, rel):
-        assert term_proximity(rel, T("b"), T("c")) == D("0.8")
+        assert hedge_proximity(rel, (T("b"),), (T("c"),)) == D("0.8")
 
     def test_minimum_over_positions(self, rel):
-        got = term_proximity(rel, T("f(a,b)"), T("f(b,c)"))
+        got = hedge_proximity(rel, (T("f(a,b)"),), (T("f(b,c)"),))
         assert got == D("0.6")
         assert got == min_fold_proximity(rel, H("(f(a,b))"), H("(f(b,c))"))
 
     def test_arity_mismatch_is_zero(self, rel):
-        assert term_proximity(rel, T("f(a)"), T("f(a,a)")) == 0
-        assert term_proximity(rel, T("a"), T("f(a)")) == 0
+        assert hedge_proximity(rel, (T("f(a)"),), (T("f(a,a)"),)) == 0
+        assert hedge_proximity(rel, (T("a"),), (T("f(a)"),)) == 0
 
     def test_symmetry_on_random_terms(self):
         rng = make_rng(31)
@@ -98,7 +98,7 @@ class TestTermProximity:
 
     def test_requires_ground_terms(self, rel):
         with pytest.raises(ValueError):
-            term_proximity(rel, T("i_X"), T("a"))
+            hedge_proximity(rel, (T("i_X"),), (T("a"),))
 
     @pytest.mark.parametrize("h1, h2", [("(hole)", "(a)"), ("(a)", "(s_Y)")])
     def test_hedge_proximity_requires_ground_hole_free_hedges(self, rel, h1, h2):
@@ -120,7 +120,7 @@ class TestProxMatch:
     def test_exact_match_of_itself(self, rel):
         subject = H("(f(a), b)")
         got = list(prox_match_hedge(rel, subject, subject, D(1)))
-        assert [(len(m.subst), m.degree) for m in got] == [(0, D(1))]
+        assert [(m.subst, m.degree) for m in got] == [(Subst(), D(1))]
 
     def test_segment_alternatives_carry_degrees(self, rel):
         got = list(prox_match_hedge(rel, H("(s_X, b, s_Y)"), H("(a, c)"), D("0.5")))

@@ -6,29 +6,31 @@ import uuid
 import pytest
 
 from rholog import (
-    EMPTY_SUBST,
     HOLE,
     Compound,
     CtxApply,
     CtxVar,
     FunVar,
     IndVar,
+    ProximityRelation,
+    RhoError,
     SeqVar,
     Subst,
     Sym,
     apply_context,
-    free_vars,
+    hedge_proximity,
     hole_count,
     is_ground,
+    match_hedge,
     parse_sequence,
     parse_term,
-    seq,
 )
-from rholog.errors import KindMismatchError
+from rholog.errors import InvalidValueError, KindMismatchError
 from rholog.program import NotGoal, RhoAtom
 from rholog.terms import iter_vars
 
 from tests.genrand import (
+    free_vars,
     ground_context,
     ground_subst_for,
     ground_term,
@@ -88,7 +90,7 @@ class TestApplySubst:
         rng = make_rng(7)
         for _ in range(100):
             pattern = pattern_hedge(rng)
-            assert EMPTY_SUBST.apply_hedge(pattern) == pattern
+            assert Subst().apply_hedge(pattern) == pattern
 
     def test_function_variable_head(self):
         sigma = Subst({FunVar("f_F"): Sym("g")})
@@ -125,10 +127,6 @@ class TestStructure:
         assert hole_count(T("f(hole,g(a))")) == 1
         assert hole_count(T("f(a)")) == 0
         assert hole_count(H("(hole, f(hole))")) == 2
-
-    def test_seq_flattening_is_associative(self):
-        a, b, c = T("a"), T("b"), T("c")
-        assert seq(seq(a, b), c) == seq(a, seq(b, c)) == (a, b, c)
 
     def test_numerals_are_constants(self):
         assert T("3") == Compound(Sym("3"))
@@ -174,9 +172,9 @@ class TestValidation:
                 Subst({var: value})
 
     def test_identity_bindings_normalize_away(self):
-        assert Subst({IndVar("i_X"): IndVar("i_X")}) == EMPTY_SUBST
-        assert Subst({SeqVar("s_X"): (SeqVar("s_X"),)}) == EMPTY_SUBST
-        assert Subst({CtxVar("c_X"): CtxApply(CtxVar("c_X"), HOLE)}) == EMPTY_SUBST
+        assert Subst({IndVar("i_X"): IndVar("i_X")}) == Subst()
+        assert Subst({SeqVar("s_X"): (SeqVar("s_X"),)}) == Subst()
+        assert Subst({CtxVar("c_X"): CtxApply(CtxVar("c_X"), HOLE)}) == Subst()
 
     def test_bind_normalizes_identity(self):
         # An identity binding beside real ones is dropped; the others stay.
@@ -189,7 +187,27 @@ class TestValidation:
         sigma = Subst({IndVar("i_X"): T("f(a)"), SeqVar("s_E"): (),
                        SeqVar("s_One"): H("(g(b))"), SeqVar("s_Three"): H("(a,f(b),c)")})
         assert repr(sigma) == "{i_X -> f(a), s_E -> eps, s_One -> g(b), s_Three -> (a,f(b),c)}"
-        assert repr(EMPTY_SUBST) == "{}"
+        assert repr(Subst()) == "{}"
+
+
+REFUSED_VALUES = {
+    "empty symbol name": lambda: Sym(""),
+    "reserved symbol name": lambda: Sym("eps"),
+    "symbol with a variable prefix": lambda: Sym("s_X"),
+    "variable without a base": lambda: SeqVar("s_"),
+    "context without a hole": lambda: apply_context(T("f(a)"), T("b")),
+    "pattern with a hole": lambda: list(match_hedge(H("(hole)"), H("(a)"))),
+    "subject with a variable": lambda: list(match_hedge(H("(i_X)"), H("(s_Y)"))),
+    "subject with a hole": lambda: list(match_hedge(H("(i_X)"), H("(hole)"))),
+    "proximity of a variable": lambda: hedge_proximity(ProximityRelation(), H("(i_X)"), H("(a)")),
+}
+
+
+@pytest.mark.parametrize("refuse", REFUSED_VALUES.values(), ids=REFUSED_VALUES)
+def test_a_refused_value_is_a_rho_error_and_a_value_error(refuse):
+    with pytest.raises(InvalidValueError) as raised:
+        refuse()
+    assert isinstance(raised.value, RhoError) and isinstance(raised.value, ValueError)
 
 
 def _ref_holes(x):
@@ -330,8 +348,10 @@ class TestIterVars:
             "for _ in range(10_000):\n"
             "    t = Compound(Sym('f'), (t,))\n"
             "body = (RhoAtom(atom('id'), (t,), (SeqVar('s_Y'),)),)\n"
-            "clause = RhoClause(atom('st'), (t,), (mk('g', SeqVar('s_Y')), t), body)\n"
-            "print(list(iter_vars(clause.lhs)), free_vars((t, mk('g', t, IndVar('i_Z')))))\n"
+            "g = Sym('g')\n"
+            "clause = RhoClause(atom('st'), (t,), (Compound(g, (SeqVar('s_Y'),)), t), body)\n"
+            "print(list(iter_vars(clause.lhs)),\n"
+            "      tuple(dict.fromkeys(iter_vars((t, Compound(g, (t, IndVar('i_Z'))))))))\n"
             "db = load_program(SourceProgram((clause,)))\n"
             "print(db.rho_for('st', (atom('f'),))[0][3][:3])\n"
         )
