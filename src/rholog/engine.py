@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Iterator
 
@@ -82,6 +81,7 @@ from .terms import (
     CtxApply,
     CtxVar,
     FunVar,
+    Record,
     SeqVar,
     Subst,
     Sym,
@@ -100,18 +100,23 @@ COMPARISONS: dict[str, Callable] = {
     "=<": operator.le, "<": operator.lt, ">": operator.gt, ">=": operator.ge
 }
 
-@dataclass
 class EngineConfig:
-    nf_step_limit: int | None = None
-    trace_sink: Callable[[str], None] | None = None  # gets each trace line; None: off
+    __slots__ = ("nf_step_limit", "trace_sink")  # trace_sink gets each trace line; None: off
+
+    def __init__(self, nf_step_limit: int | None = None,
+                 trace_sink: Callable[[str], None] | None = None):
+        self.nf_step_limit = nf_step_limit
+        self.trace_sink = trace_sink
 
 
-@dataclass(frozen=True)
-class Answer:
+class Answer(Record):
     """Bindings restricted to the query variables, plus the degree."""
 
-    bindings: Subst
-    degree: Decimal
+    __slots__ = ("bindings", "degree")
+
+    def __init__(self, bindings: Subst, degree: Decimal):
+        object.__setattr__(self, "bindings", bindings)
+        object.__setattr__(self, "degree", degree)
 
 
 class ClauseDB:
@@ -250,54 +255,61 @@ def load_program(program: SourceProgram) -> ClauseDB:
     return ClauseDB(rho, preds)
 
 
-@dataclass(frozen=True)
-class _Cut:
+class _Cut(Record):
     """Machine-only goal: commit to the choice point at ``height``. A hard
     cut drops it and every choice point above it, a soft cut only its own
     remaining alternatives; ``fail`` fails right after the cut."""
 
-    height: int
-    soft: bool = False
-    fail: bool = False
+    __slots__ = ("height", "soft", "fail")
+
+    def __init__(self, height: int, soft: bool = False, fail: bool = False):
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "soft", soft)
+        object.__setattr__(self, "fail", fail)
 
 
-@dataclass(frozen=True)
-class _Nf:
+class _Nf(Record):
     """Machine-only goal reached by an output of nf step ``depth``: soft-cut
     at ``height``, then step ``depth + 1`` by ``lit``, ``nf(st) :: out ==> rhs``."""
 
-    lit: RhoAtom
-    depth: int
-    height: int
+    __slots__ = ("lit", "depth", "height")
+
+    def __init__(self, lit: RhoAtom, depth: int, height: int):
+        object.__setattr__(self, "lit", lit)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "height", height)
 
 
-@dataclass(frozen=True)
-class _Into:
+class _Into(Record):
     """Machine-only goal: the continuation ``C :: sigma(clause_rhs) ==> rhs``
     of a clause hit. Its body runs first and binds only ``locals``' fresh names."""
 
-    sigma: Subst
-    locals: tuple
-    clause_rhs: tuple
-    rhs: tuple
+    __slots__ = ("sigma", "locals", "clause_rhs", "rhs")
+
+    def __init__(self, sigma: Subst, locals: tuple, clause_rhs: tuple, rhs: tuple):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "locals", locals)
+        object.__setattr__(self, "clause_rhs", clause_rhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class _OneTerm:
+class _OneTerm(Record):
     """Machine-only goal: ``map``'s check that an output is a single term."""
 
-    out: tuple
+    __slots__ = ("out",)
+
+    def __init__(self, out: tuple):
+        object.__setattr__(self, "out", out)
 
 
 _PASS = ((), None, ONE)  # the alternative of a step that binds nothing
 _SPENT = (iter(()), (), {}, ONE)  # what a soft cut leaves of a choice point
 
 
-@dataclass(frozen=True)
-class _Unready:
+class _Unready(Record):
     """Machine-only goal: a goal flagged at load as not ground when selected."""
 
-    goal: object
+    __slots__ = ("goal",)
     messages = {RhoAtom: "strategy and left-hand side must be ground when selected: ",
                 PredAtom: "predicate call is not ground: ",
                 NotGoal: "negated goal is not ground: "}

@@ -2,7 +2,8 @@
 
 
 class RhoError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every refusal raised by this package. An argument of the
+    wrong Python type raises ``TypeError`` instead, as is usual in Python."""
 
 
 class InvalidValueError(RhoError, ValueError):

@@ -17,7 +17,7 @@ Names starting with ``i_``, ``s_``, ``f_``, ``c_`` are variables of the
 corresponding kind, and the comparison operators ``=<  <  >  >=`` double
 as function symbols so they can be passed as strategy arguments.
 Numerals, thresholds and degrees are read and range-checked by the same
-functions as in the engine: ``terms.numeral_value``,
+functions as in the engine: ``terms.is_numeral`` and ``numeral_value``,
 ``proximity.check_threshold`` and ``proximity.check_degree``.
 """
 
@@ -46,6 +46,7 @@ from .terms import (
     IndVar,
     SeqVar,
     Sym,
+    is_numeral,
     numeral_value,
 )
 
@@ -66,12 +67,6 @@ _TOKEN = re.compile(
 # The first characters of punctuation; every other token starts with ``\w``.
 # ``word[:1] in _PUNCT_START`` holds for the end of input too, as "" is in it.
 _PUNCT_START = "=><:()?,."
-
-
-def _is_num(word: str) -> bool:
-    """Whether a token text is a number: decimal digits, maybe ``.digits``."""
-    whole, dot, fraction = word.partition(".")
-    return whole.isdecimal() and (not dot or fraction.isdecimal())
 
 
 def _line_col(text: str, offset: int) -> tuple:
@@ -162,7 +157,7 @@ class _Parser:
             head = Sym(word)
         elif word[:1] in _PUNCT_START:
             self.unexpected(at, "a term")
-        elif _is_num(word):
+        elif is_numeral(word):
             self.pos += 1
             return Compound(Sym(word))
         else:
@@ -337,7 +332,7 @@ class _Parser:
             self.expect_punct(",")
             b = self.prox_symbol()
             self.expect_punct(",")
-            if not _is_num(self.peek()):
+            if not is_numeral(self.peek()):
                 self.unexpected(self.pos, "a degree")
             degree = check_degree(self.peek())
             self.pos += 1

@@ -2,81 +2,81 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Union
 
-from .terms import Subst, hole_count, iter_vars
+from .terms import Record, Subst, hole_count, iter_vars
 
 
-@dataclass(frozen=True)
-class RhoAtom:
+class RhoAtom(Record):
     """``strategy :: lhs ==> rhs`` (or its negation with ``=\\=>``)."""
 
-    strategy: object
-    lhs: tuple
-    rhs: tuple
-    positive: bool = True
+    __slots__ = ("strategy", "lhs", "rhs", "positive")
+
+    def __init__(self, strategy, lhs: tuple, rhs: tuple, positive: bool = True):
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "positive", positive)
 
 
-@dataclass(frozen=True)
-class PredAtom:
+class PredAtom(Record):
     """Ordinary predicate atom; the head may be a function variable."""
 
-    head: object
-    args: tuple = ()
+    __slots__ = ("head", "args")
+
+    def __init__(self, head, args: tuple = ()):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
-class NotGoal:
+class NotGoal(Record):
     """Negation as failure around another literal."""
 
-    inner: "Literal"
+    __slots__ = ("inner",)
+
+    def __init__(self, inner):
+        object.__setattr__(self, "inner", inner)
 
 
-Literal = Union[RhoAtom, PredAtom, NotGoal]
+class RhoClause(Record):
+    __slots__ = ("strategy", "lhs", "rhs", "body")
+
+    def __init__(self, strategy, lhs: tuple, rhs: tuple, body: tuple = ()):
+        Record.__init__(self, strategy, lhs, rhs, body)
 
 
-@dataclass(frozen=True)
-class RhoClause:
-    strategy: object
-    lhs: tuple
-    rhs: tuple
-    body: tuple = ()
+class PredClause(Record):
+    __slots__ = ("name", "params", "body")
+
+    def __init__(self, name: str, params: tuple = (), body: tuple = ()):
+        Record.__init__(self, name, params, body)
 
 
-@dataclass(frozen=True)
-class PredClause:
-    name: str
-    params: tuple = ()
-    body: tuple = ()
-
-
-@dataclass(frozen=True)
-class StrategyAbbrev:
+class StrategyAbbrev(Record):
     """``lhs := rhs`` shorthand, expanded into a clause at load time."""
 
-    lhs: object
-    rhs: object
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class SourceProgram:
-    clauses: tuple = ()
+class SourceProgram(Record):
+    __slots__ = ("clauses",)
+
+    def __init__(self, clauses: tuple = ()):
+        Record.__init__(self, clauses)
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(Record):
     """A parsed query: goal literals plus the answer-capture markers.
 
     ``threshold`` is None for exact-mode queries; threshold queries also
     name the variable that receives the approximation degree.
     """
 
-    goal: tuple
-    result_var: str = "Result"
-    threshold: Decimal | None = None
-    degree_var: str | None = None
+    __slots__ = ("goal", "result_var", "threshold", "degree_var")
+
+    def __init__(self, goal: tuple, result_var: str = "Result",
+                 threshold: Decimal | None = None, degree_var: str | None = None):
+        Record.__init__(self, goal, result_var, threshold, degree_var)
 
 
 def literal_vars(lit):

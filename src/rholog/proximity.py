@@ -13,13 +13,12 @@ argument counts, term vs sequence shape) gives 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Iterable, Iterator
 
 from .errors import DegreeRangeError, InvalidValueError, ThresholdRangeError
 from .matching import ONE, ZERO, scored_match_hedge
-from .terms import Subst, Sym, hole_count, is_ground
+from .terms import Record, Sym, hole_count, is_ground
 
 
 class ProximityRelation:
@@ -59,12 +58,10 @@ class ProximityRelation:
 EMPTY_RELATION = ProximityRelation()
 
 
-@dataclass(frozen=True)
-class DegreedMatcher:
-    """A matcher together with its approximation degree."""
+class DegreedMatcher(Record):
+    """A matcher (a ``Subst``) together with its approximation degree."""
 
-    subst: Subst
-    degree: Decimal
+    __slots__ = ("subst", "degree")
 
 
 def check_degree(value) -> Decimal:

@@ -13,13 +13,13 @@ The value model is small and uniform:
 All values are immutable, so the backtracking engine can share them
 freely between branches (and threads) without copying. Symbols and
 variables are interned, so they compare and hash by identity, in C, and
-their tables are safe to fill from several threads at once.
+their tables are safe to fill from several threads at once. The other value
+classes derive from ``Record``, written out by hand for start-up: generating
+such classes' methods at import took a third of the command line's start-up.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterator, Union
 
@@ -63,7 +63,7 @@ _Atom.name = property(_Atom._name.__get__, doc="The name; read-only.")
 class Sym(_Atom):
     """Function symbol without fixed arity; numerals are plain symbols."""
 
-    __slots__ = ()
+    __slots__ = ("_value",)  # a numeral's Decimal, else None; set when first asked
 
     @staticmethod
     def _validate(name) -> None:
@@ -114,9 +114,41 @@ class CtxVar(Var):
     prefix = "c_"
 
 
-@dataclass(frozen=True)
-class Hole:
+class Record:
+    """An immutable value whose fields are its ``__slots__``: compared, hashed,
+    printed and pickled by them. A hot class sets them with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__reduce__() == other.__reduce__()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r}: the value is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Hole(Record):
     """The distinguished hole constant."""
+
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return "hole"
@@ -125,19 +157,14 @@ class Hole:
 HOLE = Hole()
 
 
-@dataclass(frozen=True, slots=True)
-class Compound:
+class Compound(Record):
     """``head(arg,...,arg)`` with an unranked head and a hedge of arguments."""
 
-    head: "FunHead"
-    args: "Hedge" = ()
-    # hole count and groundness, computed once from the children's
-    _holes: int = field(init=False, repr=False, compare=False)
-    _ground: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("head", "args", "_holes", "_ground")  # hole count, groundness: computed once
 
-    def __post_init__(self) -> None:
-        holes, ground = 0, isinstance(self.head, Sym)
-        for item in self.args:
+    def __init__(self, head: "FunHead", args: "Hedge" = ()):
+        holes, ground = 0, isinstance(head, Sym)
+        for item in args:
             if isinstance(item, Compound):
                 holes += item._holes
                 ground = ground and item._ground
@@ -146,8 +173,21 @@ class Compound:
             else:
                 holes += hole_count(item)
                 ground = ground and is_ground(item)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "args", args)
         object.__setattr__(self, "_holes", holes)
         object.__setattr__(self, "_ground", ground)
+
+    def __eq__(self, other):
+        if other.__class__ is Compound:
+            return self.head is other.head and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.head, self.args))
+
+    def __reduce__(self):
+        return Compound, (self.head, self.args)
 
     def __repr__(self) -> str:
         if not self.args:
@@ -155,12 +195,10 @@ class Compound:
         return f"{self.head!r}({','.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True)
-class CtxApply:
+class CtxApply(Record):
     """Application of a context variable to a single term."""
 
-    var: CtxVar
-    arg: "Term"
+    __slots__ = ("var", "arg")
 
     def __repr__(self) -> str:
         return f"{self.var!r}({self.arg!r})"
@@ -177,14 +215,18 @@ def atom(name: str) -> Compound:
     return Compound(Sym(name))
 
 
-_NUMERAL = re.compile(r"\d+(\.\d+)?$")
+def is_numeral(word: str) -> bool:
+    """Whether a name is a number: decimal digits, maybe ``.digits``."""
+    whole, dot, fraction = word.partition(".")
+    return whole.isdecimal() and (not dot or fraction.isdecimal())
 
 
 def numeral_value(t) -> Decimal | None:
     """Decimal value of a numeric constant term, else None."""
     if isinstance(t, Compound) and isinstance(t.head, Sym) and not t.args:
-        if _NUMERAL.match(t.head.name):
-            return Decimal(t.head.name)
+        if not hasattr(t.head, "_value"):
+            t.head._value = Decimal(t.head.name) if is_numeral(t.head.name) else None
+        return t.head._value
     return None
 
 

@@ -392,6 +392,17 @@ class TestStartUp:
         )
         assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # only what importing rholog adds counts: a site hook may load either first
+        src = Path(rholog.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys\nbefore = set(sys.modules)\nimport rholog.cli\n"
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
     def test_many_queries_parse_in_linear_time_and_in_order(self):
         queries = [f"?(id :: a{i} ==> s_X, R)." for i in range(20_000)]
         argv = [word for query in queries for word in ("--query", query)]

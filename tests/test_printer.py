@@ -1,7 +1,10 @@
 from decimal import Decimal
 
+import pytest
+
 from rholog import (
     IndVar,
+    RhoError,
     SeqVar,
     Subst,
     parse_literal,
@@ -9,6 +12,7 @@ from rholog import (
     parse_query,
     parse_sequence,
     parse_term,
+    render_clause,
     render_program,
     render_query,
     render_sequence,
@@ -97,3 +101,11 @@ def test_program_rendering_round_trips():
     """
     program = parse_program(text)
     assert parse_program(render_program(program)) == program
+
+
+@pytest.mark.parametrize("render", [render_clause, render_literal])
+def test_an_argument_of_the_wrong_type_is_a_type_error(render):
+    # a wrong Python type is a TypeError, as usual in Python; not a RhoError
+    with pytest.raises(TypeError) as raised:
+        render(42)
+    assert not isinstance(raised.value, RhoError)
