@@ -162,6 +162,8 @@ def run_repl(db, relation, config, limit) -> int:
             _repl_answers(parse_query(line), db, relation, config, limit)
         except _CAUGHT as exc:
             print(f"error: {exc}", file=sys.stderr)
+        except KeyboardInterrupt:  # Ctrl-C stops the query, not the session
+            print("interrupted", file=sys.stderr)
 
 
 def _repl_answers(query, db, relation, config, limit) -> None:

@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Callable, Iterator
 from decimal import Decimal
-from typing import Callable, Iterator
 
 from .errors import (
     ArityError,
@@ -72,7 +72,6 @@ from .program import (
     StrategyAbbrev,
     apply_to_literal,
     literal_hole_count,
-    literal_vars,
 )
 from .proximity import EMPTY_RELATION, check_threshold
 from .terms import (
@@ -164,11 +163,15 @@ def _facts(clause, head):
     and the leading guard; lints a transformation clause. The head, the rhs
     and each body literal are walked once for all four."""
     rho = isinstance(clause, RhoClause)
-    head_vars, rhs_vars = list(iter_vars(head)), list(iter_vars(clause.rhs)) if rho else []
-    parts = [_literal_parts(lit) for lit in clause.body]
+    head_vars, rhs_vars = iter_vars(head), iter_vars(clause.rhs) if rho else []
     bound = set(head_vars)
-    unbound = _unbound_when_selected(bound, clause.body, parts, rhs_vars if rho else None)
-    guard = _leading_guard(clause.body[0], bound, parts[0]) if clause.body else None
+    if clause.body:
+        parts = [_literal_parts(lit) for lit in clause.body]
+        unbound = _unbound_when_selected(bound, clause.body, parts, rhs_vars if rho else None)
+        guard = _leading_guard(clause.body[0], bound, parts[0])
+        occurring = itertools.chain(rhs_vars, *(n + r for n, r in parts))
+    else:  # nothing to walk past the rhs
+        unbound, guard, occurring = [set(rhs_vars) - bound] if rho else [], None, rhs_vars
     for k, names in enumerate(unbound if rho else ()):
         for v in sorted(names, key=lambda v: v.name):
             message = (f"variable {v!r} may be unbound when its literal is selected"
@@ -176,8 +179,7 @@ def _facts(clause, head):
                        f"right-hand side variable {v!r} may never be bound")
             import logging  # here, not at the top: only a lint pays for importing it
             logging.getLogger(__name__).warning("%s: %s", message, render_clause(clause))
-    occurring = dict.fromkeys(itertools.chain(rhs_vars, *(n + r for n, r in parts)))
-    local_vars = tuple(v for v in occurring if v not in bound)
+    local_vars = tuple(v for v in dict.fromkeys(occurring) if v not in bound)
     return local_vars, at_most_one_matcher(head_vars), tuple(not n for n in unbound), guard
 
 
@@ -186,9 +188,14 @@ def _literal_parts(lit) -> tuple:
     selected (a rho atom's strategy and lhs, else all) and the rest (its rhs)."""
     if isinstance(lit, RhoAtom):
         redex = (lit.strategy,) + lit.lhs
-        needed = [] if is_ground(redex) else list(iter_vars(redex))  # cached for compounds
-        return needed, list(iter_vars(lit.rhs))
-    return list(literal_vars(lit)), []
+        needed = [] if is_ground(redex) else iter_vars(redex)  # cached for compounds
+        return needed, iter_vars(lit.rhs)
+    if isinstance(lit, NotGoal):
+        needed, rest = _literal_parts(lit.inner)
+        return needed + rest, []
+    if isinstance(lit, PredAtom):
+        return iter_vars((lit.head, lit.args)), []
+    raise TypeError(f"not a literal: {lit!r}")
 
 
 def _unbound_when_selected(bound, literals, parts, rhs_vars=None):

@@ -34,8 +34,8 @@ the query and clauses at load, and matcher values plug every hole they bring.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from decimal import Decimal
-from typing import Callable, Iterator
 
 from .errors import InvalidValueError
 from .terms import (
@@ -53,7 +53,7 @@ from .terms import (
 ZERO = Decimal(0)
 ONE = Decimal(1)
 
-SymDegree = Callable[[Sym, Sym], Decimal]
+SymDegree = "Callable[[Sym, Sym], Decimal]"
 
 
 def enumerate_contexts(subject) -> Iterator[tuple]:

@@ -8,11 +8,11 @@ Input formats (full EBNF in docs/grammar.md):
   the markers are capitalized identifiers;
 * proximity declarations: lines of ``prox(sym, sym, degree).``.
 
-The text is scanned once, by one regular expression, into token texts
-and their start offsets. Identifier tokens are runs of letters, digits and
-``_`` (``\\w+``); one made only of decimal digits is a number, and so is
-``digits.digits``; a token's line and column are worked out from its
-offset only for a ParseError.
+One ``re.split`` call turns the text into its token texts; offsets are
+worked out only for a ParseError, by matching the text again up to the
+token at fault. Identifier tokens are runs of letters, digits and ``_``
+(``\\w+``); one made only of decimal digits is a number, and so is
+``digits.digits``.
 Names starting with ``i_``, ``s_``, ``f_``, ``c_`` are variables of the
 corresponding kind, and the comparison operators ``=<  <  >  >=`` double
 as function symbols so they can be passed as strategy arguments.
@@ -23,6 +23,7 @@ functions as in the engine: ``terms.is_numeral`` and ``numeral_value``,
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .errors import ParseError, UnsupportedFeatureError
@@ -52,46 +53,41 @@ from .terms import (
 
 _COMPARE_OPS = ("=<", "<", ">", ">=")
 
-# A number is tried before a word so that ``1.5`` is one token; longer
-# punctuation comes first so that the alternation munches maximally.
+# A match is the whitespace and comments before a token, then the token in
+# group 1, "" at the end of input; a number is tried before a word so that
+# ``1.5`` is one token, and longer punctuation first. A character that starts
+# no token matches alone, outside the group, so ``re.split`` gives None for it.
 # ``\w`` is ``str.isalnum()`` plus ``_``; a word is a number when it is
 # all decimal digits.
 _TOKEN = re.compile(
-    r"(?P<skip>[ \t\r\n]+|%[^\n]*)"
-    r"|(?P<num>\d+\.\d+)"
-    r"|(?P<word>\w+)"
-    r"|(?P<punct>=\\=>|==>|>=|=<|::|:-|:=|[()?,.<>])"
+    r"(?:[ \t\r\n]+|%[^\n]*)*"
+    r"(?:(\d+\.\d+|\w+|=\\=>|==>|>=|=<|::|:-|:=|[()?,.<>]|\Z)|.)"
 )
 
 
 # The first characters of punctuation; every other token starts with ``\w``.
 # ``word[:1] in _PUNCT_START`` holds for the end of input too, as "" is in it.
 _PUNCT_START = "=><:()?,."
+_SYMBOLS = Sym._table  # interned symbols by name
 
 
-def _line_col(text: str, offset: int) -> tuple:
-    """The 1-based line and column of ``offset`` in ``text``."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+def _position(text: str, at: int) -> tuple:
+    """The offset and the 1-based line and column of token ``at`` of ``text``."""
+    m = next(itertools.islice(_TOKEN.finditer(text), at, None))
+    offset = m.end() - 1 if m[1] is None else m.start(1)
+    return offset, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _scan(text: str) -> tuple:
-    """The token texts of ``text`` and their start offsets, each list ending
-    with the end of input, ``""`` at ``len(text)``. A character that starts
-    no token is a ParseError."""
-    texts, starts, end = [], [], 0
-    for m in _TOKEN.finditer(text):
-        start = m.start()
-        if start != end:  # the match skipped the character at ``end``
-            break
-        end = m.end()
-        if m.lastgroup != "skip":
-            texts.append(m.group())
-            starts.append(start)
-    if end < len(text):
-        raise ParseError(f"unexpected character {text[end]!r}", *_line_col(text, end))
-    texts.append("")
-    starts.append(end)
-    return texts, starts
+def _scan(text: str) -> list:
+    """The token texts of ``text``, ending with the end of input, "". A
+    character that starts no token is a ParseError."""
+    texts = _TOKEN.split(text)[1::2]
+    if len(texts) > 1 and texts[-2] == "":
+        texts.pop()  # after trailing whitespace the end of input matches twice
+    if None in texts:
+        offset, line, col = _position(text, texts.index(None))
+        raise ParseError(f"unexpected character {text[offset]!r}", line, col)
+    return texts
 
 
 def _as_literal(parsed):
@@ -108,11 +104,8 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        self.texts, self.starts = _scan(text)
+        self.texts = _scan(text)
         self.pos = 0
-
-    def peek(self, offset=0) -> str:
-        return self.texts[self.pos + offset]
 
     def skip(self, text) -> bool:
         """Whether the current token is ``text``, which is then consumed."""
@@ -133,8 +126,7 @@ class _Parser:
 
     def fail(self, message, at=None, expected=(), error=ParseError):
         """Raise ``error`` at token ``at``, by default the current one."""
-        offset = self.starts[self.pos if at is None else at]
-        raise error(message, *_line_col(self.text, offset), expected)
+        raise error(message, *_position(self.text, self.pos if at is None else at)[1:], expected)
 
     def unexpected(self, at, *expected):
         word = self.texts[at]
@@ -152,53 +144,58 @@ class _Parser:
     def term(self):
         at = self.pos
         word = self.texts[at]
-        if word in _COMPARE_OPS:
-            self.pos += 1
-            head = Sym(word)
-        elif word[:1] in _PUNCT_START:
-            self.unexpected(at, "a term")
-        elif is_numeral(word):
-            self.pos += 1
-            return Compound(Sym(word))
-        else:
-            if word == "hole":
+        head = _SYMBOLS.get(word)
+        if head is None or not word[0].isalpha():  # else no numeral or punctuation
+            kind = word[:2]
+            if word in _COMPARE_OPS:
+                head = Sym(word)
+            elif word[:1] in _PUNCT_START:
+                self.unexpected(at, "a term")
+            elif is_numeral(word):
+                self.pos += 1
+                return Compound(Sym(word))
+            elif word == "hole":
                 self.pos += 1
                 return HOLE
-            if word == "eps":
+            elif word == "eps":
                 self.fail("eps is the empty sequence, not a term")
-            if word.startswith("s_"):
+            elif kind == "s_":
                 self.fail("sequence variable not allowed here (only inside a sequence)")
-            self.pos += 1
-            if word.startswith("i_"):
+            elif kind == "i_":
+                self.pos += 1
                 return self._make(IndVar, at)
-            if word.startswith("c_"):
+            elif kind == "c_":
+                self.pos += 1
                 self.expect_punct("(")
                 arg = self.term()
                 self.expect_punct(")")
                 return CtxApply(self._make(CtxVar, at), arg)
-            head = self._make(FunVar if word.startswith("f_") else Sym, at)
-        return Compound(head, self.sequence() if self.texts[self.pos] == "(" else ())
+            else:  # Sym refuses no name that is left
+                head = self._make(FunVar, at) if kind == "f_" else Sym(word)
+        self.pos = at + 1
+        return Compound(head, self.sequence() if self.texts[at + 1] == "(" else ())
 
     def sequence(self) -> tuple:
         """``eps``, a sequence variable, ``( [items] )`` or a term, where the
         items are sequences separated by commas. Items splice into the
         enclosing sequence, so the result is flat."""
         word = self.texts[self.pos]
+        if word == "(":
+            self.pos += 1
+            items = []
+            if self.texts[self.pos] != ")":
+                items.extend(self.sequence())
+                while self.skip(","):
+                    items.extend(self.sequence())
+            self.expect_punct(")")
+            return tuple(items)
         if word == "eps":
             self.pos += 1
             return ()
         if word.startswith("s_"):
             self.pos += 1
             return (self._make(SeqVar, self.pos - 1),)
-        if not self.skip("("):
-            return (self.term(),)
-        items = []
-        if self.texts[self.pos] != ")":
-            items.extend(self.sequence())
-            while self.skip(","):
-                items.extend(self.sequence())
-        self.expect_punct(")")
-        return tuple(items)
+        return (self.term(),)
 
     # -- literals, clauses, programs ----------------------------------------
 
@@ -210,20 +207,20 @@ class _Parser:
 
     def literal_or_term(self):
         """Parse a literal if an atom shape follows, otherwise a bare term."""
-        if self.peek() == "not" and self.peek(1) == "(":
+        if self.texts[self.pos] == "not" and self.texts[self.pos + 1] == "(":
             self.pos += 2
             inner = self.literal()
             self.expect_punct(")")
             return NotGoal(inner)
         t = self.term()
         if self.skip("::"):
-            lhs, arrow = self.sequence(), self.peek()
+            lhs, arrow = self.sequence(), self.texts[self.pos]
             if arrow not in ("==>", "=\\=>"):
                 self.fail("expected an arrow after the left-hand side",
                           expected=("'==>'", "'=\\=>'"))
             self.pos += 1
             return RhoAtom(t, lhs, self.sequence(), arrow == "==>")
-        op = self.peek()
+        op = self.texts[self.pos]
         if op in _COMPARE_OPS:
             self.pos += 1
             return PredAtom(Sym(op), (t, self.term()))
@@ -241,18 +238,18 @@ class _Parser:
         head = self.term()
         if self.skip("::"):
             lhs = self.sequence()
-            if self.peek() == "=\\=>":
+            if self.texts[self.pos] == "=\\=>":
                 self.fail("a clause head cannot be negated")
             self.expect_punct("==>")
             rhs = self.sequence()
-            if self.peek() == "where":
+            if self.texts[self.pos] == "where":
                 self.fail("'where' constraints are not supported", error=UnsupportedFeatureError)
             return RhoClause(head, lhs, rhs, self.body())
         if self.skip(":="):
             rhs = self.term()
             self.expect_punct(".")
             return StrategyAbbrev(head, rhs)
-        if self.peek() in (":-", "."):
+        if self.texts[self.pos] in (":-", "."):
             if not (isinstance(head, Compound) and isinstance(head.head, Sym)):
                 self.fail("a predicate clause head must be symbol-headed")
             return PredClause(head.head.name, head.args, self.body())
@@ -260,7 +257,7 @@ class _Parser:
 
     def program(self) -> SourceProgram:
         clauses = []
-        while self.peek():
+        while self.texts[self.pos]:
             clauses.append(self.clause())
         return SourceProgram(tuple(clauses))
 
@@ -324,7 +321,7 @@ class _Parser:
 
     def prox_decls(self) -> list:
         out = []
-        while self.peek():
+        while self.texts[self.pos]:
             if not self.skip("prox"):
                 self.unexpected(self.pos, "'prox'")
             self.expect_punct("(")
@@ -332,9 +329,9 @@ class _Parser:
             self.expect_punct(",")
             b = self.prox_symbol()
             self.expect_punct(",")
-            if not is_numeral(self.peek()):
+            if not is_numeral(self.texts[self.pos]):
                 self.unexpected(self.pos, "a degree")
-            degree = check_degree(self.peek())
+            degree = check_degree(self.texts[self.pos])
             self.pos += 1
             self.expect_punct(")")
             self.expect_punct(".")
@@ -342,7 +339,7 @@ class _Parser:
         return out
 
     def prox_symbol(self) -> Sym:
-        word = self.peek()
+        word = self.texts[self.pos]
         if word[:1] in _PUNCT_START and word not in _COMPARE_OPS:
             self.unexpected(self.pos, "a symbol")
         self.pos += 1

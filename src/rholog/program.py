@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 
-from .terms import Record, Subst, hole_count, iter_vars
+from .terms import Record, Subst, hole_count
 
 
 class RhoAtom(Record):
@@ -42,7 +42,10 @@ class RhoClause(Record):
     __slots__ = ("strategy", "lhs", "rhs", "body")
 
     def __init__(self, strategy, lhs: tuple, rhs: tuple, body: tuple = ()):
-        Record.__init__(self, strategy, lhs, rhs, body)
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "body", body)
 
 
 class PredClause(Record):
@@ -77,17 +80,6 @@ class Query(Record):
     def __init__(self, goal: tuple, result_var: str = "Result",
                  threshold: Decimal | None = None, degree_var: str | None = None):
         Record.__init__(self, goal, result_var, threshold, degree_var)
-
-
-def literal_vars(lit):
-    """All variable occurrences of a literal, in preorder."""
-    while isinstance(lit, NotGoal):
-        lit = lit.inner
-    if isinstance(lit, RhoAtom):
-        return iter_vars(((lit.strategy,) + lit.lhs, lit.rhs))
-    if isinstance(lit, PredAtom):
-        return iter_vars((lit.head, lit.args))
-    raise TypeError(f"not a literal: {lit!r}")
 
 
 def apply_to_literal(subst: Subst, lit):

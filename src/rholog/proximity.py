@@ -13,8 +13,8 @@ argument counts, term vs sequence shape) gives 0.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from decimal import Decimal, InvalidOperation
-from typing import Iterable, Iterator
 
 from .errors import DegreeRangeError, InvalidValueError, ThresholdRangeError
 from .matching import ONE, ZERO, scored_match_hedge

@@ -21,7 +21,6 @@ such classes' methods at import took a third of the command line's start-up.
 from __future__ import annotations
 
 from decimal import Decimal
-from typing import Iterator, Union
 
 from .errors import InvalidValueError, KindMismatchError
 
@@ -168,6 +167,8 @@ class Compound(Record):
             if isinstance(item, Compound):
                 holes += item._holes
                 ground = ground and item._ground
+            elif isinstance(item, Var):
+                ground = False
             elif isinstance(item, Hole):
                 holes += 1
             else:
@@ -204,10 +205,10 @@ class CtxApply(Record):
         return f"{self.var!r}({self.arg!r})"
 
 
-Term = Union[Hole, IndVar, Compound, CtxApply]
-Item = Union[Term, SeqVar]
+Term = "Hole | IndVar | Compound | CtxApply"
+Item = "Term | SeqVar"
 Hedge = "tuple[Item, ...]"
-FunHead = Union[Sym, FunVar]
+FunHead = "Sym | FunVar"
 
 
 def atom(name: str) -> Compound:
@@ -241,26 +242,27 @@ def render_sequence(h) -> str:
     return "(" + ",".join(map(repr, h)) + ")"
 
 
-def iter_vars(x) -> Iterator[Var]:
+def iter_vars(x) -> list:
     """All variable occurrences of a term, item, head, or hedge, in preorder:
     one loop over a stack of what is left to visit, so nesting costs no
     Python stack. A compound whose cached flag says it is ground is skipped."""
-    stack = [x]
+    found, stack = [], [x]
     while stack:
         x = stack.pop()
         if isinstance(x, Compound):
             if not x._ground:
                 if isinstance(x.head, FunVar):
-                    yield x.head
+                    found.append(x.head)
                 stack.extend(x.args[::-1])
         elif isinstance(x, tuple):
             stack.extend(x[::-1])
         elif isinstance(x, Var):
-            yield x
+            found.append(x)
         elif isinstance(x, CtxApply):
-            yield x.var
+            found.append(x.var)
             stack.append(x.arg)
         # Sym and Hole contain no variables
+    return found
 
 
 def is_ground(x) -> bool:

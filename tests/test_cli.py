@@ -1,6 +1,7 @@
 import errno
 import io
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -403,6 +404,17 @@ class TestStartUp:
         )
         assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
+    def test_import_loads_no_typing(self):
+        # -S: without site, whose .pth hooks may import typing first
+        src = Path(rholog.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, rholog.cli\n"
+             "print('typing' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
     def test_many_queries_parse_in_linear_time_and_in_order(self):
         queries = [f"?(id :: a{i} ==> s_X, R)." for i in range(20_000)]
         argv = [word for query in queries for word in ("--query", query)]
@@ -474,6 +486,29 @@ class TestRepl:
         self.feed(monkeypatch, "")
         code, out, err = run(capsys, [])
         assert code == 0
+
+    def test_ctrl_c_stops_the_query_and_the_session_goes_on(self, tmp_path):
+        program = tmp_path / "loop.rho"
+        program.write_text("loop :: i_X ==> i_Y :- loop :: i_X ==> i_Y.\n", encoding="utf-8")
+        src = Path(rholog.__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rholog.cli", "--load", str(program), "--trace"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        try:
+            proc.stdin.write("?(loop :: a ==> i_Y, Result).\n")
+            proc.stdin.flush()
+            # the trace shows the loop running, so Ctrl-C reaches the query
+            assert proc.stderr.readline().startswith("select: loop :: a ==> i_Y")
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate("?(id :: a ==> i_X, Result).\n\nhalt.\n", timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0, err[-2000:]
+        # a trace line cut short by the interrupt may precede the message
+        assert "interrupted\n" in err and "Traceback" not in err
+        assert out.endswith("?- ?- Result = [i_X ---> a]\n.\n?- ")
 
 
 class TestProcessSettings:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from rholog import (
     parse_sequence,
     parse_term,
     render_answer,
+    render_clause,
     render_sequence,
     solve,
 )
@@ -56,6 +58,7 @@ from tests.genrand import (
     ground_hedge,
     ground_subst_for,
     make_rng,
+    pattern_hedge,
     random_relation,
     rho_clause_with_body,
     rule_sides,
@@ -129,6 +132,33 @@ class TestLoad:
         with caplog.at_level("WARNING", logger="rholog.engine"):
             db_of("st :: s_X ==> s_Y :- other :: s_Z ==> s_Y.")
         assert any("s_Z" in message for message in caplog.messages)
+
+
+class TestLoadOutcomes:
+    """What load works out per clause, pinned by a digest: every index entry's
+    position, clause and facts, over the bundled programs and random clauses."""
+
+    DIGEST = "9301d60de4f2539a515de840ff3b59a58d2620dad3ce62ac6b65cff45fb6c1b3"
+
+    def test_index_entries_match_the_pinned_digest(self):
+        clauses = [clause for path in sorted(PROGRAMS.glob("*.rho"))
+                   for clause in parse_program(path.read_text(encoding="utf-8")).clauses]
+        rng = make_rng(149)
+        for _ in range(400):
+            clauses.append(rho_clause_with_body(rng))
+            sides = rule_sides(rng)
+            if sides is not None:
+                clauses.append(RhoClause(atom("rule"), *sides))
+            clauses.append(PredClause("p", pattern_hedge(rng), rho_clause_with_body(rng).body))
+        db = load_program(SourceProgram(tuple(clauses)))
+        rows = []
+        for index in (db._rho_index, db._pred_index):
+            entries = [e for keyed, free in index.values()
+                       for bucket in (free, *keyed.values()) for e in bucket]
+            rows.append([(position, render_clause(clause), repr(facts))
+                         for position, clause, _, facts in sorted(entries, key=lambda e: e[0])])
+        assert sum(map(len, rows)) > 1000
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST
 
 
 class TestIdAndProx:

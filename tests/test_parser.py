@@ -1,3 +1,4 @@
+import hashlib
 from decimal import Decimal
 
 import pytest
@@ -475,6 +476,55 @@ class TestNoLeaks:
                     parse(text)
                 except RhoError:
                     pass
+
+
+# Character-level edits for the outcome digest: characters that start no
+# token, or start one only with a neighbour, a comment, and whitespace.
+_CHAR_EDITS = tuple("!$\\-:=@") + ("% comment\n", "\r\n", "\t")
+
+
+class TestScanOutcomes:
+    """What every parser gives on the fuzz corpus with 0-2 character edits:
+    ``repr`` of its value, or its error's class, message, line and column,
+    pinned by a digest of the whole list."""
+
+    DIGEST = "6521e843f9897b130b01c8b14013adee1a3832d8ac4f8ef440e5fb35208d9d26"
+
+    def test_outcomes_match_the_pinned_digest(self):
+        rng = make_rng(131)
+        outcomes = []
+        for _ in range(1500):
+            text = _fuzz_text(rng)
+            for _ in range(rng.randrange(3)):
+                at = rng.randrange(len(text) + 1)
+                text = text[:at] + rng.choice(_CHAR_EDITS) + text[at:]
+            for parse in _PARSERS:
+                try:
+                    outcomes.append(repr(parse(text)))
+                except RhoError as exc:
+                    outcomes.append((type(exc).__name__, str(exc),
+                                     getattr(exc, "line", None), getattr(exc, "col", None)))
+        errors = [o[1] for o in outcomes if isinstance(o, tuple)]
+        assert sum("unexpected character" in e for e in errors) >= 200
+        assert len(outcomes) - len(errors) >= 200
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == self.DIGEST
+
+
+class TestScanMemory:
+    def test_scan_needs_little_beyond_what_the_parse_keeps(self):
+        # A regex that validates the whole text at once grows sre's
+        # backtracking stack with the text: several MB for this program.
+        out = in_fresh_interpreter(
+            "import tracemalloc\n"
+            "from rholog import parse_program\n"
+            "text = ''.join(f'st :: c{k}(s_X) ==> d{k}(s_X).\\n' for k in range(3000))\n"
+            "tracemalloc.start()\n"
+            "program = parse_program(text)\n"
+            "kept, peak = tracemalloc.get_traced_memory()\n"
+            "print(kept, peak - kept)\n"
+        )
+        kept, transient = map(int, out.split())
+        assert transient <= 1.5 * kept, (kept, transient)
 
 
 class TestRoundTrip:
