@@ -149,20 +149,17 @@ def run_repl(db, relation, config, limit) -> int:
           "Type halt. to quit.")
     while True:
         try:
-            line = input("?- ")
+            line = input("?- ").strip()
+            if line in ("halt.", "quit.", "exit."):
+                return 0
+            if line:
+                _repl_answers(parse_query(line), db, relation, config, limit)
         except EOFError:
             print()
             return 0
-        line = line.strip()
-        if not line:
-            continue
-        if line in ("halt.", "quit.", "exit."):
-            return 0
-        try:
-            _repl_answers(parse_query(line), db, relation, config, limit)
         except _CAUGHT as exc:
             print(f"error: {exc}", file=sys.stderr)
-        except KeyboardInterrupt:  # Ctrl-C stops the query, not the session
+        except KeyboardInterrupt:  # Ctrl-C stops the query or the prompt, not the session
             print("interrupted", file=sys.stderr)
 
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Callable, Iterator
-from decimal import Decimal
 
 from .errors import (
     ArityError,
@@ -112,10 +111,6 @@ class Answer(Record):
     """Bindings restricted to the query variables, plus the degree."""
 
     __slots__ = ("bindings", "degree")
-
-    def __init__(self, bindings: Subst, degree: Decimal):
-        object.__setattr__(self, "bindings", bindings)
-        object.__setattr__(self, "degree", degree)
 
 
 class ClauseDB:
@@ -268,11 +263,7 @@ class _Cut(Record):
     remaining alternatives; ``fail`` fails right after the cut."""
 
     __slots__ = ("height", "soft", "fail")
-
-    def __init__(self, height: int, soft: bool = False, fail: bool = False):
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "soft", soft)
-        object.__setattr__(self, "fail", fail)
+    _defaults = (False, False)
 
 
 class _Nf(Record):
@@ -281,11 +272,6 @@ class _Nf(Record):
 
     __slots__ = ("lit", "depth", "height")
 
-    def __init__(self, lit: RhoAtom, depth: int, height: int):
-        object.__setattr__(self, "lit", lit)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "height", height)
-
 
 class _Into(Record):
     """Machine-only goal: the continuation ``C :: sigma(clause_rhs) ==> rhs``
@@ -293,20 +279,11 @@ class _Into(Record):
 
     __slots__ = ("sigma", "locals", "clause_rhs", "rhs")
 
-    def __init__(self, sigma: Subst, locals: tuple, clause_rhs: tuple, rhs: tuple):
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "locals", locals)
-        object.__setattr__(self, "clause_rhs", clause_rhs)
-        object.__setattr__(self, "rhs", rhs)
-
 
 class _OneTerm(Record):
     """Machine-only goal: ``map``'s check that an output is a single term."""
 
     __slots__ = ("out",)
-
-    def __init__(self, out: tuple):
-        object.__setattr__(self, "out", out)
 
 
 _PASS = ((), None, ONE)  # the alternative of a step that binds nothing

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 from .terms import Record, Subst, hole_count
 
 
@@ -11,22 +9,14 @@ class RhoAtom(Record):
     """``strategy :: lhs ==> rhs`` (or its negation with ``=\\=>``)."""
 
     __slots__ = ("strategy", "lhs", "rhs", "positive")
-
-    def __init__(self, strategy, lhs: tuple, rhs: tuple, positive: bool = True):
-        object.__setattr__(self, "strategy", strategy)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "positive", positive)
+    _defaults = (True,)
 
 
 class PredAtom(Record):
     """Ordinary predicate atom; the head may be a function variable."""
 
     __slots__ = ("head", "args")
-
-    def __init__(self, head, args: tuple = ()):
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "args", args)
+    _defaults = ((),)
 
 
 class NotGoal(Record):
@@ -34,25 +24,15 @@ class NotGoal(Record):
 
     __slots__ = ("inner",)
 
-    def __init__(self, inner):
-        object.__setattr__(self, "inner", inner)
-
 
 class RhoClause(Record):
     __slots__ = ("strategy", "lhs", "rhs", "body")
-
-    def __init__(self, strategy, lhs: tuple, rhs: tuple, body: tuple = ()):
-        object.__setattr__(self, "strategy", strategy)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "body", body)
+    _defaults = ((),)
 
 
 class PredClause(Record):
     __slots__ = ("name", "params", "body")
-
-    def __init__(self, name: str, params: tuple = (), body: tuple = ()):
-        Record.__init__(self, name, params, body)
+    _defaults = ((), ())
 
 
 class StrategyAbbrev(Record):
@@ -63,9 +43,7 @@ class StrategyAbbrev(Record):
 
 class SourceProgram(Record):
     __slots__ = ("clauses",)
-
-    def __init__(self, clauses: tuple = ()):
-        Record.__init__(self, clauses)
+    _defaults = ((),)
 
 
 class Query(Record):
@@ -76,10 +54,7 @@ class Query(Record):
     """
 
     __slots__ = ("goal", "result_var", "threshold", "degree_var")
-
-    def __init__(self, goal: tuple, result_var: str = "Result",
-                 threshold: Decimal | None = None, degree_var: str | None = None):
-        Record.__init__(self, goal, result_var, threshold, degree_var)
+    _defaults = ("Result", None, None)
 
 
 def apply_to_literal(subst: Subst, lit):

@@ -14,8 +14,10 @@ All values are immutable, so the backtracking engine can share them
 freely between branches (and threads) without copying. Symbols and
 variables are interned, so they compare and hash by identity, in C, and
 their tables are safe to fill from several threads at once. The other value
-classes derive from ``Record``, written out by hand for start-up: generating
-such classes' methods at import took a third of the command line's start-up.
+classes derive from ``Record``, which writes each class's constructor from its
+``__slots__`` and gives the rest from one set of methods written by hand:
+generating such classes' methods with ``dataclasses`` took a third of the
+command line's start-up.
 """
 
 from __future__ import annotations
@@ -114,14 +116,24 @@ class CtxVar(Var):
 
 
 class Record:
-    """An immutable value whose fields are its ``__slots__``: compared, hashed,
-    printed and pickled by them. A hot class sets them with ``object.__setattr__``."""
+    """An immutable value whose fields are its ``__slots__``: built, compared,
+    hashed, printed and pickled by them. A class that defines no ``__init__``
+    gets one written when the class is made, with a parameter per field in
+    ``__slots__`` order; ``_defaults`` holds the defaults of the last ones."""
 
     __slots__ = ()
+    _defaults = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls) -> None:
+        if "__init__" not in cls.__dict__:
+            names = cls.__slots__
+            body = "".join(f"\n _set(self, {name!r}, {name})" for name in names) or " pass"
+            namespace = {"_set": object.__setattr__}
+            exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
+            init = namespace["__init__"]
+            init.__defaults__ = cls._defaults
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = init
 
     def __reduce__(self):
         return type(self), tuple(map(self.__getattribute__, self.__slots__))

@@ -510,6 +510,26 @@ class TestRepl:
         assert "interrupted\n" in err and "Traceback" not in err
         assert out.endswith("?- ?- Result = [i_X ---> a]\n.\n?- ")
 
+    def test_ctrl_c_at_the_prompt_prompts_again(self):
+        src = Path(rholog.__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rholog.cli"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        try:
+            seen = ""
+            while not seen.endswith("?- "):  # the session waits at its first prompt
+                seen += proc.stdout.read(1) or pytest.fail(f"no prompt: {seen!r}")
+            proc.send_signal(signal.SIGINT)
+            assert proc.stderr.readline() == "interrupted\n"
+            out, err = proc.communicate("?(id :: a ==> i_X, Result).\n\nhalt.\n", timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0, err[-2000:]
+        assert err == ""
+        assert out == "?- Result = [i_X ---> a]\n.\n?- "
+
 
 class TestProcessSettings:
     @pytest.mark.parametrize("argv", [

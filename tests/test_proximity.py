@@ -8,6 +8,7 @@ from rholog import (
     Sym,
     hedge_proximity,
     match_hedge,
+    parse_proximity_decls,
     parse_sequence,
     parse_term,
     prox_match_hedge,
@@ -65,6 +66,16 @@ class TestRelation:
     def test_later_entry_overwrites(self):
         rel = ProximityRelation([("a", "b", D("0.5")), ("b", "a", D("0.9"))])
         assert rel.degree(Sym("a"), Sym("b")) == D("0.9")
+
+    def test_a_reflexive_declaration_is_ignored(self):
+        rel = ProximityRelation(parse_proximity_decls("prox(a, a, 0.5)."))
+        assert rel.degree(Sym("a"), Sym("a")) == 1
+        assert rel.pairs() == {}
+
+    def test_repr_lists_each_pair_once_in_name_order(self):
+        rel = ProximityRelation([("c", "b", D("0.80")), ("b", "a", D("0.6")), ("a", "a", D("1"))])
+        assert repr(rel) == "ProximityRelation(a~b:0.6, b~c:0.80)"
+        assert repr(ProximityRelation()) == "ProximityRelation()"
 
 
 class TestTermProximity:

@@ -3,6 +3,7 @@ agree with it, a field-by-field ``repr``, immutability, and copies and
 pickles that compare equal to what they copy."""
 
 import copy
+import inspect
 import pickle
 from decimal import Decimal
 
@@ -15,6 +16,12 @@ from rholog import (
     CtxApply,
     CtxVar,
     IndVar,
+    NotGoal,
+    PredClause,
+    Query,
+    SeqVar,
+    SourceProgram,
+    StrategyAbbrev,
     Subst,
     Sym,
     parse_literal,
@@ -22,9 +29,10 @@ from rholog import (
     parse_query,
     parse_term,
 )
-from rholog.engine import _Cut
+from rholog.engine import _Cut, _Into, _Nf, _OneTerm, _Unready
 from rholog.program import PredAtom, RhoAtom, RhoClause
 from rholog.proximity import DegreedMatcher
+from rholog.terms import Record
 
 PROGRAM = "st :: f(i_X, s_Y) ==> g(s_Y) :- id :: i_X ==> a, not(p(i_X)).\np(b).\nabb(1) := st."
 QUERY = "?(st :: f(a, b) ==> s_X, 0.5, D, Result)."
@@ -51,6 +59,12 @@ def values():
         (CtxApply(CtxVar("c_X"), HOLE), "arg"),
         (HOLE, "name"),
         (_Cut(3, fail=True), "height"),
+        (parse_literal("p(a, i_X)"), "args"),
+        (_Nf(parse_literal("nf(st) :: a ==> s_X"), 2, 5), "depth"),
+        (_Into(Subst({IndVar("i_X"): parse_term("a")}), (IndVar("i_X"),),
+               (parse_term("g(i_X)"),), (SeqVar("s_Y"),)), "rhs"),
+        (_OneTerm((parse_term("a"),)), "out"),
+        (_Unready(parse_literal(NEGATED)), "goal"),
     ]
 
 
@@ -142,3 +156,62 @@ class TestCopies:
             assert copied(program) == program
             assert copied(query) == query
             assert copied(query).threshold == Decimal("0.5")
+
+
+def record_classes(cls=Record):
+    """Every class that derives from ``cls``, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from record_classes(sub)
+
+
+SIGNATURES = {
+    Answer: "bindings, degree",
+    Compound: "head, args=()",
+    CtxApply: "var, arg",
+    DegreedMatcher: "subst, degree",
+    NotGoal: "inner",
+    PredAtom: "head, args=()",
+    PredClause: "name, params=(), body=()",
+    Query: "goal, result_var='Result', threshold=None, degree_var=None",
+    RhoAtom: "strategy, lhs, rhs, positive=True",
+    RhoClause: "strategy, lhs, rhs, body=()",
+    SourceProgram: "clauses=()",
+    StrategyAbbrev: "lhs, rhs",
+}
+
+
+class TestEveryValueClass:
+    def test_each_value_class_has_a_sample(self):
+        sampled = {type(value) for value, _ in values()}
+        missing = [cls.__qualname__ for cls in record_classes() if cls not in sampled]
+        assert not missing, f"no sample in values() for {missing}"
+
+    @pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
+    def test_a_public_constructor_takes_the_fields_in_order(self, cls):
+        found = [p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                 for p in inspect.signature(cls).parameters.values()]
+        assert ", ".join(found) == SIGNATURES[cls]
+
+
+@pytest.mark.parametrize("k", range(len(KINDS)), ids=KINDS)
+class TestArgumentCounts:
+    def test_an_extra_argument_is_a_type_error_naming_the_class(self, k):
+        value, _ = values()[k]
+        cls, fields = value.__reduce__()
+        with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) takes "):
+            cls(*fields, None)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+            cls(*fields, extra=None)
+
+    def test_a_missing_argument_is_a_type_error_naming_it(self, k):
+        cls = type(values()[k][0])
+        required = [p.name for p in inspect.signature(cls).parameters.values()
+                    if p.default is p.empty]
+        if not required:
+            cls()
+            return
+        with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) missing") as caught:
+            cls()
+        assert all(repr(name) in str(caught.value) for name in required)
+
