@@ -15,7 +15,6 @@ errors and on usage errors.
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
 
@@ -188,7 +187,7 @@ def main(argv=None) -> int:
         except _CAUGHT as exc:
             print(f"load error: {exc}", file=sys.stderr)
             return 1
-        trace_sink = functools.partial(print, file=sys.stderr) if args["--trace"] else None
+        trace_sink = (lambda line: sys.stderr.write(line + "\n")) if args["--trace"] else None
         config = EngineConfig(nf_step_limit=args["--nf-limit"], trace_sink=trace_sink)
         if args["--query"]:
             return run_batch(args["--query"], db, relation, config, args["--answers"])

@@ -7,7 +7,9 @@ Machine without its term store. A selected goal gives an alternative
 degree), None, or a choice point: an iterator of alternatives. Only the
 loop builds states from them; a state with no goals is an answer. A lone
 clause whose head has at most one matcher, and a step whose pattern has
-at most one, leave no choice point behind.
+at most one, leave no choice point behind. A step's bindings reach the
+goals up to the first pending clause continuation: they bind names made
+since it was queued (query variables if none is), which no later goal holds.
 
 Selecting ``st :: s1 ==> s2`` requires ``st`` and ``s1`` to be ground, which
 is known at load (``_facts``). A clause ``st' :: s1' ==> s2' :- body`` whose
@@ -19,11 +21,14 @@ threshold mode, built when it is selected, after the body. A leading guard
 loop, so a hit that fails it builds no body and no continuation.
 Builtins become goals too: ``compose(s1,...,sk) :: l ==> r`` gives
 ``s1 :: l ==> s_Out~1``, ..., ``sk :: s_Out~(k-1) ==> s_Out~k``,
-``C :: s_Out~k ==> r``. Three barriers are machine-only goals naming
-their choice point's stack height: ``first_one`` cuts after its first
-output and its first rhs match; ``nf`` and ``first_all`` soft-cut (an
-output drops only the untried alternatives), the nf one carrying the
-step limit; negation cuts and fails once the positive form has an answer.
+``C :: s_Out~k ==> r``. ``map(st)`` over m items names ``s_Out~1``, ...,
+``s_Out~m`` at once and queues one item's step at a time, each followed by
+a machine-only check that its output is one term, then ``C :: outputs ==> r``.
+Three barriers are machine-only goals naming their choice point's stack
+height: ``first_one`` cuts after its first output and its first rhs match;
+``nf`` and ``first_all`` soft-cut (an output drops only the untried
+alternatives), the nf one carrying the step limit; negation cuts and fails
+once the positive form has an answer.
 
 Clauses are indexed by name, then by the head symbol of the first lhs
 item (first param); other first items go to the name's variable bucket.
@@ -34,10 +39,7 @@ item, so only clauses that cannot match drop out, and no order changes.
 Every step binds ground values and query variables are never renamed,
 so answers record just the steps' bindings of query variables. The
 degree of an answer is the minimum over its proximity steps (1 if none).
-
-Builtin strategies: ``id``, ``prox``/``prox(lam)``, ``compose``,
-``choice``, ``first_one``, ``first_all``, ``map``, ``nf``. Builtin
-predicates: the numeric comparisons ``=<  <  >  >=``.
+The builtins are ``BUILTIN_STRATEGIES`` and ``COMPARISONS``.
 """
 
 from __future__ import annotations
@@ -280,10 +282,11 @@ class _Into(Record):
     __slots__ = ("sigma", "locals", "clause_rhs", "rhs")
 
 
-class _OneTerm(Record):
-    """Machine-only goal: ``map``'s check that an output is a single term."""
+class _Map(Record):
+    """Machine-only goal after the step of ``map`` item ``at - 1`` into ``out``:
+    check that ``out`` is one term, add it to ``done``, go on (``_Solver._map``)."""
 
-    __slots__ = ("out",)
+    __slots__ = ("strategy", "out", "at", "items", "outs", "done", "rhs")
 
 
 _PASS = ((), None, ONE)  # the alternative of a step that binds nothing
@@ -309,10 +312,8 @@ class _Solver:
         self.lam = check_threshold(threshold) if threshold is not None else None
         self._keep = frozenset(keep)
         self._fresh = itertools.count(1)
-        if self.lam is None:
-            self._continuation = atom("id")
-        else:
-            self._continuation = Compound(Sym("prox"), (atom(format(self.lam, "f")),))
+        self._continuation = atom("id") if self.lam is None else Compound(
+            Sym("prox"), (atom(format(self.lam, "f")),))
 
     # -- plumbing ------------------------------------------------------------
 
@@ -356,8 +357,8 @@ class _Solver:
         """Depth-first resolution, the one place that builds a state. A choice
         point is pushed as ``(alternatives, rest, answer, degree)``; an
         alternative ``(goals, theta, degree)`` runs its goals before ``rest``,
-        which ``theta`` instantiates, adds ``theta``'s bindings of query
-        variables to the answer and keeps the lower of the two degrees."""
+        which ``theta`` instantiates up to its first continuation, adds its
+        bindings of query variables to the answer and keeps the lower degree."""
         stack, goals, answer, degree = [], tuple(literals), {}, ONE
         while True:
             if goals:
@@ -380,7 +381,14 @@ class _Solver:
                 kept = {v: x for v, x in theta.items() if v in self._keep}
                 if kept:
                     answer = {**answer, **kept}
-                rest = tuple(_instantiate(theta, goal) for goal in rest)
+                # theta binds names made after the first continuation in rest was
+                # queued (query variables if none is), so no goal after it holds one
+                walked = []
+                for goal in rest:
+                    walked.append(_instantiate(theta, goal))
+                    if isinstance(goal, _Into):
+                        break
+                rest = (*walked, *rest[len(walked):])
             dead = body and isinstance(body[-1], _Cut) and body[-1].fail  # rest never runs
             goals, degree = body if dead else body + rest, step if step < degree else degree
 
@@ -411,17 +419,14 @@ class _Solver:
                 raise StepLimitError(f"nf exceeded the step limit of {limit}")
             stack[goal.height] = _SPENT
             return self._nf(goal.lit, goal.depth + 1, len(stack))
-        elif isinstance(goal, _OneTerm):
+        elif isinstance(goal, _Map):
             if len(goal.out) != 1:
-                raise NonTermResultError(
-                    "map needs term-to-term strategies, got a result of length "
-                    f"{len(goal.out)}"
-                )
-            return _PASS
-        elif isinstance(goal, NotGoal):
+                raise NonTermResultError("map needs term-to-term strategies, got a "
+                                         f"result of length {len(goal.out)}")
+            done = (goal.done, goal.out[0])
+            return self._map(goal.strategy, goal.at, goal.items, goal.outs, done, goal.rhs)
+        else:  # a NotGoal: solve and load_program admit no other literal
             positive = goal.inner
-        else:
-            raise TypeError(f"not a literal: {goal!r}")
         # negation as failure: an answer of the positive form reaches a cut
         # that drops this choice point, continuing alternative included, and fails
         self._trace("negation", render_literal, goal)
@@ -446,9 +451,7 @@ class _Solver:
                 raise ArityError(f"{name} takes two arguments")
             values = [numeral_value(arg) for arg in lit.args]
             if None in values:
-                raise NonNumericError(
-                    f"{name} needs numeric constants: {render_literal(lit)}"
-                )
+                raise NonNumericError(f"{name} needs numeric constants: {render_literal(lit)}")
             return _PASS if COMPARISONS[name](*values) else None
         clauses = self.db.preds_for(name, lit.args)
         if clauses is None:
@@ -541,20 +544,24 @@ class _Solver:
             cut = () if name == "choice" else (_Cut(height, soft=name == "first_all"),)
             after = cut if name == "first_one" else ()
             return ((self._through(st, lhs, rhs, cut, after), None, ONE) for st in args)
-        if name == "map":
-            if len(args) != 1:
-                raise ArityError("map takes exactly one strategy")
-            goals, outs = (), ()
-            for item in lhs:
-                out = self._fresh_out()
-                goals += (RhoAtom(args[0], (item,), out), _OneTerm(out))
-                outs += out
-            return goals + (self._into(outs, rhs),), None, ONE
+        if len(args) != 1:  # map or nf
+            raise ArityError(f"{name} takes exactly one strategy")
         if name == "nf":
-            if len(args) != 1:
-                raise ArityError("nf takes exactly one strategy")
             return self._nf(lit, 0, height)
-        raise AssertionError(name)
+        outs = tuple(self._fresh_out() for _ in lhs)  # named up front, in order
+        return self._map(args[0], 0, lhs, outs, None, rhs)
+
+    def _map(self, strategy, at, items, outs, done, rhs):
+        """The goals of a map with outputs ``done``, a list linked backwards: the
+        step of item ``at`` into its fresh name, or after the last ``C :: done ==> rhs``."""
+        if at < len(items):
+            following = _Map(strategy, outs[at], at + 1, items, outs, done, rhs)
+            return (RhoAtom(strategy, items[at:at + 1], outs[at]), following), None, ONE
+        outputs = []
+        while done:  # copying done at every item would cost O(m^2) for m items
+            done, term = done
+            outputs.append(term)
+        return (self._into(tuple(reversed(outputs)), rhs),), None, ONE
 
     def _nf(self, lit, depth, height):
         """Choice point of nf step ``depth``: go on from every output of the
@@ -568,23 +575,19 @@ class _Solver:
 
 def _instantiate(theta, goal):
     if isinstance(goal, _Into):
-        if not goal.locals:
-            return goal
         sigma = dict(goal.sigma.items())
         for v in goal.locals:
-            if isinstance(v, SeqVar):
-                sigma[v] = theta.apply_hedge(sigma[v])
-            elif isinstance(v, FunVar):
-                sigma[v] = theta.apply_head(sigma[v])
-            else:
-                sigma[v] = theta.apply_term(sigma[v])
+            apply = theta.apply_hedge if isinstance(v, SeqVar) else (
+                theta.apply_head if isinstance(v, FunVar) else theta.apply_term)
+            sigma[v] = apply(sigma[v])
         return _Into(Subst(sigma, _checked=True), goal.locals, goal.clause_rhs, goal.rhs)
     if isinstance(goal, _Cut):
         return goal
     if isinstance(goal, _Nf):
         return _Nf(apply_to_literal(theta, goal.lit), goal.depth, goal.height)
-    if isinstance(goal, _OneTerm):
-        return _OneTerm(theta.apply_hedge(goal.out))
+    if isinstance(goal, _Map):
+        return _Map(goal.strategy, theta.apply_hedge(goal.out), goal.at, goal.items,
+                    goal.outs, goal.done, goal.rhs)
     if isinstance(goal, _Unready):
         return _Unready(_instantiate(theta, goal.goal))
     return apply_to_literal(theta, goal)
@@ -605,9 +608,7 @@ def solve(db: ClauseDB, query: Query, relation=None, config=None) -> Iterator[An
     solver = _Solver(db, relation, config, query.threshold, order)
     for lit in query.goal:
         if literal_hole_count(lit):
-            raise HoleInGoalError(
-                f"hole is not allowed in goals: {render_literal(lit)}"
-            )
+            raise HoleInGoalError(f"hole is not allowed in goals: {render_literal(lit)}")
     unbound = _unbound_when_selected((), query.goal, parts)
     goals = [_Unready(lit) if names else lit for lit, names in zip(query.goal, unbound)]
     for bindings, degree in solver.run(goals):

@@ -1,11 +1,13 @@
 """Brute-force reference implementations used to cross-check the engine.
 
 Everything here favours obviousness over speed: candidate material is
-enumerated from the subject, assignments are built by cartesian product,
-and a candidate substitution counts as a matcher exactly when applying
-it to the pattern reproduces the subject. The brute-force matcher decides
-that by walking the pattern against the subject, without building the
-instance; ``apply_items`` builds it for the strategy oracle.
+enumerated from the subject, assignments are built from it one variable
+at a time, and a candidate substitution counts as a matcher exactly when
+applying it to the pattern reproduces the subject. The brute-force
+matcher decides that by walking the pattern against the subject, without
+building the instance, and drops a partial assignment as soon as the
+walk fails before it meets an unbound variable; ``apply_items`` builds
+the instance for the strategy oracle.
 
 Matchers here are plain dicts from variables to values, applied by this
 module's own ``apply_items``; only the term constructors come from the
@@ -13,7 +15,6 @@ package, so a fault in ``Subst`` or the matcher cannot cancel out.
 """
 
 import functools
-import itertools
 from decimal import Decimal
 
 from rholog import (
@@ -189,31 +190,47 @@ def apply_term(sigma, t):
 
 def brute_force_matchers(pattern, subject):
     """All matchers over subject material, found by enumerate-and-filter,
-    as a set of ``plain`` matchers."""
+    as a set of ``plain`` matchers. Variables take every value of their
+    kind's pool in order of first occurrence, which is the order the walk
+    meets them, so a walk that fails before the first unbound variable
+    fails for every value the rest could take."""
     pattern = tuple(pattern)
     subject = tuple(subject)
     variables = pattern_vars(pattern)
     pools = subject_pools(subject)
     found = set()
-    for values in itertools.product(*(pools[type(v)] for v in variables)):
-        candidate = dict(zip(variables, values))
-        if items_match(candidate, pattern, subject):
-            found.add(plain(candidate))
+
+    def extend(sigma, bound):
+        matched = items_match(sigma, pattern, subject)
+        if matched is None:  # the walk met variables[bound], still unbound
+            var = variables[bound]
+            for value in pools[type(var)]:
+                extend({**sigma, var: value}, bound + 1)
+        elif matched:
+            found.add(plain(sigma))
+
+    extend({}, 0)
     return found
 
 
 def items_match(sigma, pattern, subject):
     """Whether ``apply_items(sigma, pattern) == subject``, found by walking
     the pattern against the subject: it stops at the first mismatch and
-    builds no instance."""
+    builds no instance. None if it meets a variable ``sigma`` leaves
+    unbound before any mismatch."""
     at, end = 0, len(subject)
     for item in pattern:
         if isinstance(item, SeqVar):
-            value = sigma[item]
+            value = sigma.get(item)
+            if value is None:
+                return None
             if subject[at:at + len(value)] != value:
                 return False
             at += len(value)
-        elif at < end and term_matches(sigma, item, subject[at]):
+        elif at < end:
+            matched = term_matches(sigma, item, subject[at])
+            if not matched:
+                return matched
             at += 1
         else:
             return False
@@ -221,17 +238,22 @@ def items_match(sigma, pattern, subject):
 
 
 def term_matches(sigma, p, t):
-    """Whether ``apply_term(sigma, p) == t``, by the same walk."""
+    """Whether ``apply_term(sigma, p) == t``, by the same walk; None as above."""
     if isinstance(p, Compound):
-        head = sigma[p.head] if isinstance(p.head, FunVar) else p.head
+        head = sigma.get(p.head) if isinstance(p.head, FunVar) else p.head
+        if head is None:
+            return None
         return (isinstance(t, Compound) and t.head == head
                 and items_match(sigma, p.args, t.args))
     if isinstance(p, IndVar):
-        return sigma[p] == t
+        value = sigma.get(p)
+        return None if value is None else value == t
     if isinstance(p, CtxApply):
         # follow the context's hole down t; off that path the two must agree
-        ctx = sigma[p.var]
-        while ctx != HOLE:
+        ctx = sigma.get(p.var)
+        if ctx is None:
+            return None
+        while ctx is not HOLE:  # every context here is built around HOLE itself
             if not (isinstance(t, Compound) and t.head == ctx.head
                     and len(t.args) == len(ctx.args)):
                 return False
@@ -244,7 +266,7 @@ def term_matches(sigma, p, t):
 
 
 def has_hole(t):
-    return t == HOLE or isinstance(t, Compound) and any(map(has_hole, t.args))
+    return t is HOLE or isinstance(t, Compound) and any(map(has_hole, t.args))
 
 
 # -- the documented matcher order, without pruning ----------------------------

@@ -324,6 +324,23 @@ class TestBatch:
         assert code == 0
         assert "select:" in err
 
+    def test_each_trace_line_is_written_whole(self, monkeypatch):
+        # one write per line, so a line that Ctrl-C cuts short cannot lose its
+        # newline and run into the next message
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        writes = []
+        monkeypatch.setattr(sys, "stderr", Recorder())
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        code = main(["--load", str(PROGRAMS / "sorting.rho"), "--trace",
+                     "--query", "?(bubble_sort(=<) :: (2,1) ==> s_X, Result)."])
+        assert code == 0
+        assert any(text.startswith("select: ") for text in writes)
+        assert all(text.endswith("\n") and text.count("\n") == 1 for text in writes)
+
 
 REWRITING = str(PROGRAMS / "rewriting.rho")
 
@@ -362,6 +379,8 @@ class TestCommandLine:
         (["--query", REWRITE_QUERY, "--load"], "argument --load: expected one argument"),
         (["--bogus", "--query", REWRITE_QUERY], "unrecognized arguments: --bogus"),
         (["--trace=1", "--query", REWRITE_QUERY], "argument --trace: ignored explicit argument '1'"),
+        (["-hx"], "argument --help: ignored explicit argument 'x'"),
+        (["-h=x"], "argument --help: ignored explicit argument 'x'"),
     ])
     def test_usage_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_:
@@ -369,6 +388,12 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert exit_.value.code == 2 and captured.out == ""
         assert captured.err.endswith(f"error: {message}\n")
+
+    def test_a_run_of_hs_is_help(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["-hh"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rholog [-h]")
 
     def test_help_lists_every_option(self, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -89,6 +89,8 @@ def results(query_text, program="", rel=None, config=None):
     ]
 
 
+REV = "rev :: eps ==> eps.\nrev :: (i_X, s_R) ==> (s_Y, i_X) :- rev :: (s_R) ==> (s_Y).\n"
+
 REL = ProximityRelation([("a", "b", D("0.6")), ("b", "c", D("0.8"))])
 
 
@@ -770,6 +772,49 @@ class TestMachine:
         assert instantiated  # the positive form's own steps
         assert RhoAtom(atom("id"), (T("c"),), (SeqVar("s_Y"),)) not in instantiated
 
+    @pytest.mark.parametrize("query, item", [
+        ("?(map(st) :: ({}) ==> s_R, Result).", "c(a)"),
+        ("?(rev :: ({}) ==> s_R, Result).", "a"),
+    ], ids=["map", "rev"])
+    def test_instantiations_grow_linearly_with_the_items(self, monkeypatch, query, item):
+        # a step's bindings reach the goals up to the first pending clause
+        # continuation; walking every pending goal made this quadratic
+        calls = [0]
+        original = rholog.engine._instantiate
+
+        def counted(theta, goal):
+            calls[0] += 1
+            return original(theta, goal)
+
+        monkeypatch.setattr(rholog.engine, "_instantiate", counted)
+        db = db_of("st :: c(s_X) ==> d(s_X).\n" + REV)
+
+        def count(m):
+            calls[0] = 0
+            (answer,) = solve(db, parse_query(query.format(",".join([item] * m))))
+            assert len(answer.bindings.get(SeqVar("s_R"))) == m
+            return calls[0]
+
+        assert count(400) <= 2.2 * count(200)
+
+    def test_a_step_in_a_body_instantiates_no_goal_after_its_continuation(self, monkeypatch):
+        walked = []
+        original = rholog.engine._instantiate
+
+        def recorded(theta, goal):
+            walked.append((dict(theta.items()), goal))
+            return original(theta, goal)
+
+        monkeypatch.setattr(rholog.engine, "_instantiate", recorded)
+        program = "st :: i_X ==> s_Y :- id :: (i_X, i_X) ==> s_Y.\n"
+        query = "?(st :: a ==> s_X, id :: c ==> s_Z, Result)."
+        assert results(query, program) == [("[s_X ---> (a,a), s_Z ---> c]", D(1))]
+        later = RhoAtom(atom("id"), (T("c"),), (SeqVar("s_Z"),))
+        in_body = [goal for theta, goal in walked if SeqVar("s_X") not in theta]
+        assert in_body  # the body's step reaches its clause's continuation
+        assert later not in in_body
+        assert later in [goal for theta, goal in walked if SeqVar("s_X") in theta]
+
     def test_first_answer_tries_no_clause_of_a_later_choice(self, monkeypatch):
         heads = []
         original = rholog.engine.match_hedge
@@ -966,6 +1011,26 @@ class TestTrustedMatcherInputs:
         assert results(
             "?(rewrite_step(st) :: f(a,g(a,b)) ==> s_Out, Result).", read("rewriting.rho")
         ) == [("[s_Out ---> f(b,g(a,b))]", D(1)), ("[s_Out ---> f(a,g(b,b))]", D(1))]
+
+    def test_clause_bodies(self, checked):
+        # recursion through a rho clause and through a predicate, and a body
+        # whose locals pass through map, compose, nf and first_all
+        program = REV + (
+            "even(eps).\n"
+            "even(i_X, i_Y, s_R) :- even(s_R).\n"
+            "dec :: (a, s_X) ==> (s_X).\n"
+            "twice :: i_X ==> i_Y :- id :: i_X ==> i_Y.\n"
+            "mix :: (s_X) ==> g(s_A, s_B, s_C, s_D) :- even(s_X), "
+            "map(twice) :: (s_X) ==> s_A, compose(rev, rev) :: (s_A) ==> s_B, "
+            "nf(dec) :: (s_B) ==> s_C, first_all(rev, dec) :: (s_C) ==> s_D.\n"
+        )
+        assert results("?(rev :: (a,b,c,d) ==> s_R, Result).", program) == [
+            ("[s_R ---> (d,c,b,a)]", D(1))
+        ]
+        assert results("?(mix :: (a,a,b,a) ==> s_Out, Result).", program) == [
+            ("[s_Out ---> g(a,a,b,a,a,a,b,a,b,a,a,b)]", D(1))
+        ]
+        assert results("?(mix :: (a,b,a) ==> s_Out, Result).", program) == []
 
     def test_strategy_oracle_corpus(self, checked):
         for seed in (*range(100), *range(10_000, 10_100)):

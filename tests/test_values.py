@@ -29,7 +29,7 @@ from rholog import (
     parse_query,
     parse_term,
 )
-from rholog.engine import _Cut, _Into, _Nf, _OneTerm, _Unready
+from rholog.engine import _Cut, _Into, _Map, _Nf, _Unready
 from rholog.program import PredAtom, RhoAtom, RhoClause
 from rholog.proximity import DegreedMatcher
 from rholog.terms import Record
@@ -63,7 +63,8 @@ def values():
         (_Nf(parse_literal("nf(st) :: a ==> s_X"), 2, 5), "depth"),
         (_Into(Subst({IndVar("i_X"): parse_term("a")}), (IndVar("i_X"),),
                (parse_term("g(i_X)"),), (SeqVar("s_Y"),)), "rhs"),
-        (_OneTerm((parse_term("a"),)), "out"),
+        (_Map(parse_term("st"), (parse_term("a"),), 1, (parse_term("b"), parse_term("c")),
+              ((SeqVar("s_Out~1"),), (SeqVar("s_Out~2"),)), None, (SeqVar("s_X"),)), "out"),
         (_Unready(parse_literal(NEGATED)), "goal"),
     ]
 
