@@ -82,8 +82,6 @@ def _scan(text: str) -> list:
     """The token texts of ``text``, ending with the end of input, "". A
     character that starts no token is a ParseError."""
     texts = _TOKEN.split(text)[1::2]
-    if len(texts) > 1 and texts[-2] == "":
-        texts.pop()  # after trailing whitespace the end of input matches twice
     if None in texts:
         offset, line, col = _position(text, texts.index(None))
         raise ParseError(f"unexpected character {text[offset]!r}", line, col)
@@ -284,7 +282,6 @@ class _Parser:
             and entry.head.name[0].isupper()
         ):
             return entry.head.name
-        return None
 
     def _classify_query(self, entries, last) -> Query:
         """The query of the parsed ``entries``, the last starting at token ``last``."""

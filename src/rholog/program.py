@@ -67,16 +67,14 @@ def apply_to_literal(subst: Subst, lit):
         )
     if isinstance(lit, PredAtom):
         return PredAtom(subst.apply_head(lit.head), subst.apply_hedge(lit.args))
-    if isinstance(lit, NotGoal):
-        return NotGoal(apply_to_literal(subst, lit.inner))
-    raise TypeError(f"not a literal: {lit!r}")
+    return NotGoal(apply_to_literal(subst, lit.inner))  # load and solve admit no other literal
 
 
-def literal_hole_count(lit) -> int:
+def literal_hole_count(lit) -> int | None:
     if isinstance(lit, RhoAtom):
         return hole_count(lit.strategy) + hole_count(lit.lhs) + hole_count(lit.rhs)
     if isinstance(lit, PredAtom):
         return hole_count(lit.args)
     if isinstance(lit, NotGoal):
         return literal_hole_count(lit.inner)
-    raise TypeError(f"not a literal: {lit!r}")
+    # None for a non-literal: _literal_parts rejects it when load or solve reads it

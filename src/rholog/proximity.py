@@ -38,8 +38,6 @@ class ProximityRelation:
         a = a if isinstance(a, Sym) else Sym(a)
         b = b if isinstance(b, Sym) else Sym(b)
         degree = check_degree(degree)
-        if a is b:
-            return  # reflexivity is implicit and always 1
         self._degrees[a, b] = self._degrees[b, a] = degree
 
     def degree(self, a: Sym, b: Sym) -> Decimal:

@@ -240,7 +240,6 @@ def numeral_value(t) -> Decimal | None:
         if not hasattr(t.head, "_value"):
             t.head._value = Decimal(t.head.name) if is_numeral(t.head.name) else None
         return t.head._value
-    return None
 
 
 def render_sequence(h) -> str:
@@ -311,24 +310,20 @@ def apply_context(ctx: Term, t: Term) -> Term:
     raise InvalidValueError(f"not a context (no hole): {ctx!r}")
 
 
+_KINDS = {  # variable class: (value classes it takes, their hole count, what it maps to)
+    IndVar: ((Hole, IndVar, Compound, CtxApply), 0, "a hole-free term"),
+    SeqVar: (tuple, 0, "a hole-free sequence"),
+    FunVar: ((Sym, FunVar), 0, "a function head"),
+    CtxVar: ((Hole, Compound, CtxApply), 1, "a one-hole context"),
+}
+
+
 def _check_binding(var, value) -> None:
-    if isinstance(var, IndVar):
-        if isinstance(value, (Hole, IndVar, Compound, CtxApply)) and hole_count(value) == 0:
-            return
-        raise KindMismatchError(f"{var!r} must map to a hole-free term, got {value!r}")
-    if isinstance(var, SeqVar):
-        if isinstance(value, tuple) and hole_count(value) == 0:
-            return
-        raise KindMismatchError(f"{var!r} must map to a hole-free sequence, got {value!r}")
-    if isinstance(var, FunVar):
-        if isinstance(value, (Sym, FunVar)):
-            return
-        raise KindMismatchError(f"{var!r} must map to a function head, got {value!r}")
-    if isinstance(var, CtxVar):
-        if isinstance(value, (Hole, Compound, CtxApply)) and hole_count(value) == 1:
-            return
-        raise KindMismatchError(f"{var!r} must map to a one-hole context, got {value!r}")
-    raise KindMismatchError(f"not a variable: {var!r}")
+    if type(var) not in _KINDS:
+        raise KindMismatchError(f"not a variable: {var!r}")
+    classes, holes, wanted = _KINDS[type(var)]
+    if not isinstance(value, classes) or hole_count(value) != holes:
+        raise KindMismatchError(f"{var!r} must map to {wanted}, got {value!r}")
 
 
 def _is_identity(var, value) -> bool:

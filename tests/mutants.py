@@ -3,6 +3,8 @@
     python -m tests.mutants DIR                    # the catalogue below
     python -m tests.mutants DIR --delete FUNCTION  # each statement of one
                                                    # function, one at a time
+    python -m tests.mutants DIR --delete engine.py # the same for every
+                                                   # function of a module
 
 The tree is copied once to ``DIR/tree``. Each mutant is applied to that
 copy, tier-1 runs on it in one child process, and the file is restored
@@ -21,11 +23,15 @@ are listed with the reason and not run.
 ``--delete FUNCTION`` (``name`` or ``Class.name``, in ``src/rholog``)
 replaces each statement of that function by ``pass``, nested statements
 included; docstrings and ``elif`` tests are left alone, since the
-statements of an ``elif`` branch are deleted one by one. A deleted
-statement that survives is dead or untested.
+statements of an ``elif`` branch are deleted one by one. ``--delete``
+with a module's file name (``engine.py``) does this for every function and
+method of the module, after one run of tier-1 on the unmutated copy. A
+deleted statement that survives is dead or untested, unless it is listed
+in ``EQUIVALENT_DELETIONS`` with the reason; a listed statement that does
+not occur exactly once in its function is an error before anything runs.
 
-pytest does not collect this module. The exit status is 1 if a catalogue
-mutant that is not equivalent survives.
+pytest does not collect this module. The exit status is 1 if a mutant
+that is not equivalent survives.
 """
 
 import argparse
@@ -108,6 +114,21 @@ EQUIVALENT = [
 ]
 
 
+# (function, first line of a statement in it, why deleting the statement changes
+# no answer): ``--delete`` lists these with the reason and does not run them
+EQUIVALENT_DELETIONS = [
+    ("Subst.__init__", "if _checked:",
+     "the checked path builds the same Subst from the trusted mapping, only slower"),
+    ("Subst.__init__", "return",
+     "the checked path builds the same Subst from the trusted mapping, only slower"),
+    ("_load_session", "raise",
+     "load_program checks each clause on its own, so whenever the whole program "
+     "fails to load, some file fails alone, and that file's error is raised first"),
+    ("_Parser.skip", "return False",
+     "every caller tests the result for truth, and None is false"),
+]
+
+
 def check_catalogue(tree):
     """Raise if an entry's text does not occur exactly once in its file."""
     for name, path, text, _, _ in CATALOGUE + EQUIVALENT:
@@ -116,37 +137,53 @@ def check_catalogue(tree):
             raise SystemExit(f"{name}: its text occurs {found} times in {path}: {text!r}")
 
 
-def deletions(tree, function):
-    """``(label, path, mutated source)`` for each statement of ``function``."""
-    found = []
+def deletions(tree, target):
+    """``(label, path, mutated source, reason)`` for each statement of the
+    function ``target`` names, or of every function of the module file
+    ``target``; ``reason`` is None unless the deletion is equivalent."""
+    functions, statements = [], []
     for path in sorted((tree / "src" / "rholog").glob("*.py")):
         data = path.read_bytes()
         module = ast.parse(data)
         owners = [("", module)] + [(f"{node.name}.", node) for node in module.body
                                    if isinstance(node, ast.ClassDef)]
-        found += [(path, data, node) for prefix, owner in owners for node in owner.body
-                  if isinstance(node, ast.FunctionDef)
-                  and function in (node.name, prefix + node.name)]
-    if len(found) != 1:
-        raise SystemExit(f"{function!r} names {len(found)} functions in src/rholog")
-    path, data, function_node = found[0]
-    starts = [0]
-    for line in data.splitlines(keepends=True):
-        starts.append(starts[-1] + len(line))
+        starts = [0]
+        for line in data.splitlines(keepends=True):
+            starts.append(starts[-1] + len(line))
+        for prefix, owner in owners:
+            for function in owner.body:
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                name = prefix + function.name
+                if target in (path.name, function.name, name):
+                    functions.append((path, name))
+                for node in ast.walk(function):
+                    if node is function or not isinstance(node, ast.stmt):
+                        continue
+                    begin = starts[node.lineno - 1] + node.col_offset  # UTF-8 byte offsets
+                    end = starts[node.end_lineno - 1] + node.end_col_offset
+                    docstring = isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                    if not (docstring or data[begin:begin + 4] == b"elif"):
+                        line = data[begin:end].decode().splitlines()[0].strip()
+                        statements.append((name, line, node.lineno, path, data, begin, end))
+    if target.endswith(".py") and not (tree / "src" / "rholog" / target).is_file():
+        raise SystemExit(f"{target!r} names no module in src/rholog")
+    if len(functions) != 1 and not target.endswith(".py"):
+        raise SystemExit(f"{target!r} names {len(functions)} functions in src/rholog")
+    reasons = {}
+    for function, line, reason in EQUIVALENT_DELETIONS:
+        found = sum((name, text) == (function, line) for name, text, *_ in statements)
+        if found != 1:
+            raise SystemExit(f"{function} has {found} statements {line!r}, not 1")
+        reasons[function, line] = reason
     mutants = []
-    for node in ast.walk(function_node):
-        if node is function_node or not isinstance(node, ast.stmt):
-            continue
-        begin = starts[node.lineno - 1] + node.col_offset  # offsets count UTF-8 bytes
-        end = starts[node.end_lineno - 1] + node.end_col_offset
-        docstring = isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
-        if docstring or data[begin:begin + 4] == b"elif":
-            continue
-        mutated = data[:begin] + b"pass" + data[end:]
-        compile(mutated, str(path), "exec")
-        line = data[begin:end].decode().splitlines()[0]
-        mutants.append((begin, f"line {node.lineno}: {line.strip()}", path, mutated))
-    return [mutant[1:] for mutant in sorted(mutants, key=lambda mutant: mutant[0])]
+    for name, line, lineno, path, data, begin, end in statements:
+        if (path, name) in functions:
+            mutated = data[:begin] + b"pass" + data[end:]
+            compile(mutated, str(path), "exec")
+            mutants.append((path, begin, f"{name} line {lineno}: {line}", path, mutated,
+                            reasons.get((name, line))))
+    return [mutant[2:] for mutant in sorted(mutants, key=lambda mutant: mutant[:2])]
 
 
 def run_tier1(tree):
@@ -176,7 +213,8 @@ def main(argv=None):
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("dir", type=Path, help="scratch directory for the copy of the tree")
     parser.add_argument("--delete", metavar="FUNCTION",
-                        help="replace each statement of FUNCTION by pass, one at a time")
+                        help="replace each statement of FUNCTION, or of each function "
+                             "of the module file FUNCTION, by pass, one at a time")
     args = parser.parse_args(argv)
     tree = args.dir.resolve() / "tree"
     if ROOT in tree.parents:
@@ -185,7 +223,10 @@ def main(argv=None):
     shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
         ".git", "__pycache__", ".pytest_cache", ".bench_work"))
 
-    def run(label, path, mutated):
+    def run(label, path, mutated, reason=None):
+        if reason is not None:
+            print(f"{'skipped':9}  {label}: {reason}", flush=True)
+            return "skipped"
         original = path.read_bytes()
         path.write_bytes(mutated)
         try:
@@ -209,8 +250,9 @@ def main(argv=None):
     if run_tier1(tree) != "survived":
         raise SystemExit("tier-1 does not pass on the unmutated copy")
     outcomes = [run(*mutant) for mutant in mutants]
-    print(", ".join(f"{outcomes.count(o)} {o}" for o in ("caught", "survived", "timed out")))
-    return 1 if "survived" in outcomes and not args.delete else 0
+    print(", ".join(f"{outcomes.count(o)} {o}"
+                    for o in ("caught", "survived", "timed out", "skipped")))
+    return 1 if "survived" in outcomes else 0
 
 
 if __name__ == "__main__":

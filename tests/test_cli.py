@@ -1,6 +1,7 @@
 import errno
 import io
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -449,6 +450,9 @@ class TestStartUp:
         assert args["--query"] == queries
 
 
+BANNER = "rholog. Queries look like ?(st :: lhs ==> rhs, Result). Type halt. to quit.\n"
+
+
 class TestRepl:
     def feed(self, monkeypatch, text):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -511,6 +515,13 @@ class TestRepl:
         self.feed(monkeypatch, "")
         code, out, err = run(capsys, [])
         assert code == 0
+        assert out == BANNER + "?- \n" and err == ""
+
+    def test_eof_while_stepping_ends_the_session(self, capsys, monkeypatch):
+        self.feed(monkeypatch, "?(id :: a ==> i_X, Result).\n")
+        code, out, err = run(capsys, [])
+        assert code == 0
+        assert out == BANNER + "?- Result = [i_X ---> a]\n?- \n" and err == ""
 
     def test_ctrl_c_stops_the_query_and_the_session_goes_on(self, tmp_path):
         program = tmp_path / "loop.rho"
@@ -530,6 +541,7 @@ class TestRepl:
             out, err = proc.communicate("?(id :: a ==> i_X, Result).\n\nhalt.\n", timeout=60)
         finally:
             proc.kill()
+            proc.wait()
         assert proc.returncode == 0, err[-2000:]
         # a trace line cut short by the interrupt may precede the message
         assert "interrupted\n" in err and "Traceback" not in err
@@ -547,13 +559,33 @@ class TestRepl:
             while not seen.endswith("?- "):  # the session waits at its first prompt
                 seen += proc.stdout.read(1) or pytest.fail(f"no prompt: {seen!r}")
             proc.send_signal(signal.SIGINT)
+            select.select([proc.stderr], [], [], 10)[0] or pytest.fail(
+                "no interrupted within 10 s of one SIGINT at the prompt")
             assert proc.stderr.readline() == "interrupted\n"
             out, err = proc.communicate("?(id :: a ==> i_X, Result).\n\nhalt.\n", timeout=60)
         finally:
             proc.kill()
+            proc.wait()
         assert proc.returncode == 0, err[-2000:]
         assert err == ""
         assert out == "?- Result = [i_X ---> a]\n.\n?- "
+
+
+def nest(depth, inner="a"):
+    return "f(" * depth + inner + ")" * depth
+
+
+class TestDeepTerms:
+    @pytest.mark.parametrize("argv, answer", [
+        ([f"?(id :: {nest(300)} ==> i_X, Result)."], f"[i_X ---> {nest(300)}]"),
+        ([f"?(id :: {nest(1000)} ==> i_X, Result)."], f"[i_X ---> {nest(1000)}]"),
+        ([f"?(rewrite_step(st) :: {nest(300)} ==> s_Out, Result).", "--answers", "1",
+          "--load", REWRITING], f"[s_Out ---> {nest(300, 'b')}]"),
+    ], ids=["id-300", "id-1000", "rewrite_step-300"])
+    def test_a_deep_term_answers_through_the_command_line(self, capsys, argv, answer):
+        code, out, err = run(capsys, ["--query", *argv])
+        assert (code, err) == (0, "")
+        assert f"Result = {answer} ;\n" in out
 
 
 class TestProcessSettings:

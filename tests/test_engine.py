@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
@@ -15,7 +17,9 @@ from rholog import (
     Compound,
     CtxVar,
     EngineConfig,
+    FunVar,
     IndVar,
+    NotGoal,
     PredAtom,
     PredClause,
     ProximityRelation,
@@ -24,6 +28,7 @@ from rholog import (
     SeqVar,
     SourceProgram,
     Subst,
+    Sym,
     atom,
     is_ground,
     load_program,
@@ -55,16 +60,18 @@ from rholog.errors import (
 from rholog.program import Query, apply_to_literal
 
 from tests.genrand import (
+    SYMS,
     ground_hedge,
     ground_subst_for,
     make_rng,
     pattern_hedge,
+    perturb_hedge,
     random_relation,
     rho_clause_with_body,
     rule_sides,
 )
-from tests.oracles import ordered_matchers
-from tests.strategy_oracle import drain
+from tests.oracles import apply_items, ordered_matchers
+from tests.strategy_oracle import drain, random_input, random_rules, random_strategy
 from tests.test_strategy_oracle import OUT, THRESHOLDS, case, load
 
 D = Decimal
@@ -130,6 +137,19 @@ class TestLoad:
         with pytest.raises(LoadError):
             db_of("st :: hole ==> a.")
 
+    def test_a_clause_of_no_known_kind_is_a_load_error(self):
+        with pytest.raises(LoadError, match="^unsupported clause: 42$"):
+            load_program(SourceProgram((42,)))
+
+    def test_a_body_item_that_is_no_literal_is_a_type_error(self):
+        clause = RhoClause(atom("st"), (), (), (42,))
+        with pytest.raises(TypeError, match="^not a literal: 42$"):
+            load_program(SourceProgram((clause,)))
+
+    def test_a_goal_that_is_no_literal_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^not a literal: 42$"):
+            next(solve(db_of(), Query((42,))))
+
     def test_grounding_lint_warns(self, caplog):
         with caplog.at_level("WARNING", logger="rholog.engine"):
             db_of("st :: s_X ==> s_Y :- other :: s_Z ==> s_Y.")
@@ -161,6 +181,151 @@ class TestLoadOutcomes:
                          for position, clause, _, facts in sorted(entries, key=lambda e: e[0])])
         assert sum(map(len, rows)) > 1000
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST
+
+
+def call(name, *args):
+    return Compound(Sym(name), args)
+
+
+class TestSolveOutcomes:
+    """What ``solve`` gives, pinned by digests: per query of a seeded corpus, the
+    rendered answers with their degrees, or the error's class and message; and,
+    in a digest of their own, the trace lines, fresh-name numbering included.
+
+    Each program holds size-decreasing rules (``tests.strategy_oracle``),
+    clauses with random bodies (``tests.genrand``), clauses whose bodies pass
+    locals on or negate a step, clauses with leading guards, and predicate
+    clauses. Queries have one to three literals, in exact and threshold mode
+    (threshold 0 included), under a small ``nf`` step limit."""
+
+    ANSWERS = "1b14678a5034cc9cb56ba3d2257632b05c6bc0bce85369211cb9653fde36c06f"
+    TRACES = "e76da7150eb30f5343db2637ddf9e5eee23ae91de2cebd47d215ef57c6c1776b"
+    X, Y, Z, S, R = IndVar("i_X"), IndVar("i_Y"), IndVar("i_Z"), SeqVar("s_X"), SeqVar("s_Z")
+    A, B, C, OUT, REST = SeqVar("s_A"), SeqVar("s_B"), SeqVar("s_C"), OUT, SeqVar("s_Y")
+    THRESHOLDS = tuple(D(x) for x in ("0", "0", "0.3", "0.5", "0.8", "1"))
+    NUMERALS = ("1", "2", "3", "4", "5", "0.5", "a")  # a makes a comparison fail
+
+    def program(self, rng):
+        """The rules by name and the clauses of a random program."""
+        X, Y, S, R, A, B, C, REST = self.X, self.Y, self.S, self.R, self.A, self.B, self.C, self.REST
+        rules = random_rules(rng, ("r1", "r2", "a", "f"))
+        clauses = [RhoClause(atom(name), lhs, rhs)
+                   for name, sides in rules.items() for lhs, rhs in sides]
+        clauses += [rho_clause_with_body(rng, 3) for _ in range(rng.randrange(1, 4))]
+        compare = PredAtom(Sym(rng.choice(("=<", "<", ">", ">="))), (X, Y))
+        guard = RhoAtom(rng.choice((atom("id"), atom("prox"), call("prox", atom("0.5")))),
+                        (X,), (Y,))
+        near, pipe = (A, X, B, Y, C), atom("pipe")
+        clauses += [
+            RhoClause(atom("cmp"), (A, X, Y, B), (X, Y), (compare,)),
+            RhoClause(atom("cmp"), (A, X, Y, B), (Y, X), (NotGoal(compare),)),
+            RhoClause(atom("near"), near, (X, Y), (RhoAtom(atom("prox"), (X,), (Y,)),)),
+            RhoClause(atom("near"), near, (Y, X), (guard,)),
+            RhoClause(atom("near"), near, (Y,), (RhoAtom(atom("prox"), (X,), (Y,)),
+                                                 RhoAtom(atom("r1"), (Y,), (self.OUT,)))),
+            RhoClause(pipe, (S,), (R,), (RhoAtom(random_strategy(rng, 1), (S,), (REST,)),
+                                         RhoAtom(random_strategy(rng, 1), (REST,), (R,)))),
+            RhoClause(pipe, (X, S), (REST, X), (RhoAtom(random_strategy(rng, 1), (S,), (REST,)),)),
+            RhoClause(pipe, (atom(rng.choice(SYMS)), S), (S,),
+                      (NotGoal(RhoAtom(random_strategy(rng, 1), (S,), (REST,))),)),
+            RhoClause(atom("dup"), (X,), (X, X)),
+            RhoClause(atom("dup"), (Compound(FunVar("f_F"), (S,)),), (S,)),
+        ]
+        for _ in range(rng.randrange(0, 4)):  # a p clause never calls p
+            body = tuple(lit for lit in rho_clause_with_body(rng, 2).body
+                         if isinstance(getattr(lit, "inner", lit), RhoAtom))
+            clauses.append(PredClause("p", pattern_hedge(rng, 2, 1),
+                                      body if rng.random() < 0.5 else ()))
+        rng.shuffle(clauses)
+        return rules, clauses
+
+    def first_literal(self, rng, rules, clauses, rel):
+        out, two = (self.OUT,), (self.OUT, self.REST)
+        roll = rng.random()
+        if roll < 0.45:
+            return RhoAtom(random_strategy(rng, 2), random_input(rng, rules), rng.choice((out, two)))
+        if roll < 0.6:
+            pipe, dup = atom("pipe"), atom("dup")
+            st = rng.choice((pipe, call("first_one", pipe), call("map", pipe), call("nf", pipe),
+                             call("choice", pipe, atom("r2")), call("map", dup),
+                             call("map", call("choice", dup, atom("id")))))
+            return RhoAtom(st, random_input(rng, rules), rng.choice((out, two)))
+        if roll < 0.7:
+            st = atom("st")
+            st = rng.choice((st, call("first_one", st), call("map", st),
+                             call("first_all", st, atom("r1"))))
+            lhs = rng.choice([c.lhs for c in clauses if getattr(c, "strategy", None) == atom("st")])
+            return RhoAtom(st, apply_items(dict(ground_subst_for(rng, lhs).items()), lhs), out)
+        if roll < 0.85:
+            cmp = atom("cmp")
+            st = rng.choice((cmp, call("first_one", cmp), call("nf", cmp), call("first_all", cmp)))
+            return RhoAtom(st, tuple(atom(rng.choice(self.NUMERALS))
+                                     for _ in range(rng.randrange(2, 6))), out)
+        near, close = atom("near"), [name for pair in rel.pairs() for name in pair]
+        st = rng.choice((near, call("choice", near, atom("id")), call("nf", near)))
+        return RhoAtom(st, tuple(atom(rng.choice(close or SYMS)) for _ in range(rng.randrange(1, 5))),
+                       rng.choice((out, (self.REST, self.Z))))
+
+    def next_literal(self, rng):
+        out, rest = (self.OUT,), (self.REST,)
+        roll = rng.random()
+        if roll < 0.3:
+            return RhoAtom(random_strategy(rng, 1), out, rest)
+        if roll < 0.5:
+            return PredAtom(Sym("p"), out)
+        if roll < 0.65:
+            return NotGoal(RhoAtom(atom(rng.choice(("r1", "r2"))), out, rest))
+        if roll < 0.8:
+            return RhoAtom(atom("id"), out, pattern_hedge(rng, 2, 1))
+        if roll < 0.9:
+            return PredAtom(Sym(rng.choice(("=<", ">"))), (self.Z, atom("3")))
+        return RhoAtom(atom("st"), out, rest)
+
+    def corpus(self):
+        """``(clauses, relation, query, nf step limit)``: four queries a program."""
+        rng = make_rng(151)
+        for _ in range(300):
+            rules, clauses = self.program(rng)
+            rel = random_relation(rng)
+            for _ in range(4):
+                goal = [self.first_literal(rng, rules, clauses, rel)]
+                goal += [self.next_literal(rng) for _ in range(rng.choice((0, 0, 1, 1, 2)))]
+                near = goal[0].strategy.head.name in ("near", "choice")
+                if rng.random() < (0.7 if near else 0.4):
+                    if rng.random() < 0.5:  # a rhs close to the input, not equal
+                        lit = goal[0]
+                        goal[0] = RhoAtom(lit.strategy, lit.lhs,
+                                          perturb_hedge(rng, rel, lit.lhs, 0.5))
+                    query = Query(tuple(goal), threshold=rng.choice(self.THRESHOLDS),
+                                  degree_var="Degree")
+                else:
+                    query = Query(tuple(goal))
+                yield clauses, rel, query, rng.choice((1, 2, 3))
+
+    def test_outcomes_match_the_pinned_digests(self, caplog):
+        caplog.set_level("ERROR", logger="rholog.engine")  # the load lint is not pinned
+        rows, traces, db, loaded = [], [], None, None
+        for clauses, rel, query, limit in self.corpus():
+            lines = []
+            try:
+                if loaded is not clauses:
+                    db, loaded = load_program(SourceProgram(tuple(clauses))), clauses
+                config = EngineConfig(nf_step_limit=limit, trace_sink=lines.append)
+                got = [(render_answer(a), str(a.degree))
+                       for a in itertools.islice(solve(db, query, rel, config), 6)]
+            except Exception as exc:  # a mutant may raise anything
+                got = (type(exc).__name__, str(exc))
+            rows.append(got)
+            traces.append(lines)
+        answers = [answer for got in rows if isinstance(got, list) for answer in got]
+        errors = Counter(got[0] for got in rows if isinstance(got, tuple))
+        assert len(answers) > 500 and sum(d != "1" for _, d in answers) > 10
+        assert sum(map(len, traces)) > 10_000
+        assert errors["StepLimitError"] > 50 and min(errors[name] for name in (
+            "NonGroundRedexError", "NonTermResultError", "NonNumericError",
+            "UnknownPredicateError", "UnknownStrategyError")) > 5
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.ANSWERS
+        assert hashlib.sha256(repr(traces).encode()).hexdigest() == self.TRACES
 
 
 class TestIdAndProx:
@@ -848,6 +1013,8 @@ class TestHolesInGoals:
     @pytest.mark.parametrize("query", [
         "?(id :: f(hole) ==> s_X, Result).",
         "?(id :: a ==> f(hole), Result).",
+        "?(p(hole), Result).",
+        "?(not(p(f(hole))), Result).",
     ])
     def test_hole_in_a_goal_is_an_error_of_the_answer_stream(self, query):
         stream = solve(db_of(), parse_query(query))

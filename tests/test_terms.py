@@ -108,6 +108,10 @@ class TestApplySubst:
         sigma = Subst({IndVar("i_X"): T("a")})
         assert sigma.apply_hedge(H("(i_X, i_Y, s_Z)")) == H("(a, i_Y, s_Z)")
 
+    def test_a_ground_term_is_shared_not_rebuilt(self):
+        ground = T("f(a, g(b), c)")
+        assert Subst({IndVar("i_X"): T("a")}).apply_term(ground) is ground
+
     def test_context_binding_to_bare_hole(self):
         sigma = Subst({CtxVar("c_X"): HOLE})
         assert sigma.apply_term(T("c_X(f(a))")) == T("f(a)")
@@ -161,6 +165,18 @@ class TestValidation:
             Subst({CtxVar("c_X"): T("f(a)")})  # no hole
         with pytest.raises(KindMismatchError):
             Subst({IndVar("i_X"): T("f(hole)")})  # hole leaks into a term
+
+    @pytest.mark.parametrize("var, value, message", [
+        (IndVar("i_X"), H("(a,b)"), "i_X must map to a hole-free term, got (a, b)"),
+        (SeqVar("s_X"), T("a"), "s_X must map to a hole-free sequence, got a"),
+        (FunVar("f_X"), T("a"), "f_X must map to a function head, got a"),
+        (CtxVar("c_X"), T("f(a)"), "c_X must map to a one-hole context, got f(a)"),
+        (T("a"), T("b"), "not a variable: a"),
+    ])
+    def test_kind_mismatch_messages(self, var, value, message):
+        with pytest.raises(KindMismatchError) as raised:
+            Subst({var: value})
+        assert str(raised.value) == message
 
     def test_bind_checks_kinds(self):
         bad = [

@@ -108,6 +108,11 @@ class TestEquality:
         assert parse_term("f(a)") != parse_term("g(a)")
         assert _Cut(3) != _Cut(3, soft=True)
 
+    def test_a_value_is_not_equal_to_a_value_of_another_class(self):
+        # False, not None: each __eq__ defers to the other operand, then to identity
+        assert (parse_term("a") == HOLE) is False
+        assert (RhoAtom(parse_term("st"), (), ()) == 5) is False
+
     def test_a_set_keeps_one_of_each_equal_value(self):
         items = [value for value, _ in values()] + [value for value, _ in values()]
         assert len(set(items)) == len(KINDS)
