@@ -17,8 +17,9 @@ stored head matches with ``sigma`` (extended by fresh names ``v~n`` for its
 local variables) gives the goals ``sigma(body)``, then
 ``C :: sigma(s2') ==> s2``, where ``C`` is ``id``, or ``prox(lam)`` in
 threshold mode, built when it is selected, after the body. A leading guard
-(``id``, ``prox``, a comparison or its negation) is tested in the clause-try
-loop, so a hit that fails it builds no body and no continuation.
+(``id``, ``prox``, a comparison or its negation) is tested inside the head
+match once its variables are bound (``_test_at``), on ground sides read from
+the match's dict, so a candidate that fails it is never yielded.
 Builtins become goals too: ``compose(s1,...,sk) :: l ==> r`` gives
 ``s1 :: l ==> s_Out~1``, ..., ``sk :: s_Out~(k-1) ==> s_Out~k``,
 ``C :: s_Out~k ==> r``. ``map(st)`` over m items names ``s_Out~1``, ...,
@@ -74,13 +75,14 @@ from .program import (
     apply_to_literal,
     literal_hole_count,
 )
-from .proximity import EMPTY_RELATION, check_threshold
+from .proximity import EMPTY_RELATION, check_threshold, hedge_proximity
 from .terms import (
     HOLE,
     Compound,
     CtxApply,
     CtxVar,
     FunVar,
+    IndVar,
     Record,
     SeqVar,
     Subst,
@@ -90,6 +92,8 @@ from .terms import (
     is_ground,
     iter_vars,
     numeral_value,
+    subst_hedge,
+    subst_term,
 )
 
 BUILTIN_STRATEGIES = frozenset(
@@ -143,14 +147,28 @@ def _first_key(items):
 
 
 def _index(clauses):
-    """The index ``{name: (keyed, free)}`` of ``(name, first items, clause, head)``."""
+    """The index ``{name: (keyed, free)}`` of ``(name, first items, clause, head)``;
+    a guarded clause's head is kept as ``(head, _test_at(head, guard))``."""
     index = {}
     for position, (name, first, clause, head) in enumerate(clauses):
         keyed, free = index.setdefault(name, ({}, []))
         key = _first_key(first)
         bucket = free if key is None else keyed.setdefault(key, [])
-        bucket.append((position, clause, head, _facts(clause, head)))
+        facts = _facts(clause, head)
+        if facts[3] is not None:
+            head = (head, _test_at(head, facts[3]))
+        bucket.append((position, clause, head, facts))
     return index
+
+
+def _test_at(head, guard):
+    """Where the head matcher tests ``guard``, so that a test stands for one matcher:
+    after the last top-level item with a variable of it, if only a new sequence
+    variable follows; else at the end."""
+    names = set(itertools.chain(*_literal_parts(guard)))
+    at = max((k + 1 for k, x in enumerate(head) if names.intersection(iter_vars(x))), default=0)
+    last = head[-1] if at == len(head) - 1 else None
+    return at if isinstance(last, SeqVar) and last not in iter_vars(head[:at]) else len(head)
 
 
 def _facts(clause, head):
@@ -322,12 +340,16 @@ class _Solver:
         if self.cfg.trace_sink is not None:
             self.cfg.trace_sink(f"{kind}: {render(item)}")
 
-    def _with_fresh_locals(self, sigma, local_vars):
-        """``sigma`` plus fresh names, under one new counter value, for a
-        clause's local variables; fresh names never reach answers."""
+    def _tried(self, clause, local_vars):
+        """Report a head matcher of ``clause``; the counter value naming its locals."""
+        self._trace("clause", render_clause, clause)
+        return next(self._fresh) if local_vars else None
+
+    def _with_fresh_locals(self, sigma, local_vars, n):
+        """``sigma`` plus fresh names, under counter value ``n``, for a clause's
+        local variables; fresh names never reach answers."""
         if not local_vars:
             return sigma
-        n = next(self._fresh)
         mapping = dict(sigma.items())
         for v in local_vars:
             new = type(v)(f"{v.name}~{n}")
@@ -464,13 +486,15 @@ class _Solver:
 
         def hits():
             for _, clause, head, (local_vars, _, ready, guard) in clauses:
-                for sigma in match_hedge(head, subject, _checked=True):
-                    self._trace("clause", render_clause, clause)
-                    sigma = self._with_fresh_locals(sigma, local_vars)
-                    tested = (0, ONE) if guard is None else self._guard(guard, sigma)
-                    if tested is None:
-                        continue
-                    start, step = tested
+                test = (-1, None)
+                if guard is not None:
+                    head, at = head
+                    test = at, self._guard(clause, guard, local_vars)
+                for sigma in match_hedge(head, subject, _checked=True, _test=test):
+                    if guard is None:
+                        sigma = sigma, (self._tried(clause, local_vars), 0, ONE)
+                    sigma, (n, start, step) = sigma
+                    sigma = self._with_fresh_locals(sigma, local_vars, n)
                     body = tuple(apply_to_literal(sigma, b) for b in clause.body[start:])
                     if rhs is not None:
                         body += (_Into(sigma, local_vars, clause.rhs, rhs),)
@@ -481,51 +505,66 @@ class _Solver:
 
         return next(hits(), None) if len(clauses) == 1 and clauses[0][3][1] else hits()
 
-    def _guard(self, lit, sigma):
-        """Test a hit's guard ``lit`` as selecting it would, instantiating only the
-        guard: the body literals it used up (0 if an ``f_`` head names no
-        comparison) and the degree of its step, or None if it fails."""
+    def _guard(self, clause, lit, local_vars):
+        """The head matcher's test of ``clause``'s leading guard ``lit`` on a dict binding
+        its variables, as a hit and then selection would do it: None if it fails, else the
+        locals' counter value, the body literals it used up (0 if an ``f_`` head names
+        no comparison) and the degree of its step."""
         negated = isinstance(lit, NotGoal)
         call = lit.inner if negated else lit
-        if isinstance(call, RhoAtom):
-            st = sigma.apply_term(call.strategy)
-            lhs, rhs = sigma.apply_hedge(call.lhs), sigma.apply_hedge(call.rhs)
+        rho = isinstance(call, RhoAtom)
+        head, lhs = (call.strategy, _reader(call.lhs)) if rho else (call.head, _reader(call.args))
+        rhs, known = _reader(call.rhs) if rho else None, []  # known: a ground head's floor
+        tried = local_vars or self.cfg.trace_sink is not None  # else _tried does nothing
+
+        def test(d):
+            n = self._tried(clause, local_vars) if tried else None
+            if not rho:
+                name = d.get(head, head)
+                if name.name not in COMPARISONS:
+                    return n, 0, ONE
+                pred = PredAtom(name, lhs(d))
+                if negated:
+                    self._trace("negation", render_literal, NotGoal(pred))
+                failed = self._solve_pred(pred) is None
+                return (n, 1, ONE) if failed == negated else None
+            st, left, right = head if head._ground else subst_term(d, head), lhs(d), rhs(d)
             if self.cfg.trace_sink is not None:
-                self._trace("select", render_literal, RhoAtom(st, lhs, rhs))
-            matched = next(self._step_matchers(st.head.name, st.args, lhs, rhs), None)
-            return None if matched is None else (1, matched[1])
-        head = sigma.apply_head(call.head)
-        if head.name not in COMPARISONS:
-            return 0, ONE
-        call = PredAtom(head, sigma.apply_hedge(call.args))
-        if negated:
-            self._trace("negation", render_literal, NotGoal(call))
-        failed = self._solve_pred(call) is None
-        return (1, ONE) if failed == negated else None
+                self._trace("select", render_literal, RhoAtom(st, left, right))
+            if not known or not head._ground:
+                known[:] = [self._floor(st)]
+            floor = known[0]
+            if floor is None:  # id: the sides are equal
+                return (n, 1, ONE) if left == right else None
+            got = hedge_proximity(self.rel, right, left, _floor=floor)
+            return (n, 1, got) if got else None
+        return test
 
     # -- builtin strategies ----------------------------------------------------
 
-    def _step_matchers(self, name, args, lhs, rhs):
-        """The ``(theta, degree)`` pairs of the step ``id``/``prox(args)``."""
-        if name == "id":
-            if args:
-                raise ArityError("id takes no arguments")
-            return zip(match_hedge(rhs, lhs, _checked=True), itertools.repeat(ONE))
+    def _floor(self, st):
+        """The least degree the step ``st``, ``id`` or ``prox(mu)``, admits, None
+        for ``id``, which is exact; a wrong arity or threshold raises."""
+        name, args = st.head.name, st.args
+        if name == "id" and args:
+            raise ArityError("id takes no arguments")
         if len(args) > 1:
             raise ArityError("prox takes at most one argument")
-        if args:
-            mu = numeral_value(args[0])
-            if mu is None:
-                raise NonNumericError("prox needs a numeric threshold")
-            mu = check_threshold(mu)
-        else:
-            mu = self.lam if self.lam is not None else ONE
-        return scored_match_hedge(rhs, lhs, self.rel.degree, mu, _checked=True)
+        if not args:
+            return None if name == "id" else ONE if self.lam is None else self.lam
+        mu = numeral_value(args[0])
+        if mu is None:
+            raise NonNumericError("prox needs a numeric threshold")
+        return check_threshold(mu)
 
     def _builtin(self, name, lit, height):
         args, lhs, rhs = lit.strategy.args, lit.lhs, lit.rhs
         if name in ("id", "prox"):
-            steps = (((), theta, d) for theta, d in self._step_matchers(name, args, lhs, rhs))
+            floor = self._floor(lit.strategy)
+            matches = (zip(match_hedge(rhs, lhs, _checked=True), itertools.repeat(ONE))
+                       if floor is None else
+                       scored_match_hedge(rhs, lhs, self.rel.degree, floor, _checked=True))
+            steps = (((), theta, d) for theta, d in matches)
             return next(steps, None) if at_most_one_matcher(iter_vars(rhs)) else steps
         if name == "compose":
             if len(args) < 2:
@@ -573,12 +612,19 @@ class _Solver:
         yield (self._into(lit.lhs, lit.rhs),), None, ONE
 
 
+def _reader(hedge):
+    """A function from a dict binding the variables of ``hedge`` to its instance."""
+    if hedge and all(isinstance(x, IndVar) for x in hedge):
+        get = operator.itemgetter(*hedge)
+        return get if len(hedge) > 1 else lambda d: (get(d),)
+    return lambda d: subst_hedge(d, hedge)
+
+
 def _instantiate(theta, goal):
     if isinstance(goal, _Into):
         sigma = dict(goal.sigma.items())
         for v in goal.locals:
-            apply = theta.apply_hedge if isinstance(v, SeqVar) else (
-                theta.apply_head if isinstance(v, FunVar) else theta.apply_term)
+            apply = theta.apply_hedge if isinstance(v, SeqVar) else theta.apply_term
             sigma[v] = apply(sigma[v])
         return _Into(Subst(sigma, _checked=True), goal.locals, goal.clause_rhs, goal.rhs)
     if isinstance(goal, _Cut):

@@ -30,6 +30,8 @@ variable. Long and deep patterns therefore cost no stack.
 Only the engine passes the private ``_checked=True``, which skips the input
 check: its redexes are ground by a load-time analysis, goals hole-free at
 the query and clauses at load, and matcher values plug every hole they bring.
+Its private ``_test`` tests a clause's guard on a search path's plain dict,
+inside the match; the test must not keep the dict once it returns.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def _check_inputs(pattern, subject) -> None:
 
 def scored_match_hedge(
     pattern, subject, sym_degree: SymDegree | None = None, floor: Decimal = ONE,
-    *, _checked: bool = False,
+    *, _checked: bool = False, _test=(-1, None),
 ) -> Iterator[tuple]:
     """``(matcher, degree)`` pairs, lazily; degree is the min over symbol pairs.
 
@@ -102,14 +104,15 @@ def scored_match_hedge(
     if not _checked:
         _check_inputs(pattern, subject)
     return _match_items(
-        tuple(pattern), 0, tuple(subject), 0, {}, ONE, False, sym_degree, floor, None
+        tuple(pattern), 0, tuple(subject), 0, {}, ONE, False, sym_degree, floor, None, *_test
     )
 
 
-def match_hedge(pattern, subject, *, _checked: bool = False) -> Iterator[Subst]:
-    """All matchers of a pattern sequence against a ground sequence."""
-    for subst, _ in scored_match_hedge(pattern, subject, _checked=_checked):
-        yield subst
+def match_hedge(pattern, subject, *, _checked: bool = False, _test=(-1, None)) -> Iterator[Subst]:
+    """All matchers of a pattern sequence against a ground sequence; the engine's
+    private ``_test`` keeps those it passes, each with what it gave (``_match_items``)."""
+    for subst, got in scored_match_hedge(pattern, subject, _checked=_checked, _test=_test):
+        yield subst if _test[1] is None else (subst, got)
 
 
 def match_term(pattern, subject) -> Iterator[Subst]:
@@ -117,21 +120,28 @@ def match_term(pattern, subject) -> Iterator[Subst]:
     yield from match_hedge((pattern,), (subject,))
 
 
-def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor, more):
+def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor, more, at, test):
     """Match ``items[i:]`` with ``subject[j:]``, then each level left in the
     linked list ``more = (items, i, subject, j, more)``; yield ``(matcher,
     degree)``. ``subst`` is a plain dict: a binding makes a new one for its
     search path, and a ``Subst`` is built only for a yielded matcher.
-    ``greedy``: a sequence variable is bound on this path."""
+    ``greedy``: a sequence variable is bound on this path. An exact match may
+    ``test`` ``subst`` once a path has matched the top-level ``items[:at]`` (and,
+    if that is all of them, the subject); it must not keep the dict. None ends
+    the path, anything else stands in for the degree; -1 is no position."""
     while True:
         if i == len(items):
             if j != len(subject):
                 return
             if more is None:
+                if i == at and (degree := test(subst)) is None:
+                    return
                 yield Subst(subst, _checked=True), degree
                 return
             items, i, subject, j, more = more
             continue
+        if i == at and more is None and (degree := test(subst)) is None:
+            return
         first = items[i]
         i += 1
 
@@ -158,7 +168,7 @@ def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor,
                 for w in range(top, -1, -1) if greedy else range(top + 1):
                     yield from _match_items(
                         items, i, subject, j + w, {**subst, first: subject[j:j + w]},
-                        degree, True, sym_degree, floor, more,
+                        degree, True, sym_degree, floor, more, at, test,
                     )
                 return
             subst, j, greedy = {**subst, first: subject[j:j + top]}, j + top, True
@@ -207,6 +217,6 @@ def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor,
                     here = subst
                 yield from _match_items(
                     (first.arg,), 0, (plugged,), 0, here, degree, greedy, sym_degree,
-                    floor, more,
+                    floor, more, at, test,
                 )
             return

@@ -66,7 +66,7 @@ def apply_to_literal(subst: Subst, lit):
             lit.positive,
         )
     if isinstance(lit, PredAtom):
-        return PredAtom(subst.apply_head(lit.head), subst.apply_hedge(lit.args))
+        return PredAtom(subst.apply_term(lit.head), subst.apply_hedge(lit.args))
     return NotGoal(apply_to_literal(subst, lit.inner))  # load and solve admit no other literal
 
 

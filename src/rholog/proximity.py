@@ -94,10 +94,26 @@ def prox_match_hedge(rel, pattern, subject, threshold) -> Iterator[DegreedMatche
         yield DegreedMatcher(subst, degree)
 
 
-def hedge_proximity(rel, h1, h2) -> Decimal:
-    """Proximity degree of two ground, hole-free sequences: the degree of
-    the one matcher of ``h1`` against ``h2``, or 0 if there is none."""
-    for h in (h1, h2):
+def hedge_proximity(rel, h1, h2, *, _floor=None) -> Decimal:
+    """Proximity degree of two ground, hole-free sequences: the degree of the one
+    matcher of ``h1`` against ``h2`` (0 if none), walked as the matcher walks, with
+    no stack. The engine's private ``_floor`` skips the check and fails pairs below it."""
+    for h in (h1, h2) if _floor is None else ():
         if not is_ground(h) or hole_count(h) != 0:
             raise InvalidValueError("proximity is defined on ground, hole-free terms and hedges")
-    return next(scored_match_hedge(h1, h2, rel.degree, ZERO), (None, ZERO))[1]
+    degree, i, more, floor = ONE, 0, None, _floor or ZERO
+    while True:
+        if i == len(h1) or i == len(h2):
+            if len(h1) != len(h2):
+                return ZERO
+            if more is None:
+                return degree
+            h1, h2, i, more = more
+            continue
+        p, s = h1[i], h2[i]
+        d = rel.degree(p.head, s.head)
+        if d == 0 or d < floor:
+            return ZERO
+        if d < degree:
+            degree = d
+        h1, h2, i, more = p.args, s.args, 0, (h1, h2, i + 1, more)

@@ -334,6 +334,30 @@ def _is_identity(var, value) -> bool:
     return value == var
 
 
+def subst_term(m: dict, t: Term) -> Term:
+    """The instance of a term or function head ``t`` under the plain dict ``m``,
+    which maps variables as a ``Subst`` does; a ``Subst`` applies through this."""
+    if isinstance(t, Var):
+        return m.get(t, t)
+    if isinstance(t, Compound):
+        return t if t._ground else Compound(m.get(t.head, t.head), subst_hedge(m, t.args))
+    if isinstance(t, CtxApply):
+        arg, ctx = subst_term(m, t.arg), m.get(t.var)
+        return CtxApply(t.var, arg) if ctx is None else apply_context(ctx, arg)
+    return t  # Hole
+
+
+def subst_hedge(m: dict, h) -> tuple:
+    out = []
+    for item in h:
+        if isinstance(item, SeqVar):
+            bound = m.get(item)
+            out.extend((item,) if bound is None else bound)
+        else:
+            out.append(subst_term(m, item))
+    return tuple(out)
+
+
 class Subst:
     """Kind-respecting substitution.
 
@@ -372,41 +396,11 @@ class Subst:
         """The bindings of the variables in ``keep``, in the order of ``keep``."""
         return Subst({v: self._map[v] for v in keep if v in self._map}, _checked=True)
 
-    def apply_head(self, head: FunHead) -> FunHead:
-        if isinstance(head, FunVar):
-            bound = self._map.get(head)
-            if bound is not None:
-                return bound
-        return head
-
     def apply_term(self, t: Term) -> Term:
-        if isinstance(t, IndVar):
-            bound = self._map.get(t)
-            return bound if bound is not None else t
-        if isinstance(t, Compound):
-            if t._ground:
-                return t
-            return Compound(self.apply_head(t.head), self.apply_hedge(t.args))
-        if isinstance(t, CtxApply):
-            arg = self.apply_term(t.arg)
-            ctx = self._map.get(t.var)
-            if ctx is None:
-                return CtxApply(t.var, arg)
-            return apply_context(ctx, arg)
-        return t  # Hole
+        return subst_term(self._map, t)
 
     def apply_hedge(self, h) -> tuple:
-        out = []
-        for item in h:
-            if isinstance(item, SeqVar):
-                bound = self._map.get(item)
-                if bound is None:
-                    out.append(item)
-                else:
-                    out.extend(bound)
-            else:
-                out.append(self.apply_term(item))
-        return tuple(out)
+        return subst_hedge(self._map, h)
 
     def __bool__(self) -> bool:
         return bool(self._map)

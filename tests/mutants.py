@@ -46,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENGINE, MATCHING = "src/rholog/engine.py", "src/rholog/matching.py"
+PROXIMITY = "src/rholog/proximity.py"
 SECONDS, MEGABYTES = 150, 2048  # per tier-1 run: wall-clock bound, address-space limit
 SLOW = [
     "tests/test_acceptance.py::test_criterion_06_matcher_completeness_vs_oracle",
@@ -75,10 +76,12 @@ CATALOGUE = [
     ("M10", ENGINE, "and lit.positive:\n            bound.update(rest)",
      "and lit.positive:\n            pass",
      "a positive literal binds nothing in the readiness analysis"),
-    ("M11", ENGINE, "else (1, matched[1])", "else (1, ONE)", "a guard's degree dropped"),
+    ("M11", ENGINE, "return (n, 1, got) if got", "return (n, 1, ONE) if got",
+     "a guard's degree dropped"),
     ("M12", ENGINE, "(_Cut(height, soft=", "(_Cut(0, soft=",
      "first_one and first_all cut to the bottom of the stack"),
-    ("M13", ENGINE, "n = next(self._fresh)", "n = 0", "clause hits share fresh names"),
+    ("M13", ENGINE, "return next(self._fresh) if local_vars", "return 0 if local_vars",
+     "clause hits share fresh names"),
     ("M14", ENGINE, "((positive, _Cut(len(stack), fail=True)), None, ONE)",
      "((positive,), None, ONE)", "negation without its cut"),
     ("M15", ENGINE, "if len(clauses) == 1 and clauses[0][3][1] else hits()",
@@ -103,6 +106,19 @@ CATALOGUE = [
      "if False:\n                        break",
      "a step's bindings reach every pending goal: same answers, but quadratically "
      "many instantiations"),
+    ("M22", ENGINE, "iter_vars(head[:at]) else len(head)", "iter_vars(head[:at]) else at",
+     "a guard tested right after its variables though the rest of the head can fail"),
+    ("M23", MATCHING,
+     "if j != len(subject):\n                return\n            if more is None:\n"
+     "                if i == at and (degree := test(subst)) is None:\n",
+     "if i == at and more is None and (degree := test(subst)) is None:\n"
+     "                return\n            if j != len(subject):\n                return\n"
+     "            if more is None:\n                if False:\n",
+     "a guard tested at the end of the head before the subject is used up"),
+    ("M24", ENGINE, "if not known or not head._ground:", "if not known:",
+     "the floor of a guard's strategy kept though it reads a head variable"),
+    ("M25", PROXIMITY, "if d == 0 or d < floor:", "if d < floor:",
+     "the ground walk accepts a symbol pair of degree 0 under a floor of 0"),
 ]
 
 # (name, file, text, replacement, why the answers cannot change)
@@ -126,6 +142,14 @@ EQUIVALENT_DELETIONS = [
      "fails to load, some file fails alone, and that file's error is raised first"),
     ("_Parser.skip", "return False",
      "every caller tests the result for truth, and None is false"),
+    ("_Solver._with_fresh_locals", "if not local_vars:",
+     "with no locals the loop adds nothing, so the copy of sigma is an equal Subst, only slower"),
+    ("_Solver._with_fresh_locals", "return sigma",
+     "with no locals the loop adds nothing, so the copy of sigma is an equal Subst, only slower"),
+    ("_reader", "if hedge and all(isinstance(x, IndVar) for x in hedge):",
+     "subst_hedge reads a hedge of individual variables as the item getter does, only slower"),
+    ("_reader", "return get if len(hedge) > 1 else lambda d: (get(d),)",
+     "subst_hedge reads a hedge of individual variables as the item getter does, only slower"),
 ]
 
 

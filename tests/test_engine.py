@@ -1536,3 +1536,89 @@ class TestGuards:
         longer = bundled.replace("prox :: i_X ==> i_Y.", "prox :: i_X ==> i_Y, id :: a ==> a.")
         assert results(query, longer, rel) == want
         assert len(degree_calls) == 10 and len(instantiated) == 5
+
+
+class TestGuardPosition:
+    """The head matcher tests a leading guard just after the last top-level head
+    item holding one of its variables if only a sequence variable new there
+    follows, and else at the end of the head, once the subject is used up: each
+    test stands for one matcher the head has without it, in the same order."""
+
+    REL = ProximityRelation([("a", "b", D("0.6")), ("b", "c", D("0.8"))])
+    REFUTABLE = "r :: (s_A,i_X,i_Y,s_B,z) ==> ok :- =<(i_X,i_Y)."
+    TWO_TAILS = "w :: (s_A,i_X,i_Y,s_B,s_C) ==> (i_X,i_Y) :- =<(i_X,i_Y)."
+    PAIR = "t :: (i_X,i_Y) ==> ok :- =<(i_X,i_Y)."
+    FROM_HEAD = "h :: (s_A,p(i_T,i_X,i_Y),s_B) ==> (i_X,i_Y) :- prox(i_T) :: i_X ==> i_Y."
+    LOCAL = "l :: (s_A,i_X,i_Y,s_B) ==> s_Z :- =<(i_X,i_Y), id :: i_X ==> s_Z."
+
+    def test_no_test_where_the_rest_of_the_head_cannot_match(self):
+        # testing right after i_Y would compare a and b and raise NonNumericError
+        query = "?(r :: (a,b,c) ==> s_R, Result)."
+        assert traced(query, self.REFUTABLE) == (["select: r :: (a,b,c) ==> s_R"], [])
+
+    def test_no_end_test_while_the_subject_has_items_left(self):
+        query = "?(t :: (1,2,3) ==> s_R, Result)."
+        assert traced(query, self.PAIR) == (["select: t :: (1,2,3) ==> s_R"], [])
+        lines, got = traced("?(t :: (2,1) ==> s_R, Result).", self.PAIR)
+        assert lines == ["select: t :: (2,1) ==> s_R", f"clause: {self.PAIR}",
+                         "select: =<(2,1)"] and got == []
+
+    def test_one_guard_test_per_full_head_matcher(self):
+        clause = f"clause: {self.TWO_TAILS}"
+        step = "select: id :: ({}) ==> s_R".format
+        assert traced("?(w :: (1,2,3) ==> s_R, Result).", self.TWO_TAILS) == ([
+            "select: w :: (1,2,3) ==> s_R",
+            clause, "select: =<(1,2)", step("1,2"),
+            clause, "select: =<(1,2)", step("1,2"),
+            clause, "select: =<(2,3)", step("2,3"),
+        ], [("[s_R ---> (1,2)]", D(1))] * 2 + [("[s_R ---> (2,3)]", D(1))])
+
+    def test_the_bundled_merge_yields_only_candidates_that_pass(self, monkeypatch):
+        yielded, original = [], rholog.engine.match_hedge
+
+        def recorded(pattern, subject, **kwargs):
+            for item in original(pattern, subject, **kwargs):
+                if pattern[0] == T("merge_proximals"):
+                    yielded.append(item[0] if isinstance(item, tuple) else item)
+                yield item
+
+        monkeypatch.setattr(rholog.engine, "match_hedge", recorded)
+        rel = ProximityRelation(parse_proximity_decls(
+            (PROGRAMS / "proximity.prox").read_text(encoding="utf-8")))
+        query = "?(merge_proximals :: (a,b,d,b,c) ==> s_Ans, 0.5, Degree, Result)."
+        got = results(query, (PROGRAMS / "proximity.rho").read_text(encoding="utf-8"), rel)
+        assert len(got) == len(yielded) == 5
+        i_x, i_y = IndVar("i_X"), IndVar("i_Y")
+        assert all(rel.degree(s.get(i_x).head, s.get(i_y).head) >= D("0.5") for s in yielded)
+
+    def test_a_threshold_from_the_head_is_read_per_candidate(self):
+        query = "?(h :: (p(0.5,a,b), p(0.7,a,b), p(0.5,b,c)) ==> s_R, Result)."
+        lines, got = traced(query, self.FROM_HEAD, self.REL)
+        assert [line for line in lines if line.startswith("select: prox(")] == [
+            "select: prox(0.5) :: a ==> b", "select: prox(0.7) :: a ==> b",
+            "select: prox(0.5) :: b ==> c"]
+        assert got == [("[s_R ---> (a,b)]", D("0.6")), ("[s_R ---> (b,c)]", D("0.8"))]
+
+    def test_failed_guards_still_take_fresh_names(self):
+        lines, got = traced("?(l :: (3,2,1,2) ==> s_R, Result).", self.LOCAL)
+        assert lines == [
+            "select: l :: (3,2,1,2) ==> s_R",
+            f"clause: {self.LOCAL}", "select: =<(3,2)",
+            f"clause: {self.LOCAL}", "select: =<(2,1)",
+            f"clause: {self.LOCAL}", "select: =<(1,2)",
+            "select: id :: 1 ==> s_Z~3", "select: id :: 1 ==> s_R",
+        ]
+        assert got == [("[s_R ---> 1]", D(1))]
+
+    def test_a_guard_asks_for_the_degrees_its_step_would(self, monkeypatch):
+        # the pair (d, a) scores 0: the walk stops there, as the matcher does
+        asked, degree = [], ProximityRelation.degree
+
+        def counted(rel, a, b):
+            asked.append((a.name, b.name))
+            return degree(rel, a, b)
+
+        monkeypatch.setattr(ProximityRelation, "degree", counted)
+        program = "z :: (i_X, i_Y) ==> ok :- prox :: g(i_X, i_Y) ==> g(d, i_Y)."
+        assert results("?(z :: (a, b) ==> s_R, 0, Degree, Result).", program, self.REL) == []
+        assert asked == [("g", "g"), ("d", "a")]
