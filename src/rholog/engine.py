@@ -294,8 +294,8 @@ class _Nf(Record):
 
 
 class _Into(Record):
-    """Machine-only goal: the continuation ``C :: sigma(clause_rhs) ==> rhs``
-    of a clause hit. Its body runs first and binds only ``locals``' fresh names."""
+    """Machine-only goal: the continuation ``C :: sigma(clause_rhs) ==> rhs`` of a
+    clause hit, ``sigma`` a dict. Its body runs first and binds only ``locals``' fresh names."""
 
     __slots__ = ("sigma", "locals", "clause_rhs", "rhs")
 
@@ -346,19 +346,16 @@ class _Solver:
         return next(self._fresh) if local_vars else None
 
     def _with_fresh_locals(self, sigma, local_vars, n):
-        """``sigma`` plus fresh names, under counter value ``n``, for a clause's
-        local variables; fresh names never reach answers."""
-        if not local_vars:
-            return sigma
-        mapping = dict(sigma.items())
+        """Bind a clause's local variables in its head matcher ``sigma`` to fresh
+        names under counter value ``n``, in place: the matcher hands each ``sigma``
+        over as a new dict. Fresh names never reach answers."""
         for v in local_vars:
             new = type(v)(f"{v.name}~{n}")
             if isinstance(v, SeqVar):
                 new = (new,)
             elif isinstance(v, CtxVar):
                 new = CtxApply(new, HOLE)
-            mapping[v] = new
-        return Subst(mapping, _checked=True)
+            sigma[v] = new
 
     def _fresh_out(self):
         return (SeqVar(f"s_Out~{next(self._fresh)}"),)
@@ -420,7 +417,7 @@ class _Solver:
         ready = not isinstance(goal, _Unready)
         goal = goal if ready else goal.goal
         if isinstance(goal, _Into):
-            goal = self._into(goal.sigma.apply_hedge(goal.clause_rhs), goal.rhs)
+            goal = self._into(subst_hedge(goal.sigma, goal.clause_rhs), goal.rhs)
         if not ready:
             raise NonGroundRedexError(_Unready.messages[type(goal)] + render_literal(goal))
         if isinstance(goal, RhoAtom):
@@ -494,7 +491,7 @@ class _Solver:
                     if guard is None:
                         sigma = sigma, (self._tried(clause, local_vars), 0, ONE)
                     sigma, (n, start, step) = sigma
-                    sigma = self._with_fresh_locals(sigma, local_vars, n)
+                    self._with_fresh_locals(sigma, local_vars, n)
                     body = tuple(apply_to_literal(sigma, b) for b in clause.body[start:])
                     if rhs is not None:
                         body += (_Into(sigma, local_vars, clause.rhs, rhs),)
@@ -622,17 +619,16 @@ def _reader(hedge):
 
 def _instantiate(theta, goal):
     if isinstance(goal, _Into):
-        sigma = dict(goal.sigma.items())
+        sigma = dict(goal.sigma)
         for v in goal.locals:
-            apply = theta.apply_hedge if isinstance(v, SeqVar) else theta.apply_term
-            sigma[v] = apply(sigma[v])
-        return _Into(Subst(sigma, _checked=True), goal.locals, goal.clause_rhs, goal.rhs)
+            sigma[v] = (subst_hedge if isinstance(v, SeqVar) else subst_term)(theta, sigma[v])
+        return _Into(sigma, goal.locals, goal.clause_rhs, goal.rhs)
     if isinstance(goal, _Cut):
         return goal
     if isinstance(goal, _Nf):
         return _Nf(apply_to_literal(theta, goal.lit), goal.depth, goal.height)
     if isinstance(goal, _Map):
-        return _Map(goal.strategy, theta.apply_hedge(goal.out), goal.at, goal.items,
+        return _Map(goal.strategy, subst_hedge(theta, goal.out), goal.at, goal.items,
                     goal.outs, goal.done, goal.rhs)
     if isinstance(goal, _Unready):
         return _Unready(_instantiate(theta, goal.goal))
@@ -660,4 +656,4 @@ def solve(db: ClauseDB, query: Query, relation=None, config=None) -> Iterator[An
     for bindings, degree in solver.run(goals):
         if query.threshold is not None and degree < query.threshold:
             continue
-        yield Answer(Subst(bindings, _checked=True).restrict(order), degree)
+        yield Answer(Subst({v: bindings[v] for v in order if v in bindings}, _checked=True), degree)

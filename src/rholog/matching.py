@@ -30,6 +30,8 @@ variable. Long and deep patterns therefore cost no stack.
 Only the engine passes the private ``_checked=True``, which skips the input
 check: its redexes are ground by a load-time analysis, goals hole-free at
 the query and clauses at load, and matcher values plug every hole they bring.
+It gets each matcher as a plain dict, a new object that no other matcher
+shares, so it may write into it; the public functions wrap it in a ``Subst``.
 Its private ``_test`` tests a clause's guard on a search path's plain dict,
 inside the match; the test must not keep the dict once it returns.
 """
@@ -101,11 +103,12 @@ def scored_match_hedge(
     every degree lies in ``[floor, 1]``; without ``sym_degree``, symbols
     match exactly, by identity. The inputs are checked on the call.
     """
-    if not _checked:
-        _check_inputs(pattern, subject)
-    return _match_items(
-        tuple(pattern), 0, tuple(subject), 0, {}, ONE, False, sym_degree, floor, None, *_test
-    )
+    pattern, subject = tuple(pattern), tuple(subject)
+    found = _match_items(pattern, 0, subject, 0, {}, ONE, False, sym_degree, floor, None, *_test)
+    if _checked:
+        return found
+    _check_inputs(pattern, subject)
+    return ((Subst(m, _checked=True), degree) for m, degree in found)
 
 
 def match_hedge(pattern, subject, *, _checked: bool = False, _test=(-1, None)) -> Iterator[Subst]:
@@ -124,7 +127,7 @@ def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor,
     """Match ``items[i:]`` with ``subject[j:]``, then each level left in the
     linked list ``more = (items, i, subject, j, more)``; yield ``(matcher,
     degree)``. ``subst`` is a plain dict: a binding makes a new one for its
-    search path, and a ``Subst`` is built only for a yielded matcher.
+    search path, so each yielded matcher is a new dict that no other shares.
     ``greedy``: a sequence variable is bound on this path. An exact match may
     ``test`` ``subst`` once a path has matched the top-level ``items[:at]`` (and,
     if that is all of them, the subject); it must not keep the dict. None ends
@@ -136,7 +139,7 @@ def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor,
             if more is None:
                 if i == at and (degree := test(subst)) is None:
                     return
-                yield Subst(subst, _checked=True), degree
+                yield subst, degree
                 return
             items, i, subject, j, more = more
             continue

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .terms import Record, Subst, hole_count
+from .terms import Record, hole_count, subst_hedge, subst_term
 
 
 class RhoAtom(Record):
@@ -57,16 +57,16 @@ class Query(Record):
     _defaults = ("Result", None, None)
 
 
-def apply_to_literal(subst: Subst, lit):
+def apply_to_literal(subst: dict, lit):
     if isinstance(lit, RhoAtom):
         return RhoAtom(
-            subst.apply_term(lit.strategy),
-            subst.apply_hedge(lit.lhs),
-            subst.apply_hedge(lit.rhs),
+            subst_term(subst, lit.strategy),
+            subst_hedge(subst, lit.lhs),
+            subst_hedge(subst, lit.rhs),
             lit.positive,
         )
     if isinstance(lit, PredAtom):
-        return PredAtom(subst.apply_term(lit.head), subst.apply_hedge(lit.args))
+        return PredAtom(subst_term(subst, lit.head), subst_hedge(subst, lit.args))
     return NotGoal(apply_to_literal(subst, lit.inner))  # load and solve admit no other literal
 
 

@@ -369,9 +369,10 @@ class Subst:
 
     ``Subst(mapping)`` copies ``mapping``, checks each value's kind and
     drops identity bindings. The private ``Subst(mapping, _checked=True)``
-    adopts ``mapping`` as it is: the caller hands over a fresh dict of
-    ground or fresh-name values of the right kind, with no identity
-    binding, that nobody mutates afterwards.
+    adopts ``mapping`` as it is; only the two places where a substitution
+    leaves the package use it, the public matchers and ``solve``'s answers,
+    each handing over a new dict of ground values of the right kind that
+    nobody mutates afterwards. The engine binds in plain dicts.
     """
 
     __slots__ = ("_map",)
@@ -392,18 +393,11 @@ class Subst:
     def items(self):
         return self._map.items()
 
-    def restrict(self, keep) -> "Subst":
-        """The bindings of the variables in ``keep``, in the order of ``keep``."""
-        return Subst({v: self._map[v] for v in keep if v in self._map}, _checked=True)
-
     def apply_term(self, t: Term) -> Term:
         return subst_term(self._map, t)
 
     def apply_hedge(self, h) -> tuple:
         return subst_hedge(self._map, h)
-
-    def __bool__(self) -> bool:
-        return bool(self._map)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subst) and self._map == other._map

@@ -11,7 +11,8 @@ copy, tier-1 runs on it in one child process, and the file is restored
 before the next mutant. The child runs under a wall-clock bound and an
 address-space limit that it sets on itself with ``resource.setrlimit``,
 so a mutant that loops or grows without end is stopped. Each mutant is
-reported as caught, survived or timed out.
+reported as caught, survived or timed out, or as invalid if it does not
+compile (a deleted statement can leave a ``nonlocal`` with no binding).
 
 The two criterion-06 tests are deselected: they take most of tier-1's
 time, and every mutant below is caught without them. A catalogue text
@@ -123,10 +124,9 @@ CATALOGUE = [
 
 # (name, file, text, replacement, why the answers cannot change)
 EQUIVALENT = [
-    ("E1", ENGINE, "        return Subst(mapping, _checked=True)\n",
-     "        return Subst(mapping)\n",
-     "fresh names are checked again as a clause's locals are renamed: each is a "
-     "valid binding that is not an identity, so the same Subst results"),
+    ("E1", MATCHING, "Subst(m, _checked=True)", "Subst(m)",
+     "a public matcher is checked again as it is wrapped: its values are ground and "
+     "of the right kind, so none is an identity binding and the same Subst results"),
 ]
 
 
@@ -142,10 +142,6 @@ EQUIVALENT_DELETIONS = [
      "fails to load, some file fails alone, and that file's error is raised first"),
     ("_Parser.skip", "return False",
      "every caller tests the result for truth, and None is false"),
-    ("_Solver._with_fresh_locals", "if not local_vars:",
-     "with no locals the loop adds nothing, so the copy of sigma is an equal Subst, only slower"),
-    ("_Solver._with_fresh_locals", "return sigma",
-     "with no locals the loop adds nothing, so the copy of sigma is an equal Subst, only slower"),
     ("_reader", "if hedge and all(isinstance(x, IndVar) for x in hedge):",
      "subst_hedge reads a hedge of individual variables as the item getter does, only slower"),
     ("_reader", "return get if len(hedge) > 1 else lambda d: (get(d),)",
@@ -164,7 +160,8 @@ def check_catalogue(tree):
 def deletions(tree, target):
     """``(label, path, mutated source, reason)`` for each statement of the
     function ``target`` names, or of every function of the module file
-    ``target``; ``reason`` is None unless the deletion is equivalent."""
+    ``target``; ``reason`` is None unless the deletion is equivalent, and the
+    mutated source None if it does not compile."""
     functions, statements = [], []
     for path in sorted((tree / "src" / "rholog").glob("*.py")):
         data = path.read_bytes()
@@ -204,7 +201,10 @@ def deletions(tree, target):
     for name, line, lineno, path, data, begin, end in statements:
         if (path, name) in functions:
             mutated = data[:begin] + b"pass" + data[end:]
-            compile(mutated, str(path), "exec")
+            try:
+                compile(mutated, str(path), "exec")
+            except SyntaxError:
+                mutated = None
             mutants.append((path, begin, f"{name} line {lineno}: {line}", path, mutated,
                             reasons.get((name, line))))
     return [mutant[2:] for mutant in sorted(mutants, key=lambda mutant: mutant[:2])]
@@ -251,6 +251,9 @@ def main(argv=None):
         if reason is not None:
             print(f"{'skipped':9}  {label}: {reason}", flush=True)
             return "skipped"
+        if mutated is None:
+            print(f"{'invalid':9}  {label}: the mutant does not compile", flush=True)
+            return "invalid"
         original = path.read_bytes()
         path.write_bytes(mutated)
         try:
@@ -275,7 +278,7 @@ def main(argv=None):
         raise SystemExit("tier-1 does not pass on the unmutated copy")
     outcomes = [run(*mutant) for mutant in mutants]
     print(", ".join(f"{outcomes.count(o)} {o}"
-                    for o in ("caught", "survived", "timed out", "skipped")))
+                    for o in ("caught", "survived", "timed out", "skipped", "invalid")))
     return 1 if "survived" in outcomes else 0
 
 

@@ -527,21 +527,21 @@ class TestRepl:
         program = tmp_path / "loop.rho"
         program.write_text("loop :: i_X ==> i_Y :- loop :: i_X ==> i_Y.\n", encoding="utf-8")
         src = Path(rholog.__file__).resolve().parent.parent
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "rholog.cli", "--load", str(program), "--trace"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env={**os.environ, "PYTHONPATH": str(src)},
-        )
-        try:
-            proc.stdin.write("?(loop :: a ==> i_Y, Result).\n")
-            proc.stdin.flush()
-            # the trace shows the loop running, so Ctrl-C reaches the query
-            assert proc.stderr.readline().startswith("select: loop :: a ==> i_Y")
-            proc.send_signal(signal.SIGINT)
-            out, err = proc.communicate("?(id :: a ==> i_X, Result).\n\nhalt.\n", timeout=60)
-        finally:
-            proc.kill()
-            proc.wait()
+        ) as proc:  # closes the pipes, so a failure leaves no ResourceWarning behind
+            try:
+                proc.stdin.write("?(loop :: a ==> i_Y, Result).\n")
+                proc.stdin.flush()
+                # the trace shows the loop running, so Ctrl-C reaches the query
+                assert proc.stderr.readline().startswith("select: loop :: a ==> i_Y")
+                proc.send_signal(signal.SIGINT)
+                out, err = proc.communicate("?(id :: a ==> i_X, Result).\n\nhalt.\n", timeout=60)
+            finally:
+                proc.kill()
+                proc.wait()
         assert proc.returncode == 0, err[-2000:]
         # a trace line cut short by the interrupt may precede the message
         assert "interrupted\n" in err and "Traceback" not in err
@@ -549,23 +549,23 @@ class TestRepl:
 
     def test_ctrl_c_at_the_prompt_prompts_again(self):
         src = Path(rholog.__file__).resolve().parent.parent
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "rholog.cli"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env={**os.environ, "PYTHONPATH": str(src)},
-        )
-        try:
-            seen = ""
-            while not seen.endswith("?- "):  # the session waits at its first prompt
-                seen += proc.stdout.read(1) or pytest.fail(f"no prompt: {seen!r}")
-            proc.send_signal(signal.SIGINT)
-            select.select([proc.stderr], [], [], 10)[0] or pytest.fail(
-                "no interrupted within 10 s of one SIGINT at the prompt")
-            assert proc.stderr.readline() == "interrupted\n"
-            out, err = proc.communicate("?(id :: a ==> i_X, Result).\n\nhalt.\n", timeout=60)
-        finally:
-            proc.kill()
-            proc.wait()
+        ) as proc:  # closes the pipes, so a failure leaves no ResourceWarning behind
+            try:
+                seen = ""
+                while not seen.endswith("?- "):  # the session waits at its first prompt
+                    seen += proc.stdout.read(1) or pytest.fail(f"no prompt: {seen!r}")
+                proc.send_signal(signal.SIGINT)
+                select.select([proc.stderr], [], [], 10)[0] or pytest.fail(
+                    "no interrupted within 10 s of one SIGINT at the prompt")
+                assert proc.stderr.readline() == "interrupted\n"
+                out, err = proc.communicate("?(id :: a ==> i_X, Result).\n\nhalt.\n", timeout=60)
+            finally:
+                proc.kill()
+                proc.wait()
         assert proc.returncode == 0, err[-2000:]
         assert err == ""
         assert out == "?- Result = [i_X ---> a]\n.\n?- "

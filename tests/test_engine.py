@@ -1215,6 +1215,28 @@ class TestTrustedMatcherInputs:
             drain(solve(load(rules), query, rel), NonTermResultError)
 
 
+class TestHeadMatcherOwnership:
+    """``_with_fresh_locals`` writes a clause's fresh names into the head matcher the
+    matcher hands over; every head matcher of one stream is held until it ends."""
+
+    def test_a_clause_with_locals_and_two_head_matchers(self, monkeypatch):
+        held, original = [], rholog.engine.match_hedge
+
+        def holding(pattern, subject, **kwargs):
+            for m in original(pattern, subject, **kwargs):
+                held.append(m)
+                yield m
+
+        monkeypatch.setattr(rholog.engine, "match_hedge", holding)
+        program = "two :: (s_A, s_B) ==> s_C :- id :: (s_B, s_A) ==> s_C.\n"
+        assert results("?(two :: (a) ==> s_X, Result).", program) == [("[s_X ---> a]", D(1))] * 2
+        a, b, c = SeqVar("s_A"), SeqVar("s_B"), SeqVar("s_C")
+        assert [m for m in held if a in m] == [
+            {a: (), b: H("a"), c: (SeqVar("s_C~1"),)},
+            {a: H("a"), b: (), c: (SeqVar("s_C~2"),)},
+        ]
+
+
 def traced(query_text, program, rel=None):
     """The trace lines and answers, or the error, of a query."""
     lines = []
@@ -1326,7 +1348,7 @@ class TestReadiness:
                 "st", sigma.apply_hedge(clause.lhs))
             assert len(ready) == len(clause.body) + 1
             for lit, flag in zip(clause.body, ready):
-                instance = apply_to_literal(sigma, lit)
+                instance = apply_to_literal(dict(sigma.items()), lit)
                 assert flag == is_ground(needed(instance)), (seed, lit)
                 if isinstance(lit, RhoAtom) and lit.positive:
                     # the step binds whatever of its rhs is still free

@@ -8,6 +8,7 @@ from rholog import (
     CtxVar,
     FunVar,
     IndVar,
+    InvalidValueError,
     ProximityRelation,
     SeqVar,
     Subst,
@@ -17,6 +18,7 @@ from rholog import (
     match_term,
     parse_sequence,
     parse_term,
+    prox_match_hedge,
 )
 from rholog.matching import scored_match_hedge
 
@@ -139,6 +141,19 @@ class TestBasics:
         with pytest.raises(ValueError):
             list(scored_match_hedge(H(pattern), H(subject)))
 
+    @pytest.mark.parametrize("match", [
+        match_hedge,
+        scored_match_hedge,
+        lambda pattern, subject: prox_match_hedge(ProximityRelation(), pattern, subject, 1),
+    ], ids=["match_hedge", "scored_match_hedge", "prox_match_hedge"])
+    @pytest.mark.parametrize("pattern, subject", [
+        ((IndVar("i_X"),), [IndVar("i_Y")]),  # a list that holds a variable
+        ([HOLE], (T("a"),)),  # a list that holds a hole
+    ], ids=["variable", "hole"])
+    def test_a_list_is_checked_as_the_hedge_it_holds(self, match, pattern, subject):
+        with pytest.raises(InvalidValueError):
+            list(match(pattern, subject))
+
     def test_a_floor_of_zero_prunes_an_unrelated_symbol_pair(self):
         rel = ProximityRelation([("a", "b", Decimal("0.5"))])
         zero = Decimal(0)
@@ -146,6 +161,29 @@ class TestBasics:
         assert list(scored_match_hedge(H("b"), H("a"), rel.degree, zero)) == [
             (Subst(), Decimal("0.5"))
         ]
+
+
+MARK = IndVar("i_Mark")
+
+
+class TestMatcherOwnership:
+    """The engine writes into each matcher that ``match_hedge(..., _checked=True)``
+    yields, so each must be a new dict that no other matcher of the stream shares:
+    every one is held and written into until the stream ends, then compared."""
+
+    @pytest.mark.parametrize("pattern, subject, count", [
+        ("(s_X, s_Y)", "(a,b,c,d,e,f)", 7),
+        # the second c_X is bound: its branch passes the path's dict on unchanged
+        ("(c_X(i_Y), c_X(i_Y))", "(f(a,a), f(a,a))", 3),
+    ])
+    def test_each_engine_matcher_is_a_dict_of_its_own(self, pattern, subject, count):
+        held = []
+        for k, m in enumerate(match_hedge(H(pattern), H(subject), _checked=True)):
+            m[MARK] = k  # as the engine binds a clause's locals
+            held.append(m)
+        expected = [dict(m.items()) for m in match_hedge(H(pattern), H(subject))]
+        assert len(expected) == count
+        assert held == [{**m, MARK: k} for k, m in enumerate(expected)]
 
 
 class TestProperties:

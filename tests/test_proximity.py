@@ -3,6 +3,9 @@ from decimal import Decimal
 import pytest
 
 from rholog import (
+    HOLE,
+    IndVar,
+    InvalidValueError,
     ProximityRelation,
     Subst,
     Sym,
@@ -115,6 +118,14 @@ class TestTermProximity:
     def test_hedge_proximity_requires_ground_hole_free_hedges(self, rel, h1, h2):
         with pytest.raises(ValueError):
             hedge_proximity(rel, H(h1), H(h2))
+
+    @pytest.mark.parametrize("h1, h2", [
+        ([IndVar("i_X")], (T("a"),)),  # a list that holds a variable
+        ((T("a"),), [HOLE]),  # a list that holds a hole
+    ], ids=["variable", "hole"])
+    def test_a_list_is_checked_as_the_hedge_it_holds(self, rel, h1, h2):
+        with pytest.raises(InvalidValueError):
+            hedge_proximity(rel, h1, h2)
 
 
 class TestProxMatch:
