@@ -146,13 +146,43 @@ def run_batch(queries, db, relation, config, limit=None) -> int:
 def run_repl(db, relation, config, limit) -> int:
     print("rholog. Queries look like ?(st :: lhs ==> rhs, Result). "
           "Type halt. to quit.")
+    try:
+        fd = sys.stdin.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor, e.g. io.StringIO
+        return _session(db, relation, config, limit, input)
+    # input() holds a Ctrl-C that lands between its prompt and its read until a line comes
+    import os, select, signal  # here, so that batch mode does not import them
+    wake, woken = os.pipe()
+    os.set_blocking(woken, False)
+    previous = signal.set_wakeup_fd(woken)  # each signal writes a byte to woken
+
+    def read(prompt):  # a line, as input(prompt) reads it, and nothing past its newline
+        print(prompt, end="", flush=True)
+        line = b""
+        while line[-1:] != b"\n":
+            if wake in select.select([fd, wake], [], [])[0]:
+                os.read(wake, 512)  # the signal's Python handler has raised or raises next
+            elif (byte := os.read(fd, 1)) or line:
+                line += byte or b"\n"
+            else:
+                raise EOFError
+        return line[:-1].decode(sys.stdin.encoding, sys.stdin.errors)
+    try:
+        return _session(db, relation, config, limit, read)
+    finally:
+        signal.set_wakeup_fd(previous)
+        os.close(wake)
+        os.close(woken)
+
+
+def _session(db, relation, config, limit, read) -> int:
     while True:
         try:
-            line = input("?- ").strip()
+            line = read("?- ").strip()
             if line in ("halt.", "quit.", "exit."):
                 return 0
             if line:
-                _repl_answers(parse_query(line), db, relation, config, limit)
+                _repl_answers(parse_query(line), db, relation, config, limit, read)
         except EOFError:
             print()
             return 0
@@ -162,11 +192,11 @@ def run_repl(db, relation, config, limit) -> int:
             print("interrupted", file=sys.stderr)
 
 
-def _repl_answers(query, db, relation, config, limit) -> None:
+def _repl_answers(query, db, relation, config, limit, read) -> None:
     for n, answer in enumerate(solve(db, query, relation, config), 1):
         print("\n".join(_answer_lines(query, answer)))
         try:
-            more = n != limit and input("").strip() == ";"
+            more = n != limit and read("").strip() == ";"
         except EOFError:
             return
         if not more:

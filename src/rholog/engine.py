@@ -16,10 +16,10 @@ is known at load (``_facts``). A clause ``st' :: s1' ==> s2' :- body`` whose
 stored head matches with ``sigma`` (extended by fresh names ``v~n`` for its
 local variables) gives the goals ``sigma(body)``, then
 ``C :: sigma(s2') ==> s2``, where ``C`` is ``id``, or ``prox(lam)`` in
-threshold mode, built when it is selected, after the body. A leading guard
-(``id``, ``prox``, a comparison or its negation) is tested inside the head
-match once its variables are bound (``_test_at``), on ground sides read from
-the match's dict, so a candidate that fails it is never yielded.
+threshold mode, built when it is selected, after the body. A head match runs
+its clause's test: the leading guard (``id``, ``prox``, a comparison or its
+negation) once its variables are bound (``_test_at``), on the dict's ground
+sides, so a failing candidate is never yielded; without one, the hit report.
 Builtins become goals too: ``compose(s1,...,sk) :: l ==> r`` gives
 ``s1 :: l ==> s_Out~1``, ..., ``sk :: s_Out~(k-1) ==> s_Out~k``,
 ``C :: s_Out~k ==> r``. ``map(st)`` over m items names ``s_Out~1``, ...,
@@ -123,7 +123,7 @@ class ClauseDB:
     """Loaded program: clauses in source order and, per name, a map from the
     head symbol of the first lhs item (first param) to its clauses, and a
     variable bucket for the rest; a lookup merges the two in source order.
-    Entries are ``(position, clause, head, facts)``, with ``_facts``."""
+    Entries are ``(position, clause, (head, at), facts)``: ``_test_at``, ``_facts``."""
 
     def __init__(self, rho_clauses=(), pred_clauses=()):
         self.rho_clauses = tuple(rho_clauses)
@@ -148,23 +148,23 @@ def _first_key(items):
 
 def _index(clauses):
     """The index ``{name: (keyed, free)}`` of ``(name, first items, clause, head)``;
-    a guarded clause's head is kept as ``(head, _test_at(head, guard))``."""
+    every entry keeps its head as ``(head, _test_at(head, guard))``."""
     index = {}
     for position, (name, first, clause, head) in enumerate(clauses):
         keyed, free = index.setdefault(name, ({}, []))
         key = _first_key(first)
         bucket = free if key is None else keyed.setdefault(key, [])
         facts = _facts(clause, head)
-        if facts[3] is not None:
-            head = (head, _test_at(head, facts[3]))
-        bucket.append((position, clause, head, facts))
+        bucket.append((position, clause, (head, _test_at(head, facts[3])), facts))
     return index
 
 
 def _test_at(head, guard):
     """Where the head matcher tests ``guard``, so that a test stands for one matcher:
     after the last top-level item with a variable of it, if only a new sequence
-    variable follows; else at the end."""
+    variable follows; else, and always for no guard (None), at the end."""
+    if guard is None:
+        return len(head)
     names = set(itertools.chain(*_literal_parts(guard)))
     at = max((k + 1 for k, x in enumerate(head) if names.intersection(iter_vars(x))), default=0)
     last = head[-1] if at == len(head) - 1 else None
@@ -482,21 +482,15 @@ class _Solver:
         for a transformation clause the continuation ``C :: sigma(rhs') ==> rhs``."""
 
         def hits():
-            for _, clause, head, (local_vars, _, ready, guard) in clauses:
-                test = (-1, None)
-                if guard is not None:
-                    head, at = head
-                    test = at, self._guard(clause, guard, local_vars)
-                for sigma in match_hedge(head, subject, _checked=True, _test=test):
-                    if guard is None:
-                        sigma = sigma, (self._tried(clause, local_vars), 0, ONE)
-                    sigma, (n, start, step) = sigma
+            for _, clause, (head, at), (local_vars, _, ready, guard) in clauses:
+                test = at, self._guard(clause, guard, local_vars)
+                for sigma, (n, used, step) in match_hedge(head, subject, _checked=True, _test=test):
                     self._with_fresh_locals(sigma, local_vars, n)
-                    body = tuple(apply_to_literal(sigma, b) for b in clause.body[start:])
+                    body = tuple(apply_to_literal(sigma, b) for b in clause.body[used:])
                     if rhs is not None:
                         body += (_Into(sigma, local_vars, clause.rhs, rhs),)
                     if False in ready:
-                        flags = ready[start:]
+                        flags = ready[used:]
                         body = tuple(g if ok else _Unready(g) for g, ok in zip(body, flags))
                     yield body, None, step
 
@@ -506,7 +500,9 @@ class _Solver:
         """The head matcher's test of ``clause``'s leading guard ``lit`` on a dict binding
         its variables, as a hit and then selection would do it: None if it fails, else the
         locals' counter value, the body literals it used up (0 if an ``f_`` head names
-        no comparison) and the degree of its step."""
+        no comparison) and the degree of its step. With no guard (None): the hit report."""
+        if lit is None:
+            return lambda d: (self._tried(clause, local_vars), 0, ONE)
         negated = isinstance(lit, NotGoal)
         call = lit.inner if negated else lit
         rho = isinstance(call, RhoAtom)
@@ -558,9 +554,8 @@ class _Solver:
         args, lhs, rhs = lit.strategy.args, lit.lhs, lit.rhs
         if name in ("id", "prox"):
             floor = self._floor(lit.strategy)
-            matches = (zip(match_hedge(rhs, lhs, _checked=True), itertools.repeat(ONE))
-                       if floor is None else
-                       scored_match_hedge(rhs, lhs, self.rel.degree, floor, _checked=True))
+            matches = scored_match_hedge(rhs, lhs, None if floor is None else self.rel.degree,
+                                         ONE if floor is None else floor, _checked=True)
             steps = (((), theta, d) for theta, d in matches)
             return next(steps, None) if at_most_one_matcher(iter_vars(rhs)) else steps
         if name == "compose":

@@ -32,8 +32,8 @@ check: its redexes are ground by a load-time analysis, goals hole-free at
 the query and clauses at load, and matcher values plug every hole they bring.
 It gets each matcher as a plain dict, a new object that no other matcher
 shares, so it may write into it; the public functions wrap it in a ``Subst``.
-Its private ``_test`` tests a clause's guard on a search path's plain dict,
-inside the match; the test must not keep the dict once it returns.
+Each clause try passes the private ``_test``, its guard or else its hit report,
+which runs on a search path's plain dict inside the match and must not keep it.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .errors import InvalidValueError
 from .terms import (
     HOLE,
     Compound,
+    CtxApply,
     CtxVar,
     IndVar,
     SeqVar,
@@ -56,6 +57,7 @@ from .terms import (
 
 ZERO = Decimal(0)
 ONE = Decimal(1)
+ITEMS = (Compound, IndVar, SeqVar, CtxApply, type(HOLE))  # the classes of a hedge's items
 
 SymDegree = "Callable[[Sym, Sym], Decimal]"
 
@@ -85,6 +87,8 @@ def at_most_one_matcher(pattern_vars) -> bool:
 
 
 def _check_inputs(pattern, subject) -> None:
+    if bad := [x for x in pattern + subject if not isinstance(x, ITEMS)]:
+        raise TypeError(f"not a term or a sequence variable: {bad[0]!r}")
     if hole_count(pattern) != 0:
         raise InvalidValueError("pattern must be hole-free")
     if not is_ground(subject):

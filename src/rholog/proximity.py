@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator
 from decimal import Decimal, InvalidOperation
 
 from .errors import DegreeRangeError, InvalidValueError, ThresholdRangeError
-from .matching import ONE, ZERO, scored_match_hedge
+from .matching import ITEMS, ONE, ZERO, scored_match_hedge
 from .terms import Record, Sym, hole_count, is_ground
 
 
@@ -98,7 +98,9 @@ def hedge_proximity(rel, h1, h2, *, _floor=None) -> Decimal:
     """Proximity degree of two ground, hole-free sequences: the degree of the one
     matcher of ``h1`` against ``h2`` (0 if none), walked as the matcher walks, with
     no stack. The engine's private ``_floor`` skips the check and fails pairs below it."""
-    for h in map(tuple, (h1, h2)) if _floor is None else ():
+    for h in [(*h1, *h2)] if _floor is None else ():  # both hedges' items
+        if bad := [x for x in h if not isinstance(x, ITEMS)]:
+            raise TypeError(f"not a term or a sequence variable: {bad[0]!r}")
         if not is_ground(h) or hole_count(h) != 0:
             raise InvalidValueError("proximity is defined on ground, hole-free terms and hedges")
     degree, i, more, floor = ONE, 0, None, _floor or ZERO

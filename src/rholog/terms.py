@@ -45,6 +45,8 @@ class _Atom:
     def __new__(cls, name: str):
         atom = cls._table.get(name)
         if atom is None:
+            if not isinstance(name, str):
+                raise TypeError(f"{cls.__name__} name must be a str, got {name!r}")
             cls._validate(name)
             atom = object.__new__(cls)
             atom._name = name

@@ -13,6 +13,8 @@ address-space limit that it sets on itself with ``resource.setrlimit``,
 so a mutant that loops or grows without end is stopped. Each mutant is
 reported as caught, survived or timed out, or as invalid if it does not
 compile (a deleted statement can leave a ``nonlocal`` with no binding).
+If tier-1 does not pass on the unmutated copy, nothing runs, and the last
+lines of pytest's output show why.
 
 The two criterion-06 tests are deselected: they take most of tier-1's
 time, and every mutant below is caught without them. A catalogue text
@@ -49,6 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ENGINE, MATCHING = "src/rholog/engine.py", "src/rholog/matching.py"
 PROXIMITY = "src/rholog/proximity.py"
 SECONDS, MEGABYTES = 150, 2048  # per tier-1 run: wall-clock bound, address-space limit
+TAIL = 40  # lines of pytest's output shown when the unmutated copy fails
 SLOW = [
     "tests/test_acceptance.py::test_criterion_06_matcher_completeness_vs_oracle",
     "tests/test_matching.py::TestOrderOracle::test_criterion_06_corpus",
@@ -120,13 +123,17 @@ CATALOGUE = [
      "the floor of a guard's strategy kept though it reads a head variable"),
     ("M25", PROXIMITY, "if d == 0 or d < floor:", "if d < floor:",
      "the ground walk accepts a symbol pair of degree 0 under a floor of 0"),
+    ("M26", ENGINE, "if guard is None:\n        return len(head)",
+     "if guard is None:\n        return len(head) - 1",
+     "an unguarded clause reported before its head matches"),
 ]
 
 # (name, file, text, replacement, why the answers cannot change)
 EQUIVALENT = [
     ("E1", MATCHING, "Subst(m, _checked=True)", "Subst(m)",
-     "a public matcher is checked again as it is wrapped: its values are ground and "
-     "of the right kind, so none is an identity binding and the same Subst results"),
+     "the input check admits only terms and sequence variables as items, so a public "
+     "matcher's values are ground and of the right kind; checked again as it is wrapped, "
+     "none is an identity binding and the same Subst results"),
 ]
 
 
@@ -211,7 +218,8 @@ def deletions(tree, target):
 
 
 def run_tier1(tree):
-    """'caught', 'survived' or 'timed out' for tier-1 on ``tree``."""
+    """'caught', 'survived' or 'timed out' for tier-1 on ``tree``, and the last
+    lines of pytest's output."""
     def limit():
         size = MEGABYTES * 2**20
         resource.setrlimit(resource.RLIMIT_AS, (size, size))
@@ -220,16 +228,16 @@ def run_tier1(tree):
     deselect = [f"--deselect={test}" for test in SLOW]
     child = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *deselect],
-        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         preexec_fn=limit, start_new_session=True,
     )
     try:
-        code = child.wait(timeout=SECONDS)
+        output = child.communicate(timeout=SECONDS)[0]
+        outcome = "survived" if child.returncode == 0 else "caught"
     except subprocess.TimeoutExpired:
         os.killpg(child.pid, signal.SIGKILL)
-        child.wait()
-        return "timed out"
-    return "survived" if code == 0 else "caught"
+        output, outcome = child.communicate()[0], "timed out"
+    return outcome, "\n".join(output.decode(errors="replace").splitlines()[-TAIL:])
 
 
 def main(argv=None):
@@ -257,7 +265,7 @@ def main(argv=None):
         original = path.read_bytes()
         path.write_bytes(mutated)
         try:
-            outcome = run_tier1(tree)
+            outcome = run_tier1(tree)[0]
         finally:
             path.write_bytes(original)
         print(f"{outcome:9}  {label}", flush=True)
@@ -274,8 +282,9 @@ def main(argv=None):
             source = (tree / path).read_text(encoding="utf-8")
             mutated = source.replace(text, replacement).encode("utf-8")
             mutants.append((f"{name} {path}: {reason}", tree / path, mutated))
-    if run_tier1(tree) != "survived":
-        raise SystemExit("tier-1 does not pass on the unmutated copy")
+    outcome, output = run_tier1(tree)
+    if outcome != "survived":
+        raise SystemExit(f"tier-1 does not pass on the unmutated copy ({outcome}):\n{output}")
     outcomes = [run(*mutant) for mutant in mutants]
     print(", ".join(f"{outcomes.count(o)} {o}"
                     for o in ("caught", "survived", "timed out", "skipped", "invalid")))

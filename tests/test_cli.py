@@ -523,6 +523,36 @@ class TestRepl:
         assert code == 0
         assert out == BANNER + "?- Result = [i_X ---> a]\n?- \n" and err == ""
 
+    def test_a_stdin_with_a_descriptor_is_read_up_to_each_newline(self, capsys, monkeypatch):
+        # the reader the CLI uses on a real stdin: it restores the previous signal
+        # wake-up descriptor and closes its pipe; a last line may lack its newline
+        pipes, pipe = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+        read, write = pipe()
+        with open(write, "w", encoding="utf-8") as sink:
+            sink.write("?(id :: a ==> i_X, Result).\n;\nhalt.")
+        before = signal.set_wakeup_fd(-1)
+        signal.set_wakeup_fd(before)
+        with open(read, encoding="utf-8") as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            code, out, err = run(capsys, [])
+        assert (code, err) == (0, "")
+        assert out == BANNER + "?- Result = [i_X ---> a]\nfalse.\n?- "
+        assert signal.set_wakeup_fd(before) == before
+        assert len(pipes) == 1
+        for fd in pipes[0]:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_eof_on_a_stdin_with_a_descriptor_ends_the_session(self):
+        src = Path(rholog.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "rholog.cli"], input="?(id :: a ==> i_X, Result).\n",
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == BANNER + "?- Result = [i_X ---> a]\n?- \n"
+
     def test_ctrl_c_stops_the_query_and_the_session_goes_on(self, tmp_path):
         program = tmp_path / "loop.rho"
         program.write_text("loop :: i_X ==> i_Y :- loop :: i_X ==> i_Y.\n", encoding="utf-8")

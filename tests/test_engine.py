@@ -1231,10 +1231,41 @@ class TestHeadMatcherOwnership:
         program = "two :: (s_A, s_B) ==> s_C :- id :: (s_B, s_A) ==> s_C.\n"
         assert results("?(two :: (a) ==> s_X, Result).", program) == [("[s_X ---> a]", D(1))] * 2
         a, b, c = SeqVar("s_A"), SeqVar("s_B"), SeqVar("s_C")
-        assert [m for m in held if a in m] == [
+        assert [m[0] for m in held if a in m[0]] == [
             {a: (), b: H("a"), c: (SeqVar("s_C~1"),)},
             {a: H("a"), b: (), c: (SeqVar("s_C~2"),)},
         ]
+
+
+class TestOneClauseTry:
+    """The engine calls ``match_hedge`` only to try a clause, and always with the
+    clause's test: its leading guard, or else the report of its hit."""
+
+    EXAMPLES = [
+        ("sorting.rho", "?(bubble_sort(=<) :: (1,3,4,3,2) ==> s_X, Result).", None),
+        ("proximity.rho", "?(merge_all_proximals :: (a,b,d,b,c) ==> s_Ans, 0.5, Degree, "
+         "Result).", "proximity.prox"),
+        ("rewriting.rho", "?(rewrite_step(st) :: f(a,g(a,b)) ==> s_Out, Result).", None),
+    ]
+
+    @pytest.mark.parametrize("program, query, prox", EXAMPLES, ids=["sort", "merge", "rewrite"])
+    def test_bundled_examples(self, monkeypatch, program, query, prox):
+        calls, original = [], rholog.engine.match_hedge
+
+        def recorded(pattern, subject, **kwargs):
+            calls.append((pattern, kwargs.get("_test")))
+            return original(pattern, subject, **kwargs)
+
+        monkeypatch.setattr(rholog.engine, "match_hedge", recorded)
+        db = db_of((PROGRAMS / program).read_text(encoding="utf-8"))
+        rel = prox and ProximityRelation(
+            parse_proximity_decls((PROGRAMS / prox).read_text(encoding="utf-8")))
+        assert list(solve(db, parse_query(query), rel))
+        heads = {(c.strategy,) + c.lhs for c in db.rho_clauses} | {
+            c.params for c in db.pred_clauses}
+        assert calls
+        assert all(test is not None and test[1] is not None for _, test in calls)
+        assert all(pattern in heads for pattern, _ in calls)
 
 
 def traced(query_text, program, rel=None):

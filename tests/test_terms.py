@@ -18,12 +18,15 @@ from rholog import (
     Subst,
     Sym,
     apply_context,
+    atom,
     hedge_proximity,
     hole_count,
     is_ground,
     match_hedge,
+    match_term,
     parse_sequence,
     parse_term,
+    prox_match_hedge,
 )
 from rholog.errors import InvalidValueError, KindMismatchError
 from rholog.program import NotGoal, RhoAtom
@@ -224,6 +227,27 @@ def test_a_refused_value_is_a_rho_error_and_a_value_error(refuse):
     with pytest.raises(InvalidValueError) as raised:
         refuse()
     assert isinstance(raised.value, RhoError) and isinstance(raised.value, ValueError)
+
+
+WRONG_TYPES = {  # each once went through unchecked, or raised a raw AttributeError
+    "string subject item": lambda: list(match_hedge((IndVar("i_X"),), ("foo",))),
+    "list subject item": lambda: list(match_term(IndVar("i_X"), [IndVar("i_Y")])),
+    "None subject item": lambda: list(
+        prox_match_hedge(ProximityRelation(), (IndVar("i_X"),), (None,), 1)),
+    "symbol pattern item": lambda: list(match_hedge((Sym("a"),), (atom("a"),))),
+    "string proximity items": lambda: hedge_proximity(ProximityRelation(), ("foo",), ("foo",)),
+    "number symbol name": lambda: Sym(3),
+    "number variable name": lambda: IndVar(3),
+    "number constant name": lambda: atom(3),
+}
+
+
+@pytest.mark.parametrize("refuse", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_a_wrong_python_type_is_a_type_error(refuse):
+    # as for the printer: a TypeError, as usual in Python, and not a RhoError
+    with pytest.raises(TypeError) as raised:
+        refuse()
+    assert not isinstance(raised.value, RhoError)
 
 
 def _ref_holes(x):
