@@ -20,6 +20,9 @@ threshold mode, built when it is selected, after the body. A head match runs
 its clause's test: the leading guard (``id``, ``prox``, a comparison or its
 negation) once its variables are bound (``_test_at``), on the dict's ground
 sides, so a failing candidate is never yielded; without one, the hit report.
+A ground ``id``/``prox`` guard's floor is worked out once per selection (an error
+is raised by the first test); with tracing off and no locals, a test reads the
+two sides and makes one ``hedge_proximity`` call, or ``==`` for ``id``.
 Builtins become goals too: ``compose(s1,...,sk) :: l ==> r`` gives
 ``s1 :: l ==> s_Out~1``, ..., ``sk :: s_Out~(k-1) ==> s_Out~k``,
 ``C :: s_Out~k ==> r``. ``map(st)`` over m items names ``s_Out~1``, ...,
@@ -57,6 +60,7 @@ from .errors import (
     NonGroundRedexError,
     NonNumericError,
     NonTermResultError,
+    RhoError,
     StepLimitError,
     UnknownPredicateError,
     UnknownStrategyError,
@@ -482,8 +486,8 @@ class _Solver:
         for a transformation clause the continuation ``C :: sigma(rhs') ==> rhs``."""
 
         def hits():
-            for _, clause, (head, at), (local_vars, _, ready, guard) in clauses:
-                test = at, self._guard(clause, guard, local_vars)
+            for _, clause, (head, at), (local_vars, single, ready, guard) in clauses:
+                test = at, self._guard(clause, guard, local_vars), single
                 for sigma, (n, used, step) in match_hedge(head, subject, _checked=True, _test=test):
                     self._with_fresh_locals(sigma, local_vars, n)
                     body = tuple(apply_to_literal(sigma, b) for b in clause.body[used:])
@@ -507,8 +511,18 @@ class _Solver:
         call = lit.inner if negated else lit
         rho = isinstance(call, RhoAtom)
         head, lhs = (call.strategy, _reader(call.lhs)) if rho else (call.head, _reader(call.args))
-        rhs, known = _reader(call.rhs) if rho else None, []  # known: a ground head's floor
+        rhs = _reader(call.rhs) if rho else None
         tried = local_vars or self.cfg.trace_sink is not None  # else _tried does nothing
+        if rho and head._ground:
+            try:
+                known = self._floor(head)
+            except RhoError as error:
+                known = error
+            if not (tried or isinstance(known, RhoError)):  # a test does only the step
+                if known is None:
+                    return lambda d: (None, 1, ONE) if lhs(d) == rhs(d) else None
+                return lambda d: (None, 1, got) if (
+                    got := hedge_proximity(self.rel, rhs(d), lhs(d), _floor=known)) else None
 
         def test(d):
             n = self._tried(clause, local_vars) if tried else None
@@ -524,9 +538,9 @@ class _Solver:
             st, left, right = head if head._ground else subst_term(d, head), lhs(d), rhs(d)
             if self.cfg.trace_sink is not None:
                 self._trace("select", render_literal, RhoAtom(st, left, right))
-            if not known or not head._ground:
-                known[:] = [self._floor(st)]
-            floor = known[0]
+            floor = known if head._ground else self._floor(st)
+            if isinstance(floor, RhoError):
+                raise floor
             if floor is None:  # id: the sides are equal
                 return (n, 1, ONE) if left == right else None
             got = hedge_proximity(self.rel, right, left, _floor=floor)

@@ -34,6 +34,14 @@ It gets each matcher as a plain dict, a new object that no other matcher
 shares, so it may write into it; the public functions wrap it in a ``Subst``.
 Each clause try passes the private ``_test``, its guard or else its hit report,
 which runs on a search path's plain dict inside the match and must not keep it.
+
+A clause head that may have several matchers (the engine's load-time flag
+``single`` is false) runs code compiled once per shape (``_compiled``): this
+order specialised to the head, a fixed nest of loops, one per sequence variable
+with a choice of widths. A head with a context variable falls back to the loop
+below, and so does one with at most one matcher: it takes one path through the
+loop, and a rule base of such heads, each tried about once, would pay a compile
+for each. Public and scored matching never run compiled code.
 """
 
 from __future__ import annotations
@@ -115,11 +123,17 @@ def scored_match_hedge(
     return ((Subst(m, _checked=True), degree) for m, degree in found)
 
 
-def match_hedge(pattern, subject, *, _checked: bool = False, _test=(-1, None)) -> Iterator[Subst]:
-    """All matchers of a pattern sequence against a ground sequence; the engine's
-    private ``_test`` keeps those it passes, each with what it gave (``_match_items``)."""
-    for subst, got in scored_match_hedge(pattern, subject, _checked=_checked, _test=_test):
-        yield subst if _test[1] is None else (subst, got)
+def match_hedge(pattern, subject, *, _checked: bool = False,
+                _test=(-1, None, True)) -> Iterator[Subst]:
+    """All matchers of a pattern sequence against a ground sequence. The engine's
+    private ``_test`` keeps those it passes, each with what it gave (``_match_items``),
+    and says if the head has at most one matcher; if not, its compiled code runs."""
+    at, test, single = _test
+    if not single and (compiled := _compiled(pattern, at)):
+        yield from compiled(subject, test)
+        return
+    for subst, got in scored_match_hedge(pattern, subject, _checked=_checked, _test=(at, test)):
+        yield subst if test is None else (subst, got)
 
 
 def match_term(pattern, subject) -> Iterator[Subst]:
@@ -227,3 +241,103 @@ def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor,
                     floor, more, at, test,
                 )
             return
+
+
+_HEADS, _SHAPES = {}, {}  # (head, at): its compiled matcher or False; source: its maker
+
+
+def _compiled(head, at):
+    """The matcher compiled for a clause head that tests at ``at``, False if there
+    is none (``_head_source``); the source of a shape is compiled once."""
+    try:
+        m = _HEADS.get((head, at))
+    except RecursionError:  # a head too deep to hash (ROADMAP item 3): the loop takes it
+        return False
+    if m is None:
+        source = _head_source(head, at)
+        if source and source not in _SHAPES:
+            exec(source, namespace := {"ONE": ONE})
+            _SHAPES[source] = namespace["make"]
+        if len(_HEADS) >= 4096:  # heads of programs loaded long ago
+            _HEADS.clear()
+        m = _HEADS[head, at] = bool(source) and _SHAPES[source](head)
+    return m
+
+
+def _head_source(head, at):
+    """The source of ``make(head)``: it reads the head's slots and returns ``m(subject,
+    test)``, which tests and yields as ``_match_items(head, 0, subject, 0, {}, ONE, False,
+    None, ONE, None, at, test)`` does; None for a context variable, or past 16 loops
+    or 32 levels, which keeps the source linear in the head."""
+    make, body, value = [], [], {}  # value: variable -> the names of its key and value
+    loops, fail = 0, "return"
+    items, path, s, n, i, base, off, more = head, "head", "subject", "n", 0, "", 0, None
+
+    def put(line):
+        body.append("    " * (loops + 2) + line)
+
+    def read(slot):  # a name for the part of the head at ``slot``
+        make.append(f"    K{len(make)} = {slot}")
+        return f"K{len(make) - 1}"
+
+    def bind(var, slot, expr):  # the variable at ``slot``, whose value here is ``expr``
+        if var in value:
+            return put(f"if {expr} != {value[var][1]}: {fail}")
+        value[var] = read(slot), f"x{len(value)}"
+        put(f"{value[var][1]} = {expr}")
+
+    def matcher():
+        return "{" + ", ".join(f"{key}: {x}" for key, x in value.values()) + "}"
+
+    put("n = len(subject)")
+    while True:
+        pos = f"{base} + {off}" if base and off else base or str(off)
+        if i == len(items):
+            put(f"if {pos} != {n}: {fail}")
+            if more is not None:
+                items, path, s, n, i, base, off, more = more
+                continue
+        if i == at and more is None:
+            put(f"if (got := test({matcher()})) is None: {fail}")
+        if i == len(items):
+            break
+        x, slot, i = items[i], f"{path}[{i}]", i + 1
+        if isinstance(x, SeqVar):  # as _match_items: leave what the rest of the level needs
+            base, off = f"j{len(body)}", 0
+            seqs = [y for y in items[i:] if isinstance(y, SeqVar)]
+            hi = n + "".join(f" - len({value[y][1]})" for y in seqs if y in value)
+            hi += f" - {len(items) - i - len(seqs)}"
+            if x in value:
+                put(f"{base} = {pos} + len({value[x][1]})")
+            elif any(y not in value for y in seqs):  # the first sequence variable ascends
+                put(f"for {base} in " + (f"range({hi}, {pos} - 1, -1):" if any(
+                    isinstance(v, SeqVar) for v in value) else f"range({pos}, {hi} + 1):"))
+                loops, fail = loops + 1, "continue"
+            else:
+                put(f"{base} = {hi}")
+                put(f"if {base} < {pos}: {fail}")
+            bind(x, slot, f"{s}[{pos}:{base}]")
+            continue
+        if isinstance(x, CtxApply):
+            return None
+        put(f"if {pos} == {n}: {fail}")
+        t, off = f"{s}[{pos}]", off + 1
+        if isinstance(x, IndVar):
+            bind(x, slot, t)
+        elif x._ground:
+            put(f"if {t} != {read(slot)}: {fail}")
+        else:  # a compound: its head, then its arguments as a level of their own
+            if slot.count(".args") == 32:
+                return None
+            k = len(body)  # a new name, as j{len(body)} is: a line follows each
+            put(f"t{k} = {t}")
+            if isinstance(x.head, Sym):
+                put(f"if t{k}.head is not {read(slot + '.head')}: {fail}")
+            else:
+                bind(x.head, f"{slot}.head", f"t{k}.head")
+            more = (items, path, s, n, i, base, off, more)
+            items, path, s, n, i, base, off = x.args, f"{slot}.args", f"s{k}", f"n{k}", 0, "", 0
+            put(f"{s}, {n} = t{k}.args, len(t{k}.args)")
+    put(f"yield {matcher()}, {'got' if 0 <= at <= len(head) else 'ONE'}")
+    lines = ["def make(head):", *make, "    def m(subject, test):", *body, "    return m"]
+    return "\n".join(lines) if loops <= 16 else None  # Python nests at most 20 blocks

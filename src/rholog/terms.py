@@ -186,6 +186,8 @@ class Compound(Record):
             elif isinstance(item, Hole):
                 holes += 1
             else:
+                if not isinstance(item, CtxApply):
+                    raise TypeError(f"not a term or a sequence variable: {item!r}")
                 holes += hole_count(item)
                 ground = ground and is_ground(item)
         object.__setattr__(self, "head", head)

@@ -560,7 +560,7 @@ class TestRepl:
         with subprocess.Popen(
             [sys.executable, "-m", "rholog.cli", "--load", str(program), "--trace"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=sigint_default,
         ) as proc:  # closes the pipes, so a failure leaves no ResourceWarning behind
             try:
                 proc.stdin.write("?(loop :: a ==> i_Y, Result).\n")
@@ -582,7 +582,7 @@ class TestRepl:
         with subprocess.Popen(
             [sys.executable, "-m", "rholog.cli"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=sigint_default,
         ) as proc:  # closes the pipes, so a failure leaves no ResourceWarning behind
             try:
                 seen = ""
@@ -599,6 +599,12 @@ class TestRepl:
         assert proc.returncode == 0, err[-2000:]
         assert err == ""
         assert out == "?- Result = [i_X ---> a]\n.\n?- "
+
+
+def sigint_default():
+    """Give a child the default SIGINT action: one started from a shell that ignores
+    SIGINT (``( pytest ... & )``) would inherit the ignoring and never see Ctrl-C."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
 
 
 def nest(depth, inner="a"):

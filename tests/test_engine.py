@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import itertools
 import os
 import subprocess
@@ -1589,6 +1590,103 @@ class TestGuards:
         longer = bundled.replace("prox :: i_X ==> i_Y.", "prox :: i_X ==> i_Y, id :: a ==> a.")
         assert results(query, longer, rel) == want
         assert len(degree_calls) == 10 and len(instantiated) == 5
+
+
+class TestSequenceHeadGuards:
+    """``TestGuards``' edge cases on heads with sequence variables, which run compiled
+    code: each gives the trace lines, answers and errors that selecting the guard in
+    the body gives, traced or not, and a guard no candidate reaches raises nothing."""
+
+    EDGES = (
+        "e1 :: (s_A, i_X, s_B, i_Y, s_C) ==> ok :- prox(abc) :: i_X ==> i_Y.\n"
+        "e2 :: (s_A, i_X, s_B, i_Y, s_C) ==> ok :- prox(0.5, 0.6) :: i_X ==> i_Y.\n"
+        "e3 :: (s_A, i_X, s_B, i_Y, s_C) ==> ok :- id(a) :: i_X ==> i_Y.\n"
+        "e4 :: (s_A, i_X, s_B, i_Y, s_C) ==> (i_X, i_Y) :- prox(0.5) :: i_X ==> i_Y.\n"
+        "e5 :: (s_A, i_X, s_B, i_Y, s_C) ==> i_X :- id :: i_X ==> i_Y.\n"
+        "e6(i_M) :: (s_A, i_X, s_B, i_Y, s_C) ==> ok :- prox(i_M) :: i_X ==> i_Y.\n"
+        "e7 :: (s_A, i_X, s_B, i_Y, s_C) ==> ok :- =<(i_X, i_Y, i_X).\n"
+    )
+    NUMERIC = "NonNumericError: prox needs a numeric threshold"
+
+    @pytest.mark.parametrize("redex, got", [
+        ("e1 :: (a,b,c)", NUMERIC),
+        ("e1 :: a", []),
+        ("e2 :: (a,b,c)", "ArityError: prox takes at most one argument"),
+        ("e2 :: eps", []),
+        ("e3 :: (a,b)", "ArityError: id takes no arguments"),
+        ("e3 :: a", []),
+        ("e4 :: (a,b,c)", [("[s_R ---> (a,b)]", D("0.6")), ("[s_R ---> (b,c)]", D("0.8"))]),
+        ("e5 :: (a,b,a,b)", [("[s_R ---> a]", D(1)), ("[s_R ---> b]", D(1))]),
+        ("e6(0.7) :: (a,b,c)", [("[s_R ---> ok]", D("0.8"))]),
+        ("e6(abc) :: (a,b,c)", NUMERIC),
+        ("e7 :: (1,2)", "ArityError: =< takes two arguments"),
+        ("e7 :: 1", []),
+    ])
+    def test_guards_select_as_the_body_would(self, monkeypatch, redex, got):
+        query = f"?({redex} ==> s_R, Result)."
+        lines, found = traced(query, self.EDGES, REL)
+        assert found == got
+        assert lines[0] == f"select: {redex} ==> s_R"
+        entry = db_of(self.EDGES).rho_for(redex[:2], (T("a"),))[0]
+        assert rholog.matching._compiled(*entry[2])  # the head's compiled code ran
+        try:  # untraced, a ground id/prox guard's test makes only its step
+            plain = [(render_answer(a), a.degree) for a in answers(query, self.EDGES, REL)]
+        except RhoError as exc:
+            plain = f"{type(exc).__name__}: {exc}"
+        assert plain == got
+        monkeypatch.setattr(rholog.engine, "_leading_guard", lambda lit, head_vars, parts: None)
+        assert traced(query, self.EDGES, REL) == (lines, found)
+
+
+def bench_workload(name):
+    """The queries and files of a bench workload at seed 7 (``bench/workloads.py``)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
+    spec.loader.exec_module(module)
+    return module.make(name, 7)
+
+
+class TestCompiledShapes:
+    """A clause head that may have several matchers is compiled on its first try,
+    once per shape; a head with at most one is never compiled."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        shapes, heads = {}, {}
+        monkeypatch.setattr(rholog.matching, "_SHAPES", shapes)
+        monkeypatch.setattr(rholog.matching, "_HEADS", heads)
+        return shapes, heads
+
+    def test_a_rule_base_of_single_matcher_heads_compiles_nothing(self, compiled):
+        workload = bench_workload("rulebase")
+        db = db_of(workload.files["rules.rho"])
+        assert len(db.rho_clauses) == 3000
+        for query in workload.queries[:100]:
+            assert len(list(solve(db, parse_query(query.text)))) == 1
+        assert compiled == ({}, {})
+
+    def test_the_proximity_queries_compile_one_shape(self, compiled):
+        workload = bench_workload("proximity")
+        db = db_of((PROGRAMS / "proximity.rho").read_text(encoding="utf-8"))
+        rel = ProximityRelation(parse_proximity_decls(workload.files["relation.prox"]))
+        for query in workload.queries[:60]:
+            assert len(list(solve(db, parse_query(query.text), rel))) == 1
+        assert [len(table) for table in compiled] == [1, 1]
+
+    def test_heads_of_one_shape_share_one_compile(self, compiled):
+        program = "".join(f"{name} :: (s_A, i_X, s_B) ==> i_X.\n" for name in ("p", "q"))
+        program += "r :: (s_A, f(i_X), s_B) ==> i_X.\n"
+        for name in "pqr":
+            assert results(f"?({name} :: (a, f(b)) ==> s_R, Result).", program)
+        shapes, heads = compiled
+        assert (len(shapes), len(heads)) == (2, 3)
+
+    def test_the_memo_of_heads_is_bounded(self, compiled):
+        shapes, heads = compiled
+        heads.update(dict.fromkeys(range(4096), False))
+        assert rholog.matching._compiled(H("(s_A, i_X, s_B)"), 3)
+        assert len(heads) == 1
 
 
 class TestGuardPosition:

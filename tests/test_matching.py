@@ -20,7 +20,8 @@ from rholog import (
     parse_term,
     prox_match_hedge,
 )
-from rholog.matching import scored_match_hedge
+from rholog.matching import ONE, _compiled, _match_items, at_most_one_matcher, scored_match_hedge
+from rholog.terms import iter_vars
 
 from tests.genrand import ground_hedge, ground_subst_for, make_rng, pattern_hedge
 from tests.oracles import brute_force_matchers, ordered_matchers, plain
@@ -32,6 +33,18 @@ H = parse_sequence
 
 def matchers(ptext, stext):
     return list(match_hedge(H(ptext), H(stext)))
+
+
+def compiled_heads(rng, count, **caps):
+    """Of ``count`` random heads without a context variable, those that may have
+    several matchers: the heads whose clause tries run compiled code."""
+    heads = (pattern_hedge(rng, n_ctx=0, **caps) for _ in range(count))
+    return [head for head in heads if not at_most_one_matcher(iter_vars(head))]
+
+
+def subject_for(rng, k, head):
+    """A random ground hedge for odd ``k``, else an instance of ``head``."""
+    return ground_hedge(rng, max_len=6) if k % 2 else ground_subst_for(rng, head).apply_hedge(head)
 
 
 class TestGoldenOrders:
@@ -264,6 +277,16 @@ class TestOrderOracle:
         found = sum(self.check(H(p), H(s)) for p, s in cases)
         assert found >= len(cases)
 
+    def test_compiled_heads(self):
+        rng = make_rng(16)
+        found = 0
+        for k, head in enumerate(compiled_heads(rng, 1200, max_items=5, n_seq=3)):
+            subject = subject_for(rng, k, head)
+            got = [d for d, _ in _compiled(head, -1)(subject, None)]
+            assert got == ordered_matchers(head, subject), (head, subject)
+            found += len(got)
+        assert found >= 200
+
     def test_random_patterns(self):
         rng = make_rng(14)
         found = 0
@@ -275,6 +298,47 @@ class TestOrderOracle:
                 subject = ground_subst_for(rng, pattern).apply_hedge(pattern)
             found += self.check(pattern, subject)
         assert found >= 200
+
+
+class TestCompiledHeads:
+    """A head's compiled code against ``_match_items``, the loop it specialises: the
+    same matchers in the same order, each a new dict with its keys in the same order,
+    and the same ``test`` calls, with the test at each position of the head or none."""
+
+    @staticmethod
+    def run(matcher, at):
+        tests = []
+
+        def test(d):  # every third test fails, so failing tests cut paths too
+            tests.append(list(d.items()))
+            return None if len(tests) % 3 == 0 else len(tests)
+
+        found = list(matcher(test if at >= 0 else None))
+        assert len({id(d) for d, _ in found}) == len(found)
+        return [(list(d.items()), got) for d, got in found], tests
+
+    def test_random_heads_and_subjects(self):
+        rng = make_rng(15)
+        found = tested = 0
+        for k, head in enumerate(compiled_heads(rng, 3000, max_items=6, n_seq=3)):
+            subject, at = subject_for(rng, k, head), rng.randrange(-1, len(head) + 1)
+            compiled = _compiled(head, at)
+            want = self.run(lambda test: _match_items(
+                head, 0, subject, 0, {}, ONE, False, None, ONE, None, at, test), at)
+            assert self.run(lambda test: compiled(subject, test), at) == want, (head, subject, at)
+            found, tested = found + len(want[0]), tested + len(want[1])
+        assert found > 300 and tested > 300
+
+    @pytest.mark.parametrize("pattern, compiled", [
+        ("(c_X(a), s_Y, s_Z)", False),
+        ("(f(s_A, g(c_X(i_Y))), s_B, s_C)", False),
+        ("(" + ", ".join(f"s_{k}" for k in range(17)) + ")", True),  # 16 nested loops
+        ("(" + ", ".join(f"s_{k}" for k in range(18)) + ")", False),
+        ("(" + "f(" * 32 + "s_X" + ")" * 32 + ", s_Y, s_Z)", True),
+        ("(" + "f(" * 33 + "s_X" + ")" * 33 + ", s_Y, s_Z)", False),
+    ])
+    def test_heads_left_to_the_loop(self, pattern, compiled):
+        assert (_compiled(H(pattern), -1) is not False) == compiled
 
 
 class TestDefaultRecursionLimit:
@@ -311,3 +375,24 @@ class TestDefaultRecursionLimit:
         limit, rest = out.split(" ", 1)
         assert int(limit) < 5000
         assert rest.strip() == "1 {i_X -> a, s_Y -> b}"
+
+    def test_clause_head_nested_5000_deep(self):
+        # a head with three sequence variables, too deep to hash as the memo key
+        out = in_fresh_interpreter(
+            "import sys\n"
+            "from rholog import *\n"
+            "from rholog.program import Query\n"
+            "def nest(x):\n"
+            "    for _ in range(5000):\n"
+            "        x = Compound(Sym('f'), (x,))\n"
+            "    return x\n"
+            "s_X, s_Y, s_Z = SeqVar('s_X'), SeqVar('s_Y'), SeqVar('s_Z')\n"
+            "clause = RhoClause(atom('d'), (nest(s_X), s_Y, s_Z), (s_Y,), ())\n"
+            "db = load_program(SourceProgram((clause,)))\n"
+            "redex = (nest(atom('a')), atom('b'), atom('c'))\n"
+            "query = Query((RhoAtom(atom('d'), redex, (SeqVar('s_R'),)),))\n"
+            "print(sys.getrecursionlimit(), [str(a.bindings) for a in solve(db, query)])\n"
+        )
+        limit, rest = out.split(" ", 1)
+        assert int(limit) < 5000
+        assert rest.strip() == "['{s_R -> (b,c)}', '{s_R -> b}', '{s_R -> eps}']"

@@ -239,6 +239,8 @@ WRONG_TYPES = {  # each once went through unchecked, or raised a raw AttributeEr
     "number symbol name": lambda: Sym(3),
     "number variable name": lambda: IndVar(3),
     "number constant name": lambda: atom(3),
+    "string argument": lambda: list(match_hedge(
+        (Compound(Sym("f"), (IndVar("i_X"),)),), (Compound(Sym("f"), ("foo",)),))),
 }
 
 
