@@ -20,9 +20,6 @@ threshold mode, built when it is selected, after the body. A head match runs
 its clause's test: the leading guard (``id``, ``prox``, a comparison or its
 negation) once its variables are bound (``_test_at``), on the dict's ground
 sides, so a failing candidate is never yielded; without one, the hit report.
-A ground ``id``/``prox`` guard's floor is worked out once per selection (an error
-is raised by the first test); with tracing off and no locals, a test reads the
-two sides and makes one ``hedge_proximity`` call, or ``==`` for ``id``.
 Builtins become goals too: ``compose(s1,...,sk) :: l ==> r`` gives
 ``s1 :: l ==> s_Out~1``, ..., ``sk :: s_Out~(k-1) ==> s_Out~k``,
 ``C :: s_Out~k ==> r``. ``map(st)`` over m items names ``s_Out~1``, ...,
@@ -60,7 +57,6 @@ from .errors import (
     NonGroundRedexError,
     NonNumericError,
     NonTermResultError,
-    RhoError,
     StepLimitError,
     UnknownPredicateError,
     UnknownStrategyError,
@@ -127,7 +123,7 @@ class ClauseDB:
     """Loaded program: clauses in source order and, per name, a map from the
     head symbol of the first lhs item (first param) to its clauses, and a
     variable bucket for the rest; a lookup merges the two in source order.
-    Entries are ``(position, clause, (head, at), facts)``: ``_test_at``, ``_facts``."""
+    Entries are ``(position, clause, (head, at, cell), facts)``: ``_index``, ``_facts``."""
 
     def __init__(self, rho_clauses=(), pred_clauses=()):
         self.rho_clauses = tuple(rho_clauses)
@@ -152,14 +148,16 @@ def _first_key(items):
 
 def _index(clauses):
     """The index ``{name: (keyed, free)}`` of ``(name, first items, clause, head)``;
-    every entry keeps its head as ``(head, _test_at(head, guard))``."""
+    each entry keeps ``(head, _test_at(head, guard), cell)``, the cell ``[]`` for the
+    compiled code that ``match_hedge`` keeps if the head may have several matchers, else None."""
     index = {}
     for position, (name, first, clause, head) in enumerate(clauses):
         keyed, free = index.setdefault(name, ({}, []))
         key = _first_key(first)
         bucket = free if key is None else keyed.setdefault(key, [])
         facts = _facts(clause, head)
-        bucket.append((position, clause, (head, _test_at(head, facts[3])), facts))
+        cell = None if facts[1] else []
+        bucket.append((position, clause, (head, _test_at(head, facts[3]), cell), facts))
     return index
 
 
@@ -486,9 +484,10 @@ class _Solver:
         for a transformation clause the continuation ``C :: sigma(rhs') ==> rhs``."""
 
         def hits():
-            for _, clause, (head, at), (local_vars, single, ready, guard) in clauses:
-                test = at, self._guard(clause, guard, local_vars), single
-                for sigma, (n, used, step) in match_hedge(head, subject, _checked=True, _test=test):
+            for _, clause, (head, at, cell), (local_vars, _, ready, guard) in clauses:
+                test = at, self._guard(clause, guard, local_vars)
+                for sigma, (n, used, step) in match_hedge(
+                        head, subject, _checked=True, _test=test, _cell=cell):
                     self._with_fresh_locals(sigma, local_vars, n)
                     body = tuple(apply_to_literal(sigma, b) for b in clause.body[used:])
                     if rhs is not None:
@@ -511,18 +510,8 @@ class _Solver:
         call = lit.inner if negated else lit
         rho = isinstance(call, RhoAtom)
         head, lhs = (call.strategy, _reader(call.lhs)) if rho else (call.head, _reader(call.args))
-        rhs = _reader(call.rhs) if rho else None
+        rhs, known = _reader(call.rhs) if rho else None, []  # known: a ground head's floor
         tried = local_vars or self.cfg.trace_sink is not None  # else _tried does nothing
-        if rho and head._ground:
-            try:
-                known = self._floor(head)
-            except RhoError as error:
-                known = error
-            if not (tried or isinstance(known, RhoError)):  # a test does only the step
-                if known is None:
-                    return lambda d: (None, 1, ONE) if lhs(d) == rhs(d) else None
-                return lambda d: (None, 1, got) if (
-                    got := hedge_proximity(self.rel, rhs(d), lhs(d), _floor=known)) else None
 
         def test(d):
             n = self._tried(clause, local_vars) if tried else None
@@ -538,9 +527,9 @@ class _Solver:
             st, left, right = head if head._ground else subst_term(d, head), lhs(d), rhs(d)
             if self.cfg.trace_sink is not None:
                 self._trace("select", render_literal, RhoAtom(st, left, right))
-            floor = known if head._ground else self._floor(st)
-            if isinstance(floor, RhoError):
-                raise floor
+            if not known or not head._ground:
+                known[:] = [self._floor(st)]
+            floor = known[0]
             if floor is None:  # id: the sides are equal
                 return (n, 1, ONE) if left == right else None
             got = hedge_proximity(self.rel, right, left, _floor=floor)

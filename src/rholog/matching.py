@@ -36,16 +36,15 @@ Each clause try passes the private ``_test``, its guard or else its hit report,
 which runs on a search path's plain dict inside the match and must not keep it.
 
 A clause head that may have several matchers (the engine's load-time flag
-``single`` is false) runs code compiled once per shape (``_compiled``): this
-order specialised to the head, a fixed nest of loops, one per sequence variable
-with a choice of widths. A head with a context variable falls back to the loop
-below, and so does one with at most one matcher: it takes one path through the
-loop, and a rule base of such heads, each tried about once, would pay a compile
-for each. Public and scored matching never run compiled code.
+``single`` is false) runs this order specialised to it (``_head_source``): a fixed
+nest of loops, compiled on its first try, once per shape, and kept in the clause's
+index entry. Heads with a context variable take the loop below, as do public and
+scored matching and heads with at most one matcher, which a rule base tries once each.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterator
 from decimal import Decimal
 
@@ -123,17 +122,18 @@ def scored_match_hedge(
     return ((Subst(m, _checked=True), degree) for m, degree in found)
 
 
-def match_hedge(pattern, subject, *, _checked: bool = False,
-                _test=(-1, None, True)) -> Iterator[Subst]:
-    """All matchers of a pattern sequence against a ground sequence. The engine's
-    private ``_test`` keeps those it passes, each with what it gave (``_match_items``),
-    and says if the head has at most one matcher; if not, its compiled code runs."""
-    at, test, single = _test
-    if not single and (compiled := _compiled(pattern, at)):
-        yield from compiled(subject, test)
-        return
-    for subst, got in scored_match_hedge(pattern, subject, _checked=_checked, _test=(at, test)):
-        yield subst if test is None else (subst, got)
+def match_hedge(pattern, subject, *, _checked: bool = False, _test=(-1, None),
+                _cell=None) -> Iterator[Subst]:
+    """All matchers of a pattern sequence against a ground sequence. A clause try passes
+    its ``_test`` (``_match_items``) and ``_cell``, a list keeping its head's compiled code."""
+    if _cell is not None:
+        if not _cell:  # the first try: the head's code, or None (``_head_source``)
+            _cell.append((source := _head_source(pattern, _test[0])) and _maker(source)(pattern))
+        if _cell[0]:
+            yield from _cell[0](subject, _test[1])
+            return
+    for subst, got in scored_match_hedge(pattern, subject, _checked=_checked, _test=_test):
+        yield subst if _test[1] is None else (subst, got)
 
 
 def match_term(pattern, subject) -> Iterator[Subst]:
@@ -243,25 +243,11 @@ def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor,
             return
 
 
-_HEADS, _SHAPES = {}, {}  # (head, at): its compiled matcher or False; source: its maker
-
-
-def _compiled(head, at):
-    """The matcher compiled for a clause head that tests at ``at``, False if there
-    is none (``_head_source``); the source of a shape is compiled once."""
-    try:
-        m = _HEADS.get((head, at))
-    except RecursionError:  # a head too deep to hash (ROADMAP item 3): the loop takes it
-        return False
-    if m is None:
-        source = _head_source(head, at)
-        if source and source not in _SHAPES:
-            exec(source, namespace := {"ONE": ONE})
-            _SHAPES[source] = namespace["make"]
-        if len(_HEADS) >= 4096:  # heads of programs loaded long ago
-            _HEADS.clear()
-        m = _HEADS[head, at] = bool(source) and _SHAPES[source](head)
-    return m
+@functools.lru_cache(maxsize=256)
+def _maker(source):
+    """The ``make`` of a head shape's source, compiled once while it is in use."""
+    exec(source, namespace := {"ONE": ONE})
+    return namespace["make"]
 
 
 def _head_source(head, at):
@@ -269,8 +255,7 @@ def _head_source(head, at):
     test)``, which tests and yields as ``_match_items(head, 0, subject, 0, {}, ONE, False,
     None, ONE, None, at, test)`` does; None for a context variable, or past 16 loops
     or 32 levels, which keeps the source linear in the head."""
-    make, body, value = [], [], {}  # value: variable -> the names of its key and value
-    loops, fail = 0, "return"
+    make, body, value, loops, fail = [], [], {}, 0, "return"  # value: var -> key, value names
     items, path, s, n, i, base, off, more = head, "head", "subject", "n", 0, "", 0, None
 
     def put(line):
@@ -314,11 +299,10 @@ def _head_source(head, at):
                     isinstance(v, SeqVar) for v in value) else f"range({pos}, {hi} + 1):"))
                 loops, fail = loops + 1, "continue"
             else:
-                put(f"{base} = {hi}")
-                put(f"if {base} < {pos}: {fail}")
+                put(f"if ({base} := {hi}) < {pos}: {fail}")
             bind(x, slot, f"{s}[{pos}:{base}]")
             continue
-        if isinstance(x, CtxApply):
+        if isinstance(x, CtxApply) or slot.count(".args") == 32:
             return None
         put(f"if {pos} == {n}: {fail}")
         t, off = f"{s}[{pos}]", off + 1
@@ -327,14 +311,11 @@ def _head_source(head, at):
         elif x._ground:
             put(f"if {t} != {read(slot)}: {fail}")
         else:  # a compound: its head, then its arguments as a level of their own
-            if slot.count(".args") == 32:
-                return None
             k = len(body)  # a new name, as j{len(body)} is: a line follows each
-            put(f"t{k} = {t}")
             if isinstance(x.head, Sym):
-                put(f"if t{k}.head is not {read(slot + '.head')}: {fail}")
+                put(f"if (t{k} := {t}).head is not {read(slot + '.head')}: {fail}")
             else:
-                bind(x.head, f"{slot}.head", f"t{k}.head")
+                bind(x.head, f"{slot}.head", f"(t{k} := {t}).head")
             more = (items, path, s, n, i, base, off, more)
             items, path, s, n, i, base, off = x.args, f"{slot}.args", f"s{k}", f"n{k}", 0, "", 0
             put(f"{s}, {n} = t{k}.args, len(t{k}.args)")

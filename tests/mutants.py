@@ -119,9 +119,8 @@ CATALOGUE = [
      "                return\n            if j != len(subject):\n                return\n"
      "            if more is None:\n                if False:\n",
      "a guard tested at the end of the head before the subject is used up"),
-    ("M24", ENGINE, "floor = known if head._ground else self._floor(st)",
-     "floor = known if head._ground else self._floor(head)",
-     "the floor of a guard's strategy read before the candidate binds its head variables"),
+    ("M24", ENGINE, "if not known or not head._ground:", "if not known:",
+     "the floor of a guard's strategy kept though it reads a head variable"),
     ("M25", PROXIMITY, "if d == 0 or d < floor:", "if d < floor:",
      "the ground walk accepts a symbol pair of degree 0 under a floor of 0"),
     ("M26", ENGINE, "if guard is None:\n        return len(head)",
@@ -164,13 +163,6 @@ EQUIVALENT_DELETIONS = [
      "subst_hedge reads a hedge of individual variables as the item getter does, only slower"),
     ("_reader", "return get if len(hedge) > 1 else lambda d: (get(d),)",
      "subst_hedge reads a hedge of individual variables as the item getter does, only slower"),
-    ("_Solver._guard",
-     "if not (tried or isinstance(known, RhoError)):  # a test does only the step",
-     "without the trimmed test a ground prox or id guard takes the general test, which "
-     "reads the same floor and gives the same result, only slower"),
-    ("_Solver._guard", "return lambda d: (None, 1, got) if (",
-     "without the trimmed prox test the general test runs, which reads the same floor "
-     "and gives the same result, only slower"),
 ]
 
 

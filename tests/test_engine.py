@@ -1627,13 +1627,14 @@ class TestSequenceHeadGuards:
         lines, found = traced(query, self.EDGES, REL)
         assert found == got
         assert lines[0] == f"select: {redex} ==> s_R"
-        entry = db_of(self.EDGES).rho_for(redex[:2], (T("a"),))[0]
-        assert rholog.matching._compiled(*entry[2])  # the head's compiled code ran
-        try:  # untraced, a ground id/prox guard's test makes only its step
-            plain = [(render_answer(a), a.degree) for a in answers(query, self.EDGES, REL)]
+        db = db_of(self.EDGES)
+        try:  # untraced
+            plain = [(render_answer(a), a.degree) for a in solve(db, parse_query(query), REL)]
         except RhoError as exc:
             plain = f"{type(exc).__name__}: {exc}"
         assert plain == got
+        (_, _, (_, _, cell), _), *_ = db.rho_for(redex[:2], (T("a"),))
+        assert cell[0]  # the head's compiled code ran
         monkeypatch.setattr(rholog.engine, "_leading_guard", lambda lit, head_vars, parts: None)
         assert traced(query, self.EDGES, REL) == (lines, found)
 
@@ -1648,15 +1649,21 @@ def bench_workload(name):
 
 
 class TestCompiledShapes:
-    """A clause head that may have several matchers is compiled on its first try,
-    once per shape; a head with at most one is never compiled."""
+    """A clause head that may have several matchers is compiled on its first try and
+    kept in its index entry, its shape's source compiled once; a head with at most
+    one is never compiled."""
 
     @pytest.fixture
     def compiled(self, monkeypatch):
-        shapes, heads = {}, {}
-        monkeypatch.setattr(rholog.matching, "_SHAPES", shapes)
-        monkeypatch.setattr(rholog.matching, "_HEADS", heads)
-        return shapes, heads
+        sources, source_of = [], rholog.matching._head_source
+
+        def counted(head, at):
+            sources.append(source_of(head, at))
+            return sources[-1]
+
+        monkeypatch.setattr(rholog.matching, "_head_source", counted)
+        rholog.matching._maker.cache_clear()
+        return sources
 
     def test_a_rule_base_of_single_matcher_heads_compiles_nothing(self, compiled):
         workload = bench_workload("rulebase")
@@ -1664,7 +1671,8 @@ class TestCompiledShapes:
         assert len(db.rho_clauses) == 3000
         for query in workload.queries[:100]:
             assert len(list(solve(db, parse_query(query.text)))) == 1
-        assert compiled == ({}, {})
+        assert compiled == []
+        assert rholog.matching._maker.cache_info().misses == 0
 
     def test_the_proximity_queries_compile_one_shape(self, compiled):
         workload = bench_workload("proximity")
@@ -1672,21 +1680,24 @@ class TestCompiledShapes:
         rel = ProximityRelation(parse_proximity_decls(workload.files["relation.prox"]))
         for query in workload.queries[:60]:
             assert len(list(solve(db, parse_query(query.text), rel))) == 1
-        assert [len(table) for table in compiled] == [1, 1]
+        assert len(compiled) == 1 and rholog.matching._maker.cache_info().misses == 1
 
     def test_heads_of_one_shape_share_one_compile(self, compiled):
         program = "".join(f"{name} :: (s_A, i_X, s_B) ==> i_X.\n" for name in ("p", "q"))
         program += "r :: (s_A, f(i_X), s_B) ==> i_X.\n"
-        for name in "pqr":
-            assert results(f"?({name} :: (a, f(b)) ==> s_R, Result).", program)
-        shapes, heads = compiled
-        assert (len(shapes), len(heads)) == (2, 3)
+        db = db_of(program)
+        for name in "pqrpqr":
+            assert list(solve(db, parse_query(f"?({name} :: (a, f(b)) ==> s_R, Result).")))
+        assert len(compiled) == 3 and rholog.matching._maker.cache_info().misses == 2
 
-    def test_the_memo_of_heads_is_bounded(self, compiled):
-        shapes, heads = compiled
-        heads.update(dict.fromkeys(range(4096), False))
-        assert rholog.matching._compiled(H("(s_A, i_X, s_B)"), 3)
-        assert len(heads) == 1
+    def test_a_head_with_a_list_of_arguments(self):
+        # Compound takes a list of arguments, which has no hash
+        i_X, s_A, s_B = IndVar("i_X"), SeqVar("s_A"), SeqVar("s_B")
+        clause = RhoClause(atom("d"), (s_A, Compound(Sym("f"), [i_X]), s_B), (i_X,), ())
+        redex = (atom("a"), Compound(Sym("f"), [atom("b")]), call("f", atom("c")))
+        query = Query((RhoAtom(atom("d"), redex, (SeqVar("s_R"),)),))
+        got = [str(a.bindings) for a in solve(db_of_clauses(clause), query)]
+        assert got == ["{s_R -> b}", "{s_R -> c}"]
 
 
 class TestGuardPosition:

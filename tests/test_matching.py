@@ -20,7 +20,13 @@ from rholog import (
     parse_term,
     prox_match_hedge,
 )
-from rholog.matching import ONE, _compiled, _match_items, at_most_one_matcher, scored_match_hedge
+from rholog.matching import (
+    ONE,
+    _head_source,
+    _match_items,
+    at_most_one_matcher,
+    scored_match_hedge,
+)
 from rholog.terms import iter_vars
 
 from tests.genrand import ground_hedge, ground_subst_for, make_rng, pattern_hedge
@@ -282,8 +288,9 @@ class TestOrderOracle:
         found = 0
         for k, head in enumerate(compiled_heads(rng, 1200, max_items=5, n_seq=3)):
             subject = subject_for(rng, k, head)
-            got = [d for d, _ in _compiled(head, -1)(subject, None)]
-            assert got == ordered_matchers(head, subject), (head, subject)
+            cell = []
+            got = [d for d, _ in match_hedge(head, subject, _checked=True, _cell=cell)]
+            assert cell[0] and got == ordered_matchers(head, subject), (head, subject)
             found += len(got)
         assert found >= 200
 
@@ -301,9 +308,10 @@ class TestOrderOracle:
 
 
 class TestCompiledHeads:
-    """A head's compiled code against ``_match_items``, the loop it specialises: the
-    same matchers in the same order, each a new dict with its keys in the same order,
-    and the same ``test`` calls, with the test at each position of the head or none."""
+    """A head's compiled code, as ``match_hedge`` runs it for a clause try, against
+    ``_match_items``, the loop it specialises: the same matchers in the same order,
+    each a new dict with its keys in the same order, and the same ``test`` calls,
+    with the test at each position of the head or none."""
 
     @staticmethod
     def run(matcher, at):
@@ -322,10 +330,12 @@ class TestCompiledHeads:
         found = tested = 0
         for k, head in enumerate(compiled_heads(rng, 3000, max_items=6, n_seq=3)):
             subject, at = subject_for(rng, k, head), rng.randrange(-1, len(head) + 1)
-            compiled = _compiled(head, at)
+            cell = []
             want = self.run(lambda test: _match_items(
                 head, 0, subject, 0, {}, ONE, False, None, ONE, None, at, test), at)
-            assert self.run(lambda test: compiled(subject, test), at) == want, (head, subject, at)
+            got = self.run(lambda test: match_hedge(
+                head, subject, _checked=True, _test=(at, test), _cell=cell), at)
+            assert cell[0] and got == want, (head, subject, at)
             found, tested = found + len(want[0]), tested + len(want[1])
         assert found > 300 and tested > 300
 
@@ -338,7 +348,7 @@ class TestCompiledHeads:
         ("(" + "f(" * 33 + "s_X" + ")" * 33 + ", s_Y, s_Z)", False),
     ])
     def test_heads_left_to_the_loop(self, pattern, compiled):
-        assert (_compiled(H(pattern), -1) is not False) == compiled
+        assert (_head_source(H(pattern), -1) is not None) == compiled
 
 
 class TestDefaultRecursionLimit:
@@ -375,24 +385,3 @@ class TestDefaultRecursionLimit:
         limit, rest = out.split(" ", 1)
         assert int(limit) < 5000
         assert rest.strip() == "1 {i_X -> a, s_Y -> b}"
-
-    def test_clause_head_nested_5000_deep(self):
-        # a head with three sequence variables, too deep to hash as the memo key
-        out = in_fresh_interpreter(
-            "import sys\n"
-            "from rholog import *\n"
-            "from rholog.program import Query\n"
-            "def nest(x):\n"
-            "    for _ in range(5000):\n"
-            "        x = Compound(Sym('f'), (x,))\n"
-            "    return x\n"
-            "s_X, s_Y, s_Z = SeqVar('s_X'), SeqVar('s_Y'), SeqVar('s_Z')\n"
-            "clause = RhoClause(atom('d'), (nest(s_X), s_Y, s_Z), (s_Y,), ())\n"
-            "db = load_program(SourceProgram((clause,)))\n"
-            "redex = (nest(atom('a')), atom('b'), atom('c'))\n"
-            "query = Query((RhoAtom(atom('d'), redex, (SeqVar('s_R'),)),))\n"
-            "print(sys.getrecursionlimit(), [str(a.bindings) for a in solve(db, query)])\n"
-        )
-        limit, rest = out.split(" ", 1)
-        assert int(limit) < 5000
-        assert rest.strip() == "['{s_R -> (b,c)}', '{s_R -> b}', '{s_R -> eps}']"
