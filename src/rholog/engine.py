@@ -75,12 +75,9 @@ from .program import (
     apply_to_literal,
     literal_hole_count,
 )
-from .proximity import EMPTY_RELATION, check_threshold, hedge_proximity
+from .proximity import EMPTY_RELATION, _proximity_walk, check_threshold
 from .terms import (
-    HOLE,
     Compound,
-    CtxApply,
-    CtxVar,
     FunVar,
     IndVar,
     Record,
@@ -89,6 +86,7 @@ from .terms import (
     Sym,
     atom,
     hole_count,
+    identity_value,
     is_ground,
     iter_vars,
     numeral_value,
@@ -352,12 +350,7 @@ class _Solver:
         names under counter value ``n``, in place: the matcher hands each ``sigma``
         over as a new dict. Fresh names never reach answers."""
         for v in local_vars:
-            new = type(v)(f"{v.name}~{n}")
-            if isinstance(v, SeqVar):
-                new = (new,)
-            elif isinstance(v, CtxVar):
-                new = CtxApply(new, HOLE)
-            sigma[v] = new
+            sigma[v] = identity_value(type(v)(f"{v.name}~{n}"))
 
     def _fresh_out(self):
         return (SeqVar(f"s_Out~{next(self._fresh)}"),)
@@ -486,8 +479,7 @@ class _Solver:
         def hits():
             for _, clause, (head, at, cell), (local_vars, _, ready, guard) in clauses:
                 test = at, self._guard(clause, guard, local_vars)
-                for sigma, (n, used, step) in match_hedge(
-                        head, subject, _checked=True, _test=test, _cell=cell):
+                for sigma, (n, used, step) in match_hedge(head, subject, _test=test, _cell=cell):
                     self._with_fresh_locals(sigma, local_vars, n)
                     body = tuple(apply_to_literal(sigma, b) for b in clause.body[used:])
                     if rhs is not None:
@@ -532,7 +524,7 @@ class _Solver:
             floor = known[0]
             if floor is None:  # id: the sides are equal
                 return (n, 1, ONE) if left == right else None
-            got = hedge_proximity(self.rel, right, left, _floor=floor)
+            got = _proximity_walk(self.rel, right, left, floor)
             return (n, 1, got) if got else None
         return test
 
@@ -654,4 +646,4 @@ def solve(db: ClauseDB, query: Query, relation=None, config=None) -> Iterator[An
     for bindings, degree in solver.run(goals):
         if query.threshold is not None and degree < query.threshold:
             continue
-        yield Answer(Subst({v: bindings[v] for v in order if v in bindings}, _checked=True), degree)
+        yield Answer(Subst({v: bindings[v] for v in order if v in bindings}), degree)

@@ -27,13 +27,14 @@ compound by saving the rest of its level on a linked list, and recurses
 only at choices: a sequence variable with several widths, and a context
 variable. Long and deep patterns therefore cost no stack.
 
-Only the engine passes the private ``_checked=True``, which skips the input
-check: its redexes are ground by a load-time analysis, goals hole-free at
-the query and clauses at load, and matcher values plug every hole they bring.
-It gets each matcher as a plain dict, a new object that no other matcher
-shares, so it may write into it; the public functions wrap it in a ``Subst``.
-Each clause try passes the private ``_test``, its guard or else its hit report,
-which runs on a search path's plain dict inside the match and must not keep it.
+The engine reaches the matcher by two private doors that skip the input check:
+its redexes are ground by a load-time analysis, goals hole-free at the query
+and clauses at load, and matcher values plug every hole they bring. An ``id``
+or ``prox`` step passes ``scored_match_hedge`` ``_checked=True``; a clause try
+passes ``match_hedge`` its ``_test``, its guard or else its hit report, which runs
+on a search path's dict inside the match and must not keep it. Both get plain
+dicts, each a new one that the engine may write into. They stay keywords of the
+public functions because the benchmark's tracer counts calls by these names.
 
 A clause head that may have several matchers (the engine's load-time flag
 ``single`` is false) runs this order specialised to it (``_head_source``): a fixed
@@ -106,7 +107,7 @@ def _check_inputs(pattern, subject) -> None:
 
 def scored_match_hedge(
     pattern, subject, sym_degree: SymDegree | None = None, floor: Decimal = ONE,
-    *, _checked: bool = False, _test=(-1, None),
+    *, _checked: bool = False,
 ) -> Iterator[tuple]:
     """``(matcher, degree)`` pairs, lazily; degree is the min over symbol pairs.
 
@@ -115,25 +116,26 @@ def scored_match_hedge(
     match exactly, by identity. The inputs are checked on the call.
     """
     pattern, subject = tuple(pattern), tuple(subject)
-    found = _match_items(pattern, 0, subject, 0, {}, ONE, False, sym_degree, floor, None, *_test)
+    found = _match_items(pattern, 0, subject, 0, {}, ONE, False, sym_degree, floor, None, -1, None)
     if _checked:
         return found
     _check_inputs(pattern, subject)
-    return ((Subst(m, _checked=True), degree) for m, degree in found)
+    return ((Subst(m), degree) for m, degree in found)
 
 
-def match_hedge(pattern, subject, *, _checked: bool = False, _test=(-1, None),
-                _cell=None) -> Iterator[Subst]:
-    """All matchers of a pattern sequence against a ground sequence. A clause try passes
-    its ``_test`` (``_match_items``) and ``_cell``, a list keeping its head's compiled code."""
+def match_hedge(pattern, subject, *, _test=None, _cell=None) -> Iterator[Subst]:
+    """All matchers of a pattern sequence against a ground sequence, lazily; the
+    inputs are checked on the call. A clause try passes its ``_test``, ``(at, test)``
+    of ``_match_items``, and its ``_cell``, a list keeping its head's compiled code
+    (None: the head has at most one matcher), and gets ``(dict, test result)`` pairs."""
+    if _test is None:
+        return (subst for subst, _ in scored_match_hedge(pattern, subject))
     if _cell is not None:
         if not _cell:  # the first try: the head's code, or None (``_head_source``)
             _cell.append((source := _head_source(pattern, _test[0])) and _maker(source)(pattern))
         if _cell[0]:
-            yield from _cell[0](subject, _test[1])
-            return
-    for subst, got in scored_match_hedge(pattern, subject, _checked=_checked, _test=_test):
-        yield subst if _test[1] is None else (subst, got)
+            return _cell[0](subject, _test[1])
+    return _match_items(pattern, 0, subject, 0, {}, ONE, False, None, ONE, None, *_test)
 
 
 def match_term(pattern, subject) -> Iterator[Subst]:

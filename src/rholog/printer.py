@@ -17,7 +17,7 @@ from .program import (
     SourceProgram,
     StrategyAbbrev,
 )
-from .terms import Sym, render_sequence
+from .terms import Compound, Sym, render_sequence
 
 BINDING_ARROW = "--->"
 
@@ -40,9 +40,7 @@ def render_literal(lit) -> str:
             f"{arrow} {render_sequence(lit.rhs)}"
         )
     if isinstance(lit, PredAtom):
-        if not lit.args:
-            return repr(lit.head)
-        return f"{lit.head!r}({','.join(map(repr, lit.args))})"
+        return repr(Compound(lit.head, lit.args))
     if isinstance(lit, NotGoal):
         return f"not({render_literal(lit.inner)})"
     raise TypeError(f"not a literal: {lit!r}")

@@ -94,16 +94,22 @@ def prox_match_hedge(rel, pattern, subject, threshold) -> Iterator[DegreedMatche
         yield DegreedMatcher(subst, degree)
 
 
-def hedge_proximity(rel, h1, h2, *, _floor=None) -> Decimal:
+def hedge_proximity(rel, h1, h2) -> Decimal:
     """Proximity degree of two ground, hole-free sequences: the degree of the one
-    matcher of ``h1`` against ``h2`` (0 if none), walked as the matcher walks, with
-    no stack. The engine's private ``_floor`` skips the check and fails pairs below it."""
-    for h in [(*h1, *h2)] if _floor is None else ():  # both hedges' items
-        if bad := [x for x in h if not isinstance(x, ITEMS)]:
-            raise TypeError(f"not a term or a sequence variable: {bad[0]!r}")
-        if not is_ground(h) or hole_count(h) != 0:
-            raise InvalidValueError("proximity is defined on ground, hole-free terms and hedges")
-    degree, i, more, floor = ONE, 0, None, _floor or ZERO
+    matcher of ``h1`` against ``h2`` (0 if none). The inputs are checked on the call."""
+    h = (*h1, *h2)  # both hedges' items
+    if bad := [x for x in h if not isinstance(x, ITEMS)]:
+        raise TypeError(f"not a term or a sequence variable: {bad[0]!r}")
+    if not is_ground(h) or hole_count(h) != 0:
+        raise InvalidValueError("proximity is defined on ground, hole-free terms and hedges")
+    return _proximity_walk(rel, h1, h2, ZERO)
+
+
+def _proximity_walk(rel, h1, h2, floor) -> Decimal:
+    """``hedge_proximity`` of trusted hedges, walked as the matcher walks, with no
+    stack; 0 if a symbol pair scores below ``floor``. A clause's ``prox`` guard
+    calls it directly: its sides are ground by a load-time analysis."""
+    degree, i, more = ONE, 0, None
     while True:
         if i == len(h1) or i == len(h2):
             if len(h1) != len(h2):

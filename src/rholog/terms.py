@@ -176,7 +176,7 @@ class Compound(Record):
     __slots__ = ("head", "args", "_holes", "_ground")  # hole count, groundness: computed once
 
     def __init__(self, head: "FunHead", args: "Hedge" = ()):
-        holes, ground = 0, isinstance(head, Sym)
+        args, holes, ground = tuple(args), 0, isinstance(head, Sym)
         for item in args:
             if isinstance(item, Compound):
                 holes += item._holes
@@ -330,12 +330,14 @@ def _check_binding(var, value) -> None:
         raise KindMismatchError(f"{var!r} must map to {wanted}, got {value!r}")
 
 
-def _is_identity(var, value) -> bool:
+def identity_value(var):
+    """What binding ``var`` to itself binds it to: ``(var,)`` for a sequence
+    variable, ``var(hole)`` for a context variable, else ``var``."""
     if isinstance(var, SeqVar):
-        return value == (var,)
+        return (var,)
     if isinstance(var, CtxVar):
-        return value == CtxApply(var, HOLE)
-    return value == var
+        return CtxApply(var, HOLE)
+    return var
 
 
 def subst_term(m: dict, t: Term) -> Term:
@@ -372,23 +374,18 @@ class Subst:
     substitutions coincides with equality of their action.
 
     ``Subst(mapping)`` copies ``mapping``, checks each value's kind and
-    drops identity bindings. The private ``Subst(mapping, _checked=True)``
-    adopts ``mapping`` as it is; only the two places where a substitution
-    leaves the package use it, the public matchers and ``solve``'s answers,
-    each handing over a new dict of ground values of the right kind that
-    nobody mutates afterwards. The engine binds in plain dicts.
+    drops identity bindings. The engine binds in plain dicts and builds a
+    ``Subst`` only where a substitution leaves the package: a public matcher
+    and an answer of ``solve``.
     """
 
     __slots__ = ("_map",)
 
-    def __init__(self, mapping=None, *, _checked=False):
-        if _checked:
-            self._map = mapping
-            return
+    def __init__(self, mapping=None):
         self._map = {}
         for var, value in (mapping or {}).items():
             _check_binding(var, value)
-            if not _is_identity(var, value):
+            if value != identity_value(var):
                 self._map[var] = value
 
     def get(self, var):

@@ -136,24 +136,18 @@ CATALOGUE = [
     ("M29", MATCHING, "if i == at and more is None:\n            put(",
      "if i == at + 1 and more is None:\n            put(",
      "compiled heads: the test placed one item late"),
+    ("M30", ENGINE, "_proximity_walk(self.rel, right, left, floor)",
+     "_proximity_walk(self.rel, right, left, floor * 0)",
+     "a prox guard walked under a floor of 0, not its own floor"),
 ]
 
 # (name, file, text, replacement, why the answers cannot change)
-EQUIVALENT = [
-    ("E1", MATCHING, "Subst(m, _checked=True)", "Subst(m)",
-     "the input check admits only terms and sequence variables as items, so a public "
-     "matcher's values are ground and of the right kind; checked again as it is wrapped, "
-     "none is an identity binding and the same Subst results"),
-]
+EQUIVALENT = []
 
 
 # (function, first line of a statement in it, why deleting the statement changes
 # no answer): ``--delete`` lists these with the reason and does not run them
 EQUIVALENT_DELETIONS = [
-    ("Subst.__init__", "if _checked:",
-     "the checked path builds the same Subst from the trusted mapping, only slower"),
-    ("Subst.__init__", "return",
-     "the checked path builds the same Subst from the trusted mapping, only slower"),
     ("_load_session", "raise",
      "load_program checks each clause on its own, so whenever the whole program "
      "fails to load, some file fails alone, and that file's error is raised first"),

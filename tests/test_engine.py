@@ -1148,8 +1148,9 @@ class TestLateContinuation:
 
 
 class TestTrustedMatcherInputs:
-    """The engine calls the matchers with ``_checked=True``; every input it
-    passes must still pass the check it skips."""
+    """The engine calls the matchers by their private doors, which skip the input
+    check (``scored_match_hedge(..., _checked=True)``, ``match_hedge(..., _test=...)``);
+    every input it passes must still pass that check."""
 
     @pytest.fixture
     def checked(self, monkeypatch):

@@ -1,3 +1,4 @@
+import inspect
 from decimal import Decimal
 
 import pytest
@@ -14,6 +15,7 @@ from rholog import (
     Subst,
     Sym,
     enumerate_contexts,
+    hedge_proximity,
     match_hedge,
     match_term,
     parse_sequence,
@@ -186,9 +188,9 @@ MARK = IndVar("i_Mark")
 
 
 class TestMatcherOwnership:
-    """The engine writes into each matcher that ``match_hedge(..., _checked=True)``
-    yields, so each must be a new dict that no other matcher of the stream shares:
-    every one is held and written into until the stream ends, then compared."""
+    """The engine writes into each matcher that a clause try's ``match_hedge(...,
+    _test=...)`` yields, so each must be a new dict that no other matcher of the stream
+    shares: every one is held and written into until the stream ends, then compared."""
 
     @pytest.mark.parametrize("pattern, subject, count", [
         ("(s_X, s_Y)", "(a,b,c,d,e,f)", 7),
@@ -197,12 +199,51 @@ class TestMatcherOwnership:
     ])
     def test_each_engine_matcher_is_a_dict_of_its_own(self, pattern, subject, count):
         held = []
-        for k, m in enumerate(match_hedge(H(pattern), H(subject), _checked=True)):
+        for k, (m, _) in enumerate(match_hedge(H(pattern), H(subject), _test=(-1, None))):
             m[MARK] = k  # as the engine binds a clause's locals
             held.append(m)
         expected = [dict(m.items()) for m in match_hedge(H(pattern), H(subject))]
         assert len(expected) == count
         assert held == [{**m, MARK: k} for k, m in enumerate(expected)]
+
+
+class TestTwoDoors:
+    """``match_hedge`` without ``_test`` checks its input and yields ``Subst``s; a
+    clause try passes ``_test`` and ``_cell`` and gets ``(dict, test result)`` pairs,
+    from its head's compiled code or from ``_match_items``, with no ``Subst`` built."""
+
+    def test_the_public_door_yields_substs(self):
+        found = list(match_hedge(H("(s_X, s_Y)"), H("(a, b)")))
+        assert len(found) == 3 and {type(m) for m in found} == {Subst}
+
+    @pytest.mark.parametrize("pattern, subject, compiled", [
+        ("(s_X, i_Y, s_Z)", "(a, b, c)", True),  # may have several matchers
+        ("(c_X(i_Y), s_Z)", "(f(a), b)", False),  # a context variable: _match_items
+        ("(s_X, i_Y)", "(a, b)", None),  # at most one matcher: no cell
+    ])
+    def test_a_clause_try_yields_dicts_and_test_results(self, pattern, subject, compiled):
+        pattern, subject, cell, tested = H(pattern), H(subject), [], []
+
+        def test(d):
+            tested.append(dict(d))
+            return len(tested)
+
+        found = list(match_hedge(pattern, subject, _test=(len(pattern), test),
+                                 _cell=None if compiled is None else cell))
+        expected = [dict(m.items()) for m in match_hedge(pattern, subject)]
+        assert found == [(m, k + 1) for k, m in enumerate(expected)] and tested == expected
+        assert {type(d) for d, _ in found} == {dict}
+        assert cell == [] if compiled is None else bool(cell[0]) == compiled
+
+    def test_a_clause_try_runs_the_code_its_cell_keeps(self):
+        cell = [lambda subject, test: iter([(subject, test)])]
+        test = (-1, None)
+        assert list(match_hedge(H("(s_X, s_Y)"), H("a"), _test=test, _cell=cell)) == [
+            (H("a"), None)]
+
+    @pytest.mark.parametrize("function", [Subst, hedge_proximity, match_hedge])
+    def test_no_switch_chooses_a_public_contract(self, function):
+        assert {"_checked", "_floor"}.isdisjoint(inspect.signature(function).parameters)
 
 
 class TestProperties:
@@ -289,7 +330,7 @@ class TestOrderOracle:
         for k, head in enumerate(compiled_heads(rng, 1200, max_items=5, n_seq=3)):
             subject = subject_for(rng, k, head)
             cell = []
-            got = [d for d, _ in match_hedge(head, subject, _checked=True, _cell=cell)]
+            got = [d for d, _ in match_hedge(head, subject, _test=(-1, None), _cell=cell)]
             assert cell[0] and got == ordered_matchers(head, subject), (head, subject)
             found += len(got)
         assert found >= 200
@@ -334,7 +375,7 @@ class TestCompiledHeads:
             want = self.run(lambda test: _match_items(
                 head, 0, subject, 0, {}, ONE, False, None, ONE, None, at, test), at)
             got = self.run(lambda test: match_hedge(
-                head, subject, _checked=True, _test=(at, test), _cell=cell), at)
+                head, subject, _test=(at, test), _cell=cell), at)
             assert cell[0] and got == want, (head, subject, at)
             found, tested = found + len(want[0]), tested + len(want[1])
         assert found > 300 and tested > 300

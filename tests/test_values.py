@@ -113,6 +113,11 @@ class TestEquality:
         assert (parse_term("a") == HOLE) is False
         assert (RhoAtom(parse_term("st"), (), ()) == 5) is False
 
+    def test_a_compound_built_from_a_list_is_the_one_built_from_a_tuple(self):
+        f, i_X = Sym("f"), IndVar("i_X")
+        from_list, from_tuple = Compound(f, [i_X]), Compound(f, (i_X,))
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+
     def test_a_set_keeps_one_of_each_equal_value(self):
         items = [value for value, _ in values()] + [value for value, _ in values()]
         assert len(set(items)) == len(KINDS)
