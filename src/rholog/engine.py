@@ -8,23 +8,23 @@ degree), None, or a choice point: an iterator of alternatives. Only the
 loop builds states from them; a state with no goals is an answer. A lone
 clause whose head has at most one matcher, and a step whose pattern has
 at most one, leave no choice point behind. A step's bindings reach the
-goals up to the first pending clause continuation: they bind names made
-since it was queued (query variables if none is), which no later goal holds.
+goals up to the first pending continuation: they bind names made since
+it was queued (query variables if none is), which no later goal holds.
 
 Selecting ``st :: s1 ==> s2`` requires ``st`` and ``s1`` to be ground, which
 is known at load (``_facts``). A clause ``st' :: s1' ==> s2' :- body`` whose
 stored head matches with ``sigma`` (extended by fresh names ``v~n`` for its
-local variables) gives the goals ``sigma(body)``, then
-``C :: sigma(s2') ==> s2``, where ``C`` is ``id``, or ``prox(lam)`` in
-threshold mode, built when it is selected, after the body. A head match runs
+local variables) gives the goals ``sigma(body)``, then the continuation
+``C :: sigma(s2') ==> s2``: one machine-only goal (``_Into``), selected as the
+``id`` step, or ``prox(lam)`` in threshold mode, that it is. A head match runs
 its clause's test: the leading guard (``id``, ``prox``, a comparison or its
 negation) once its variables are bound (``_test_at``), on the dict's ground
 sides, so a failing candidate is never yielded; without one, the hit report.
 Builtins become goals too: ``compose(s1,...,sk) :: l ==> r`` gives
-``s1 :: l ==> s_Out~1``, ..., ``sk :: s_Out~(k-1) ==> s_Out~k``,
-``C :: s_Out~k ==> r``. ``map(st)`` over m items names ``s_Out~1``, ...,
-``s_Out~m`` at once and queues one item's step at a time, each followed by
-a machine-only check that its output is one term, then ``C :: outputs ==> r``.
+``s1 :: l ==> s_Out~1``, ..., ``sk :: s_Out~(k-1) ==> s_Out~k``, then the
+continuation ``C :: s_Out~k ==> r``. ``map(st)`` over m items names ``s_Out~1``,
+..., ``s_Out~m`` at once and queues one item's step at a time, each followed
+by a machine-only check that its output is one term, then ``C :: outputs ==> r``.
 Three barriers are machine-only goals naming their choice point's stack
 height: ``first_one`` cuts after its first output and its first rhs match;
 ``nf`` and ``first_all`` soft-cut (an output drops only the untried
@@ -294,10 +294,10 @@ class _Nf(Record):
 
 
 class _Into(Record):
-    """Machine-only goal: the continuation ``C :: sigma(clause_rhs) ==> rhs`` of a
-    clause hit, ``sigma`` a dict. Its body runs first and binds only ``locals``' fresh names."""
+    """Machine-only goal: the continuation ``C :: sigma(out) ==> rhs`` of a clause hit or a
+    builtin, ``sigma`` a dict. The goals before it bind only ``locals``' fresh names."""
 
-    __slots__ = ("sigma", "locals", "clause_rhs", "rhs")
+    __slots__ = ("sigma", "locals", "out", "rhs")
 
 
 class _Map(Record):
@@ -345,25 +345,13 @@ class _Solver:
         self._trace("clause", render_clause, clause)
         return next(self._fresh) if local_vars else None
 
-    def _with_fresh_locals(self, sigma, local_vars, n):
-        """Bind a clause's local variables in its head matcher ``sigma`` to fresh
-        names under counter value ``n``, in place: the matcher hands each ``sigma``
-        over as a new dict. Fresh names never reach answers."""
-        for v in local_vars:
-            sigma[v] = identity_value(type(v)(f"{v.name}~{n}"))
-
     def _fresh_out(self):
         return (SeqVar(f"s_Out~{next(self._fresh)}"),)
 
     def _into(self, out, rhs):
-        """The continuation literal ``C :: out ==> rhs``."""
-        return RhoAtom(self._continuation, out, rhs)
-
-    def _through(self, strategy, lhs, rhs, barrier, after):
-        """Goals that run ``strategy`` on ``lhs`` into a fresh output, pass
-        ``barrier``, then match the output against ``rhs``."""
-        out = self._fresh_out()
-        return (RhoAtom(strategy, lhs, out),) + barrier + (self._into(out, rhs),) + after
+        """A builtin's continuation ``C :: out ==> rhs``, its fresh output's names as locals."""
+        fresh = tuple(x for x in out if isinstance(x, SeqVar))
+        return _Into({v: (v,) for v in fresh}, fresh, out, rhs)
 
     # -- resolution ----------------------------------------------------------
 
@@ -395,8 +383,9 @@ class _Solver:
                 kept = {v: x for v, x in theta.items() if v in self._keep}
                 if kept:
                     answer = {**answer, **kept}
-                # theta binds names made after the first continuation in rest was
-                # queued (query variables if none is), so no goal after it holds one
+                # theta binds names made after the first continuation in rest was queued
+                # (query variables if none is), which no goal after it holds; an older
+                # name in that continuation's rhs is bound only by its own match
                 walked = []
                 for goal in rest:
                     walked.append(_instantiate(theta, goal))
@@ -411,8 +400,11 @@ class _Solver:
         or a choice point (an iterator of alternatives) to push on ``stack``."""
         ready = not isinstance(goal, _Unready)
         goal = goal if ready else goal.goal
-        if isinstance(goal, _Into):
-            goal = self._into(subst_hedge(goal.sigma, goal.clause_rhs), goal.rhs)
+        if isinstance(goal, _Into):  # an id or prox step at the query's floor
+            goal = RhoAtom(self._continuation, subst_hedge(goal.sigma, goal.out), goal.rhs)
+            if ready:
+                self._trace("select", render_literal, goal)
+                return self._step(self.lam, goal.lhs, goal.rhs)
         if not ready:
             raise NonGroundRedexError(_Unready.messages[type(goal)] + render_literal(goal))
         if isinstance(goal, RhoAtom):
@@ -480,7 +472,9 @@ class _Solver:
             for _, clause, (head, at, cell), (local_vars, _, ready, guard) in clauses:
                 test = at, self._guard(clause, guard, local_vars)
                 for sigma, (n, used, step) in match_hedge(head, subject, _test=test, _cell=cell):
-                    self._with_fresh_locals(sigma, local_vars, n)
+                    # in place: the matcher hands each sigma over as a new dict
+                    for v in local_vars:
+                        sigma[v] = identity_value(type(v)(f"{v.name}~{n}"))  # never in answers
                     body = tuple(apply_to_literal(sigma, b) for b in clause.body[used:])
                     if rhs is not None:
                         body += (_Into(sigma, local_vars, clause.rhs, rhs),)
@@ -545,14 +539,18 @@ class _Solver:
             raise NonNumericError("prox needs a numeric threshold")
         return check_threshold(mu)
 
+    def _step(self, floor, lhs, rhs):
+        """The alternatives of an ``id`` (``floor`` None) or ``prox`` step from ``lhs``
+        to ``rhs``: one, or None, if ``rhs`` has at most one matcher; else a choice point."""
+        matches = scored_match_hedge(rhs, lhs, None if floor is None else self.rel.degree,
+                                     ONE if floor is None else floor, _checked=True)
+        steps = (((), theta, d) for theta, d in matches)
+        return next(steps, None) if at_most_one_matcher(iter_vars(rhs)) else steps
+
     def _builtin(self, name, lit, height):
         args, lhs, rhs = lit.strategy.args, lit.lhs, lit.rhs
         if name in ("id", "prox"):
-            floor = self._floor(lit.strategy)
-            matches = scored_match_hedge(rhs, lhs, None if floor is None else self.rel.degree,
-                                         ONE if floor is None else floor, _checked=True)
-            steps = (((), theta, d) for theta, d in matches)
-            return next(steps, None) if at_most_one_matcher(iter_vars(rhs)) else steps
+            return self._step(self._floor(lit.strategy), lhs, rhs)
         if name == "compose":
             if len(args) < 2:
                 raise ArityError("compose takes at least two strategies")
@@ -569,7 +567,9 @@ class _Solver:
             # first_all every output of the first strategy that has one
             cut = () if name == "choice" else (_Cut(height, soft=name == "first_all"),)
             after = cut if name == "first_one" else ()
-            return ((self._through(st, lhs, rhs, cut, after), None, ONE) for st in args)
+            outs = (self._fresh_out() for _ in args)  # each named when its try is made
+            return (((RhoAtom(st, lhs, out),) + cut + (self._into(out, rhs),) + after, None, ONE)
+                    for st, out in zip(args, outs))
         if len(args) != 1:  # map or nf
             raise ArityError(f"{name} takes exactly one strategy")
         if name == "nf":
@@ -612,7 +612,7 @@ def _instantiate(theta, goal):
         sigma = dict(goal.sigma)
         for v in goal.locals:
             sigma[v] = (subst_hedge if isinstance(v, SeqVar) else subst_term)(theta, sigma[v])
-        return _Into(sigma, goal.locals, goal.clause_rhs, goal.rhs)
+        return _Into(sigma, goal.locals, goal.out, goal.rhs)
     if isinstance(goal, _Cut):
         return goal
     if isinstance(goal, _Nf):

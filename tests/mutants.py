@@ -101,7 +101,7 @@ CATALOGUE = [
      "                    if isinstance(goal, _Into):\n                        break",
      "if isinstance(goal, _Into):\n                        break\n"
      "                    walked.append(_instantiate(theta, goal))",
-     "a step's bindings stop before the first clause continuation, not after it"),
+     "a step's bindings stop before the first continuation, not after it"),
     ("M20", ENGINE, "if len(clauses) == 1 and clauses[0][3][1] else hits()",
      "if False else hits()",
      "a lone clause always pushes a choice point: same answers, but an nf chain's "
@@ -139,6 +139,12 @@ CATALOGUE = [
     ("M30", ENGINE, "_proximity_walk(self.rel, right, left, floor)",
      "_proximity_walk(self.rel, right, left, floor * 0)",
      "a prox guard walked under a floor of 0, not its own floor"),
+    ("M31", ENGINE, "return self._step(self.lam, goal.lhs, goal.rhs)",
+     "return self._step(None, goal.lhs, goal.rhs)",
+     "every continuation exact, also in threshold mode"),
+    ("M32", ENGINE, "return _Into({v: (v,) for v in fresh}, fresh, out, rhs)",
+     "return _Into({v: (v,) for v in fresh}, (), out, rhs)",
+     "a builtin's continuation without locals: its fresh output is never instantiated"),
 ]
 
 # (name, file, text, replacement, why the answers cannot change)

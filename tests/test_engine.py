@@ -683,6 +683,16 @@ class TestProximityMode:
             got = results(f"?({goal}, 0.0000001, Degree, Result).", program, REL)
             assert got == [("[]", D(1))]
 
+    def test_continuations_step_at_the_query_floor(self):
+        # every continuation, a clause's or a builtin's, is a prox step at the
+        # query's threshold, also one from a ground output (nf's input, map's outputs)
+        rel = ProximityRelation([("b", "c", D("0.7"))])
+        program = "st :: a ==> b.\n"
+        for goal in ("st :: a ==> c", "choice(st) :: a ==> c", "compose(st, id) :: a ==> c",
+                     "nf(st) :: a ==> c", "map(st) :: (a) ==> (c)"):
+            assert results(f"?({goal}, 0.5, D, Result).", program, rel) == [("[]", D("0.7"))]
+            assert answers(f"?({goal}, 0.8, D, Result).", program, rel) == []
+
     def test_negation_respects_the_query_threshold(self):
         program = "neg_check :: i_X ==> ok :- prox :: i_X =\\=> b.\n"
         # a is close to b at 0.5 but not at 0.7, so the negation flips
@@ -943,7 +953,7 @@ class TestMachine:
         ("?(rev :: ({}) ==> s_R, Result).", "a"),
     ], ids=["map", "rev"])
     def test_instantiations_grow_linearly_with_the_items(self, monkeypatch, query, item):
-        # a step's bindings reach the goals up to the first pending clause
+        # a step's bindings reach the goals up to the first pending
         # continuation; walking every pending goal made this quadratic
         calls = [0]
         original = rholog.engine._instantiate
@@ -980,6 +990,44 @@ class TestMachine:
         assert in_body  # the body's step reaches its clause's continuation
         assert later not in in_body
         assert later in [goal for theta, goal in walked if SeqVar("s_X") in theta]
+
+    def test_a_step_in_a_builtin_instantiates_no_goal_after_its_continuation(self, monkeypatch):
+        # a builtin's continuation holds its fresh output as a clause's holds its
+        # locals: the inner steps' bindings stop there, and only its own, of the
+        # query variable s_Y, reach the ground checks after it
+        calls = [0]
+        original = rholog.engine._instantiate
+
+        def counted(theta, goal):
+            calls[0] += 1
+            return original(theta, goal)
+
+        monkeypatch.setattr(rholog.engine, "_instantiate", counted)
+        db = db_of("a :: i_X ==> f(i_X).\n")
+
+        def count(k):
+            calls[0] = 0
+            checks = ", id :: x ==> x" * k
+            query = parse_query(f"?(compose(a, a) :: x ==> s_Y{checks}, Result).")
+            assert [render_answer(a) for a in solve(db, query)] == ["[s_Y ---> f(f(x))]"]
+            return calls[0]
+
+        assert count(40) - count(1) == 39
+
+    def test_a_continuation_is_a_step_at_the_query_floor_not_a_literal(self, monkeypatch):
+        # the solver builds each continuation's strategy itself, so selecting it
+        # never reads that strategy back (_floor) or resolves it as a literal
+        read = []
+        original = rholog.engine._Solver._floor
+        monkeypatch.setattr(rholog.engine._Solver, "_floor",
+                            lambda self, st: read.append(st) or original(self, st))
+        program = "a :: i_X ==> f(i_X).\n"
+        for query in ("?(compose(a, a) :: x ==> s_Y, Result).",
+                      "?(map(choice(a)) :: (x, y) ==> s_Y, 0.5, D, Result)."):
+            assert len(answers(query, program, REL)) == 1
+        assert read == []
+        assert results("?(id :: x ==> s_Y, Result).") == [("[s_Y ---> x]", D(1))]
+        assert read == [T("id")]
 
     def test_first_answer_tries_no_clause_of_a_later_choice(self, monkeypatch):
         heads = []
@@ -1218,7 +1266,7 @@ class TestTrustedMatcherInputs:
 
 
 class TestHeadMatcherOwnership:
-    """``_with_fresh_locals`` writes a clause's fresh names into the head matcher the
+    """A clause hit writes its locals' fresh names into the head matcher the
     matcher hands over; every head matcher of one stream is held until it ends."""
 
     def test_a_clause_with_locals_and_two_head_matchers(self, monkeypatch):
@@ -1692,7 +1740,7 @@ class TestCompiledShapes:
         assert len(compiled) == 3 and rholog.matching._maker.cache_info().misses == 2
 
     def test_a_head_with_a_list_of_arguments(self):
-        # Compound takes a list of arguments, which has no hash
+        # Compound stores a list of arguments as a tuple, so this head hashes as any other
         i_X, s_A, s_B = IndVar("i_X"), SeqVar("s_A"), SeqVar("s_B")
         clause = RhoClause(atom("d"), (s_A, Compound(Sym("f"), [i_X]), s_B), (i_X,), ())
         redex = (atom("a"), Compound(Sym("f"), [atom("b")]), call("f", atom("c")))
