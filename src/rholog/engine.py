@@ -17,9 +17,9 @@ stored head matches with ``sigma`` (extended by fresh names ``v~n`` for its
 local variables) gives the goals ``sigma(body)``, then the continuation
 ``C :: sigma(s2') ==> s2``: one machine-only goal (``_Into``), selected as the
 ``id`` step, or ``prox(lam)`` in threshold mode, that it is. A head match runs
-its clause's test: the leading guard (``id``, ``prox``, a comparison or its
-negation) once its variables are bound (``_test_at``), on the dict's ground
-sides, so a failing candidate is never yielded; without one, the hit report.
+its clause's test once its leading guard's variables are bound (``_test_at``): ``id``,
+``prox`` or a comparison (maybe negated) on the dict, or untraced inline in compiled head
+code (``_inlined``), so a failing candidate is never yielded; without one, the hit report.
 Builtins become goals too: ``compose(s1,...,sk) :: l ==> r`` gives
 ``s1 :: l ==> s_Out~1``, ..., ``sk :: s_Out~(k-1) ==> s_Out~k``, then the
 continuation ``C :: s_Out~k ==> r``. ``map(st)`` over m items names ``s_Out~1``,
@@ -101,6 +101,7 @@ BUILTIN_STRATEGIES = frozenset(
 COMPARISONS: dict[str, Callable] = {
     "=<": operator.le, "<": operator.lt, ">": operator.gt, ">=": operator.ge
 }
+_OPERATORS = {"=<": "<=", "<": "<", ">": ">", ">=": ">="}  # each comparison in Python
 
 class EngineConfig:
     __slots__ = ("nf_step_limit", "trace_sink")  # trace_sink gets each trace line; None: off
@@ -121,7 +122,7 @@ class ClauseDB:
     """Loaded program: clauses in source order and, per name, a map from the
     head symbol of the first lhs item (first param) to its clauses, and a
     variable bucket for the rest; a lookup merges the two in source order.
-    Entries are ``(position, clause, (head, at, cell), facts)``: ``_index``, ``_facts``."""
+    Entries are ``(position, clause, (head, (at, inline), cell), facts)`` (``_index``)."""
 
     def __init__(self, rho_clauses=(), pred_clauses=()):
         self.rho_clauses = tuple(rho_clauses)
@@ -145,17 +146,18 @@ def _first_key(items):
 
 
 def _index(clauses):
-    """The index ``{name: (keyed, free)}`` of ``(name, first items, clause, head)``;
-    each entry keeps ``(head, _test_at(head, guard), cell)``, the cell ``[]`` for the
-    compiled code that ``match_hedge`` keeps if the head may have several matchers, else None."""
-    index = {}
+    """The index ``{name: (keyed, free)}`` of ``(name, first items, clause, head)``; an entry
+    keeps ``(head, (_test_at(head, guard), _inlined(guard)), cell)`` (no inlined guard if a try
+    names locals), the cell ``[]`` for the code ``match_hedge`` compiles, None if ``single``."""
+    index, shared = {}, {}  # shared: one (at, inline) pair per value, not one per clause
     for position, (name, first, clause, head) in enumerate(clauses):
         keyed, free = index.setdefault(name, ({}, []))
         key = _first_key(first)
         bucket = free if key is None else keyed.setdefault(key, [])
-        facts = _facts(clause, head)
-        cell = None if facts[1] else []
-        bucket.append((position, clause, (head, _test_at(head, facts[3]), cell), facts))
+        facts = local_vars, single, _, guard = _facts(clause, head)
+        inline = None if single or local_vars or guard is None else _inlined(guard)
+        where = shared.setdefault(where := (_test_at(head, guard), inline), where)
+        bucket.append((position, clause, (head, where, None if single else []), facts))
     return index
 
 
@@ -237,6 +239,21 @@ def _leading_guard(lit, head_vars, parts):
         guard = isinstance(call, PredAtom) and (
             isinstance(call.head, FunVar) or call.head.name in COMPARISONS)
     return lit if guard and head_vars.issuperset(itertools.chain(*parts)) else None
+
+
+def _inlined(lit):
+    """The class of a leading guard that head code inlines (``_head_source``), else None: ``id``,
+    ``prox`` or ``prox(mu)`` between individual variables, or a comparison of two or numerals."""
+    call = lit.inner if isinstance(lit, NotGoal) else lit
+    if isinstance(call, RhoAtom):
+        st, sides = call.strategy, call.lhs + call.rhs
+        mu = numeral_value(st.args[0]) if st.args and st.head.name == "prox" else None
+        floor = not st.args or len(st.args) == 1 and mu is not None and 0 <= mu <= 1
+        pair = len(call.lhs) == len(call.rhs) == 1 and {type(x) for x in sides} == {IndVar}
+        return (st.head.name, *sides) if floor and pair else None
+    sides = [x if isinstance(x, IndVar) else numeral_value(x) for x in call.args]
+    op = call.head if isinstance(call.head, FunVar) else _OPERATORS[call.head.name]
+    return ("cmp", op, call is not lit, *sides) if len(sides) == 2 and None not in sides else None
 
 
 def _candidates(index, name, items):
@@ -332,6 +349,7 @@ class _Solver:
         self._fresh = itertools.count(1)
         self._continuation = atom("id") if self.lam is None else Compound(
             Sym("prox"), (atom(format(self.lam, "f")),))
+        self._doors = {}, {}  # per index, rho then predicate: position -> ``_guard``
 
     # -- plumbing ------------------------------------------------------------
 
@@ -468,9 +486,15 @@ class _Solver:
         """An alternative per clause hit, in source order: the clause body, then
         for a transformation clause the continuation ``C :: sigma(rhs') ==> rhs``."""
 
+        doors = self._doors[rhs is None]
+
         def hits():
-            for _, clause, (head, at, cell), (local_vars, _, ready, guard) in clauses:
-                test = at, self._guard(clause, guard, local_vars)
+            for entry in clauses:
+                position, clause, (head, (at, _), cell), (local_vars, _, ready, guard) = entry
+                if guard is None:  # the hit report, called within this try only
+                    test = at, lambda d: (self._tried(clause, local_vars), 0, ONE)
+                else:
+                    test, cell = doors.get(position) or self._guard(entry, doors)
                 for sigma, (n, used, step) in match_hedge(head, subject, _test=test, _cell=cell):
                     # in place: the matcher hands each sigma over as a new dict
                     for v in local_vars:
@@ -485,42 +509,43 @@ class _Solver:
 
         return next(hits(), None) if len(clauses) == 1 and clauses[0][3][1] else hits()
 
-    def _guard(self, clause, lit, local_vars):
-        """The head matcher's test of ``clause``'s leading guard ``lit`` on a dict binding
-        its variables, as a hit and then selection would do it: None if it fails, else the
-        locals' counter value, the body literals it used up (0 if an ``f_`` head names
-        no comparison) and the degree of its step. With no guard (None): the hit report."""
-        if lit is None:
-            return lambda d: (self._tried(clause, local_vars), 0, ONE)
+    def _guard(self, entry, doors):
+        """What the tries of the guarded clause ``entry`` pass ``match_hedge`` in this query,
+        kept in ``doors``: the test of its guard as a hit and selection do it, giving None if it
+        fails, else the locals' counter value, the body literals it used (0 if an ``f_`` names no
+        comparison) and its step's degree; untraced, with the floor for an ``_inlined`` guard."""
+        position, clause, (_, (at, inline), cell), (local_vars, _, _, lit) = entry
         negated = isinstance(lit, NotGoal)
         call = lit.inner if negated else lit
         rho = isinstance(call, RhoAtom)
-        head, lhs = (call.strategy, _reader(call.lhs)) if rho else (call.head, _reader(call.args))
-        rhs, known = _reader(call.rhs) if rho else None, []  # known: a ground head's floor
-        tried = local_vars or self.cfg.trace_sink is not None  # else _tried does nothing
+        head, lhs = (call.strategy, call.lhs) if rho else (call.head, call.args)
 
         def test(d):
-            n = self._tried(clause, local_vars) if tried else None
+            n = self._tried(clause, local_vars)
             if not rho:
                 name = d.get(head, head)
                 if name.name not in COMPARISONS:
                     return n, 0, ONE
-                pred = PredAtom(name, lhs(d))
+                pred = PredAtom(name, subst_hedge(d, lhs))
                 if negated:
                     self._trace("negation", render_literal, NotGoal(pred))
                 failed = self._solve_pred(pred) is None
                 return (n, 1, ONE) if failed == negated else None
-            st, left, right = head if head._ground else subst_term(d, head), lhs(d), rhs(d)
+            st = head if head._ground else subst_term(d, head)
+            left, right = subst_hedge(d, lhs), subst_hedge(d, call.rhs)
             if self.cfg.trace_sink is not None:
                 self._trace("select", render_literal, RhoAtom(st, left, right))
-            if not known or not head._ground:
-                known[:] = [self._floor(st)]
-            floor = known[0]
+            floor = self._floor(st)
             if floor is None:  # id: the sides are equal
                 return (n, 1, ONE) if left == right else None
             got = _proximity_walk(self.rel, right, left, floor)
             return (n, 1, got) if got else None
-        return test
+
+        if inline is None or self.cfg.trace_sink is not None:  # a traced try takes the loop
+            return doors.setdefault(position, ((at, test), None if inline else cell))
+        floor = None if inline[0] == "cmp" else self._floor(head)
+        data = test, floor, self.rel, _proximity_walk, COMPARISONS
+        return doors.setdefault(position, ((at, data, inline), cell))
 
     # -- builtin strategies ----------------------------------------------------
 
@@ -597,14 +622,6 @@ class _Solver:
         following = _Nf(RhoAtom(lit.strategy, out, lit.rhs), depth, height)
         yield (step, following), None, ONE
         yield (self._into(lit.lhs, lit.rhs),), None, ONE
-
-
-def _reader(hedge):
-    """A function from a dict binding the variables of ``hedge`` to its instance."""
-    if hedge and all(isinstance(x, IndVar) for x in hedge):
-        get = operator.itemgetter(*hedge)
-        return get if len(hedge) > 1 else lambda d: (get(d),)
-    return lambda d: subst_hedge(d, hedge)
 
 
 def _instantiate(theta, goal):

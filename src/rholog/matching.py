@@ -36,11 +36,11 @@ on a search path's dict inside the match and must not keep it. Both get plain
 dicts, each a new one that the engine may write into. They stay keywords of the
 public functions because the benchmark's tracer counts calls by these names.
 
-A clause head that may have several matchers (the engine's load-time flag
-``single`` is false) runs this order specialised to it (``_head_source``): a fixed
-nest of loops, compiled on its first try, once per shape, and kept in the clause's
-index entry. Heads with a context variable take the loop below, as do public and
-scored matching and heads with at most one matcher, which a rule base tries once each.
+A clause head that may have several matchers (the engine's load-time flag ``single``
+is false) runs this order specialised to it (``_head_source``): a fixed nest of loops
+that tests an ``id``, ``prox`` or comparison guard inline, before any slice or dict is
+built, compiled on its first try, once per shape, and kept in the clause's index entry.
+Context variables, public and scored matching and single-matcher heads take the loop below.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .terms import (
     Sym,
     hole_count,
     is_ground,
+    numeral_value,
 )
 
 ZERO = Decimal(0)
@@ -125,17 +126,19 @@ def scored_match_hedge(
 
 def match_hedge(pattern, subject, *, _test=None, _cell=None) -> Iterator[Subst]:
     """All matchers of a pattern sequence against a ground sequence, lazily; the
-    inputs are checked on the call. A clause try passes its ``_test``, ``(at, test)``
-    of ``_match_items``, and its ``_cell``, a list keeping its head's compiled code
-    (None: the head has at most one matcher), and gets ``(dict, test result)`` pairs."""
+    inputs are checked on the call. A clause try passes its ``_test``, ``(at, test)`` of
+    ``_match_items`` or ``(at, (test, ...), guard)`` for a guard its head's code inlines
+    (``_head_source``), and its ``_cell``, a list keeping its head's compiled code (None:
+    the head has at most one matcher), and gets ``(dict, test result)`` pairs."""
     if _test is None:
         return (subst for subst, _ in scored_match_hedge(pattern, subject))
     if _cell is not None:
-        if not _cell:  # the first try: the head's code, or None (``_head_source``)
-            _cell.append((source := _head_source(pattern, _test[0])) and _maker(source)(pattern))
+        if not _cell:  # the first try: the head's code, or None; _test[::2] is at and any guard
+            _cell.append((src := _head_source(pattern, *_test[::2])) and _maker(src)(pattern))
         if _cell[0]:
             return _cell[0](subject, _test[1])
-    return _match_items(pattern, 0, subject, 0, {}, ONE, False, None, ONE, None, *_test)
+    test = _test[1] if len(_test) == 2 else _test[1][0]  # an inline guard's data: its test first
+    return _match_items(pattern, 0, subject, 0, {}, ONE, False, None, ONE, None, _test[0], test)
 
 
 def match_term(pattern, subject) -> Iterator[Subst]:
@@ -248,15 +251,17 @@ def _match_items(items, i, subject, j, subst, degree, greedy, sym_degree, floor,
 @functools.lru_cache(maxsize=256)
 def _maker(source):
     """The ``make`` of a head shape's source, compiled once while it is in use."""
-    exec(source, namespace := {"ONE": ONE})
+    exec(source, namespace := {"ONE": ONE, "Decimal": Decimal, "value": numeral_value})
     return namespace["make"]
 
 
-def _head_source(head, at):
+def _head_source(head, at, guard=None):
     """The source of ``make(head)``: it reads the head's slots and returns ``m(subject,
     test)``, which tests and yields as ``_match_items(head, 0, subject, 0, {}, ONE, False,
     None, ONE, None, at, test)`` does; None for a context variable, or past 16 loops
-    or 32 levels, which keeps the source linear in the head."""
+    or 32 levels, which keeps the source linear in the head. A ``guard`` (``_inlined``) is
+    tested at ``at`` before any slice, ``test`` then ``(test, floor, relation, walk, ops)``;
+    a step walks arguments only if an item has some, and a pass gives ``(None, used, degree)``."""
     make, body, value, loops, fail = [], [], {}, 0, "return"  # value: var -> key, value names
     items, path, s, n, i, base, off, more = head, "head", "subject", "n", 0, "", 0, None
 
@@ -270,12 +275,36 @@ def _head_source(head, at):
     def bind(var, slot, expr):  # the variable at ``slot``, whose value here is ``expr``
         if var in value:
             return put(f"if {expr} != {value[var][1]}: {fail}")
-        value[var] = read(slot), f"x{len(value)}"
-        put(f"{value[var][1]} = {expr}")
+        lazy = guard and isinstance(var, SeqVar)  # with an inline guard: sliced where used
+        value[var] = read(slot), expr if lazy else f"x{len(value)}"
+        if not lazy:
+            put(f"{value[var][1]} = {expr}")
 
     def matcher():
         return "{" + ", ".join(f"{key}: {x}" for key, x in value.values()) + "}"
 
+    def inline(kind, *args):  # the guard's test, setting ``got``
+        if kind != "cmp":
+            x, y = (value[v][1] for v in args)
+            if kind == "prox":  # as _proximity_walk(rel, (y,), (x,), floor)
+                put(f"if (g := degree({y}.head, {x}.head)) == 0 or g < floor: {fail}")
+                put(f"if not (w := walk(rel, {y}.args, {x}.args, floor) if {y}.args or {x}.args"
+                    f" else ONE): {fail}")
+                return put("got = None, 1, min(ONE, g, w)")
+            put(f"if {x} != {y}: {fail}")
+            return put("got = None, 1, ONE")
+        op, negated, *sides = args  # the general test: an f_ naming no comparison passes
+        v = [repr(x) if isinstance(x, Decimal) else f"v{k}" for k, x in enumerate(sides)]
+        unread = [] if isinstance(op, str) else [f"(op := ops.get({value[op][1]}.name)) is None"]
+        unread += [f"({v[k]} := value({value[x][1]})) is None"
+                   for k, x in enumerate(sides) if not isinstance(x, Decimal)]
+        held = f"{v[0]} {op} {v[1]}" if isinstance(op, str) else f"op({v[0]}, {v[1]})"
+        put(f"if {' or '.join(unread) or 'False'}: got = test({matcher()})")
+        put(f"elif {'' if negated else 'not '}({held}): {fail}")
+        put("else: got = None, 1, ONE")
+
+    if guard:
+        put("test, floor, rel, walk, ops = test; degree = rel.degree")
     put("n = len(subject)")
     while True:
         pos = f"{base} + {off}" if base and off else base or str(off)
@@ -285,7 +314,10 @@ def _head_source(head, at):
                 items, path, s, n, i, base, off, more = more
                 continue
         if i == at and more is None:
-            put(f"if (got := test({matcher()})) is None: {fail}")
+            if guard:
+                inline(*guard)
+            else:
+                put(f"if (got := test({matcher()})) is None: {fail}")
         if i == len(items):
             break
         x, slot, i = items[i], f"{path}[{i}]", i + 1

@@ -107,8 +107,8 @@ def hedge_proximity(rel, h1, h2) -> Decimal:
 
 def _proximity_walk(rel, h1, h2, floor) -> Decimal:
     """``hedge_proximity`` of trusted hedges, walked as the matcher walks, with no
-    stack; 0 if a symbol pair scores below ``floor``. A clause's ``prox`` guard
-    calls it directly: its sides are ground by a load-time analysis."""
+    stack; 0 if a symbol pair scores below ``floor``. A clause's ``prox`` guard calls it
+    directly, its sides ground by a load-time analysis; inlined, for items with arguments only."""
     degree, i, more = ONE, 0, None
     while True:
         if i == len(h1) or i == len(h2):

@@ -119,8 +119,8 @@ CATALOGUE = [
      "                return\n            if j != len(subject):\n                return\n"
      "            if more is None:\n                if False:\n",
      "a guard tested at the end of the head before the subject is used up"),
-    ("M24", ENGINE, "if not known or not head._ground:", "if not known:",
-     "the floor of a guard's strategy kept though it reads a head variable"),
+    ("M24", ENGINE, "st = head if head._ground else subst_term(d, head)", "st = head",
+     "a guard's strategy not instantiated, so a threshold it reads from the head is not read"),
     ("M25", PROXIMITY, "if d == 0 or d < floor:", "if d < floor:",
      "the ground walk accepts a symbol pair of degree 0 under a floor of 0"),
     ("M26", ENGINE, "if guard is None:\n        return len(head)",
@@ -133,9 +133,9 @@ CATALOGUE = [
     ("M28", MATCHING, 'hi += f" - {len(items) - i - len(seqs)}"',
      'hi += f" - {len(items) - i - len(seqs) - 1}"',
      "compiled heads: a sequence variable leaves one item too few for the rest of its level"),
-    ("M29", MATCHING, "if i == at and more is None:\n            put(",
-     "if i == at + 1 and more is None:\n            put(",
-     "compiled heads: the test placed one item late"),
+    ("M29", MATCHING, "if i == at and more is None:\n            if guard:",
+     "if i == at + 1 and more is None:\n            if guard:",
+     "compiled heads: the test, or the guard they inline, placed one item late"),
     ("M30", ENGINE, "_proximity_walk(self.rel, right, left, floor)",
      "_proximity_walk(self.rel, right, left, floor * 0)",
      "a prox guard walked under a floor of 0, not its own floor"),
@@ -145,6 +145,14 @@ CATALOGUE = [
     ("M32", ENGINE, "return _Into({v: (v,) for v in fresh}, fresh, out, rhs)",
      "return _Into({v: (v,) for v in fresh}, (), out, rhs)",
      "a builtin's continuation without locals: its fresh output is never instantiated"),
+    ("M33", MATCHING, "== 0 or g < floor: {fail}", "== 0 or g <= floor: {fail}",
+     "compiled heads: an inlined prox guard fails a pair scoring exactly its floor"),
+    ("M34", ENGINE, '_OPERATORS = {"=<": "<=",', '_OPERATORS = {"=<": ">=",',
+     "compiled heads: an inlined =< compares the other way"),
+    ("M35", MATCHING, "{'' if negated else 'not '}({held})", "not ({held})",
+     "compiled heads: an inlined comparison's negation dropped"),
+    ("M36", MATCHING, "min(ONE, g, w)", "min(ONE, g)",
+     "compiled heads: an inlined prox guard drops the degrees of its items' arguments"),
 ]
 
 # (name, file, text, replacement, why the answers cannot change)
@@ -159,10 +167,6 @@ EQUIVALENT_DELETIONS = [
      "fails to load, some file fails alone, and that file's error is raised first"),
     ("_Parser.skip", "return False",
      "every caller tests the result for truth, and None is false"),
-    ("_reader", "if hedge and all(isinstance(x, IndVar) for x in hedge):",
-     "subst_hedge reads a hedge of individual variables as the item getter does, only slower"),
-    ("_reader", "return get if len(hedge) > 1 else lambda d: (get(d),)",
-     "subst_hedge reads a hedge of individual variables as the item getter does, only slower"),
 ]
 
 

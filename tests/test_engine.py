@@ -43,7 +43,7 @@ from rholog import (
     render_sequence,
     solve,
 )
-from rholog.engine import _facts
+from rholog.engine import _facts, _inlined
 from rholog.errors import (
     ArityError,
     DuplicateBuiltinError,
@@ -327,6 +327,26 @@ class TestSolveOutcomes:
             "UnknownPredicateError", "UnknownStrategyError")) > 5
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.ANSWERS
         assert hashlib.sha256(repr(traces).encode()).hexdigest() == self.TRACES
+
+    def test_outcomes_do_not_depend_on_compiled_heads(self, caplog, monkeypatch):
+        # every head runs _match_items, and every guard the general test
+        monkeypatch.setattr(rholog.matching, "_head_source", lambda *args: None)
+        self.test_outcomes_match_the_pinned_digests(caplog)
+
+    def test_untraced_outcomes_match_the_answer_digest(self, caplog):
+        # untraced, compiled heads test the guards they inline (TestInlineGuards)
+        caplog.set_level("ERROR", logger="rholog.engine")
+        rows, db, loaded = [], None, None
+        for clauses, rel, query, limit in self.corpus():
+            try:
+                if loaded is not clauses:
+                    db, loaded = load_program(SourceProgram(tuple(clauses))), clauses
+                config = EngineConfig(nf_step_limit=limit)
+                rows.append([(render_answer(a), str(a.degree))
+                             for a in itertools.islice(solve(db, query, rel, config), 6)])
+            except Exception as exc:  # a mutant may raise anything
+                rows.append((type(exc).__name__, str(exc)))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.ANSWERS
 
 
 class TestIdAndProx:
@@ -1688,6 +1708,142 @@ class TestSequenceHeadGuards:
         assert traced(query, self.EDGES, REL) == (lines, found)
 
 
+class TestInlineGuards:
+    """A leading guard that a head's compiled code tests inline gives what the general
+    test gives, which ``_match_items`` runs when ``_head_source`` compiles nothing: the
+    same matchers in the same order, the same ``Decimal`` degrees, and the same error,
+    raised at the same candidate."""
+
+    X, Y, F = IndVar("i_X"), IndVar("i_Y"), FunVar("f_F")
+    NUMERALS = ("1", "2", "3", "0.5")
+    TERMS = ("a", "b", "c", "1", "2", "f(a)", "f(b)", "g(a)", "f(a,c)", "g(b,a)", "g(c,b)")
+
+    def guard(self, rng):
+        X, Y, F = self.X, self.Y, self.F
+        roll = rng.random()
+        if roll < 0.4:
+            st = rng.choice((atom("id"), atom("prox"), call("prox", atom("0")),
+                             call("prox", atom("0.5")), call("prox", atom("1")),
+                             call("prox", atom("abc")), call("prox", atom("2")),
+                             call("id", atom("a"))))
+            return RhoAtom(st, *rng.sample(((X,), (Y,)), 2))
+        sides = [rng.choice((X, Y, atom("2"), atom("b"))) for _ in range(2)]
+        op = F if roll < 0.55 else Sym(rng.choice(("=<", "<", ">", ">=")))
+        lit = PredAtom(op, tuple(sides))
+        return NotGoal(lit) if rng.random() < 0.5 else lit
+
+    def case(self, rng):
+        """A clause ``st(f_F) :: lhs ==> lhs :- guard``, the lhs with at least two
+        sequence variables, and a query of it, maybe in threshold mode."""
+        items = [self.X, self.Y] + [SeqVar(f"s_{k}") for k in range(rng.randrange(2, 4))]
+        if rng.random() < 0.3:
+            items.append(rng.choice((IndVar("i_Z"), atom("a"), call("f", IndVar("i_Z")),
+                                     call("g", SeqVar("s_0"), self.X))))
+        rng.shuffle(items)
+        st, guard = call("st", Compound(self.F, ())), self.guard(rng)
+        clause = RhoClause(st, tuple(items), tuple(items), (guard,))
+        op = atom(rng.choice(("=<", "<", ">", ">=", "p")))
+        pool = self.TERMS if isinstance(guard, RhoAtom) else self.NUMERALS * 6 + self.TERMS[:1]
+        lhs = tuple(T(rng.choice(pool)) for _ in range(rng.randrange(2, 7)))
+        threshold = rng.choice((None, None, D("0"), D("0.5"), D("0.7"), D(1)))
+        return clause, Query((RhoAtom(call("st", op), lhs, (SeqVar("s_R"),)),), threshold)
+
+    @staticmethod
+    def outcome(clause, query, rel):
+        got = []
+        try:
+            for a in solve(db_of_clauses(clause), query, rel):
+                got.append((render_answer(a), repr(a.degree)))
+        except RhoError as exc:
+            got.append((type(exc).__name__, str(exc)))
+        return got
+
+    def test_inline_guards_give_what_the_general_test_gives(self, monkeypatch):
+        rng = make_rng(37)
+        rel = ProximityRelation([("a", "b", D("0.6")), ("b", "c", D("0.8")), ("1", "2", D("0.5")),
+                                 ("f", "g", D("0.7")), ("a", "c", D("1.0"))])
+        cases = [self.case(rng) for _ in range(1500)]
+        inline = Counter(_inlined(c.body[0]) and _inlined(c.body[0])[0] for c, _ in cases)
+        assert min(inline[kind] for kind in ("id", "prox", "cmp", None)) > 50, inline
+        compiled = [self.outcome(clause, query, rel) for clause, query in cases]
+        monkeypatch.setattr(rholog.matching, "_head_source", lambda *args: None)
+        general = [self.outcome(clause, query, rel) for clause, query in cases]
+        for (clause, query), want, got in zip(cases, general, compiled):
+            assert got == want, (render_clause(clause), query)
+        answers = [row for rows in compiled for row in rows if row[1].startswith("Decimal")]
+        errors = Counter(row[0] for rows in compiled for row in rows if row[0].endswith("Error"))
+        assert len(answers) > 800 and len({degree for _, degree in answers}) == 5
+        assert min(errors[name] for name in ("NonNumericError", "ThresholdRangeError",
+                                             "ArityError")) > 20
+
+    def test_untraced_proximity_queries_walk_nothing(self, monkeypatch):
+        # the bench's proximity queries: an inlined guard asks for the degrees the
+        # general test asks for, and neither the walk nor the general test runs
+        workload = bench_workload("proximity")
+        text = (PROGRAMS / "proximity.rho").read_text(encoding="utf-8")
+        rel = ProximityRelation(parse_proximity_decls(workload.files["relation.prox"]))
+        calls, degree, walk = Counter(), ProximityRelation.degree, rholog.engine._proximity_walk
+        guard = rholog.engine._Solver._guard
+
+        def counted_degree(self, a, b):
+            calls["degree"] += 1
+            return degree(self, a, b)
+
+        def counted_walk(*args):
+            calls["walk"] += 1
+            return walk(*args)
+
+        def counted_guard(self, entry, doors):  # counts the calls of the general test
+            (at, data, *inline), cell = guard(self, entry, doors)
+            test = data[0] if inline else data
+
+            def counted_test(d):
+                calls["test"] += 1
+                return test(d)
+
+            data = (counted_test, *data[1:]) if inline else counted_test
+            doors[entry[0]] = (at, data, *inline), cell
+            return doors[entry[0]]
+
+        monkeypatch.setattr(ProximityRelation, "degree", counted_degree)
+        monkeypatch.setattr(rholog.engine, "_proximity_walk", counted_walk)
+        monkeypatch.setattr(rholog.engine._Solver, "_guard", counted_guard)
+        runs = []
+        for source in (rholog.matching._head_source, lambda *args: None):
+            monkeypatch.setattr(rholog.matching, "_head_source", source)
+            db = db_of(text)
+            answers = [list(map(render_answer, solve(db, parse_query(q.text), rel)))
+                       for q in workload.queries[:60]]
+            runs.append((answers, calls.copy()))
+            calls.clear()
+        (compiled, counts), (general, general_counts) = runs
+        assert compiled == general
+        assert counts["walk"] == counts["test"] == 0
+        assert counts["degree"] == general_counts["degree"] > 10_000
+        assert general_counts["walk"] == general_counts["test"] == counts["degree"]
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_a_guard_test_is_built_once_per_clause_and_query(self, monkeypatch, traced):
+        built, guard = [], rholog.engine._Solver._guard
+
+        def counted(self, entry, doors):
+            built.append((self, entry[1]))
+            return guard(self, entry, doors)
+
+        monkeypatch.setattr(rholog.engine._Solver, "_guard", counted)
+        config = EngineConfig(trace_sink=[].append if traced else None)
+        for program, query in (
+            ("sorting.rho", "?(bubble_sort(=<) :: (5,1,4,2,3) ==> s_X, Result)."),
+            ("proximity.rho", "?(merge_all_proximals :: (a,b,d,b,c) ==> s_Ans, 0.5, Degree, Result)."),
+        ):
+            db = db_of((PROGRAMS / program).read_text(encoding="utf-8"))
+            rel = ProximityRelation(parse_proximity_decls(
+                (PROGRAMS / "proximity.prox").read_text(encoding="utf-8")))
+            assert list(solve(db, parse_query(query), rel, config))
+        # swap and merge_proximals, each tried many times in its query
+        assert len(built) == len(set(built)) == 2
+
+
 def bench_workload(name):
     """The queries and files of a bench workload at seed 7 (``bench/workloads.py``)."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -1706,8 +1862,8 @@ class TestCompiledShapes:
     def compiled(self, monkeypatch):
         sources, source_of = [], rholog.matching._head_source
 
-        def counted(head, at):
-            sources.append(source_of(head, at))
+        def counted(*args):
+            sources.append(source_of(*args))
             return sources[-1]
 
         monkeypatch.setattr(rholog.matching, "_head_source", counted)
@@ -1738,6 +1894,15 @@ class TestCompiledShapes:
         for name in "pqrpqr":
             assert list(solve(db, parse_query(f"?({name} :: (a, f(b)) ==> s_R, Result).")))
         assert len(compiled) == 3 and rholog.matching._maker.cache_info().misses == 2
+
+    def test_heads_of_one_shape_with_different_guards_compile_apart(self, compiled):
+        program = ("p :: (s_A, i_X, s_B, i_Y, s_C) ==> ok :- prox :: i_X ==> i_Y.\n"
+                   "q :: (s_A, i_X, s_B, i_Y, s_C) ==> ok :- =<(i_X, i_Y).\n")
+        db = db_of(program)
+        for name in "pqpq":
+            assert list(solve(db, parse_query(f"?({name} :: (1, 1) ==> s_R, Result).")))
+        assert len(compiled) == len(set(compiled)) == 2
+        assert rholog.matching._maker.cache_info().misses == 2
 
     def test_a_head_with_a_list_of_arguments(self):
         # Compound stores a list of arguments as a tuple, so this head hashes as any other
